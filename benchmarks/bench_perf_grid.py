@@ -40,7 +40,7 @@ import numpy as np
 
 from repro._version import __version__
 from repro.obs.history import DEFAULT_HISTORY_NAME, record_benchmark
-from repro.obs.profiling import phase_totals, reset_phase_totals
+from repro.obs.trace import phase_totals, reset_phase_totals
 from repro.perf.cache import clear_caches
 from repro.perf.grid import ProjectionGrid, figure_campaign
 
@@ -71,10 +71,10 @@ def _time_mode(
         results = grid.run(tasks)
         elapsed = time.perf_counter() - start
         if not times or elapsed < min(times):
-            # Phase breakdown of the best repetition (what best_s
+            # Span breakdown of the best repetition (what best_s
             # reports).  Serial modes attribute nearly all of best_s
-            # to the instrumented phases; process modes only see the
-            # parent's share (workers profile in their own process).
+            # to projection.project spans; process modes only see the
+            # parent's share (workers trace in their own process).
             phases = phase_totals()
         times.append(elapsed)
     assert len(results) == len(tasks)

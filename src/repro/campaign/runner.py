@@ -26,6 +26,7 @@ makes a half-finished campaign inspectable without replaying it.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import multiprocessing
 import os
@@ -38,6 +39,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .._version import __version__
@@ -255,26 +257,6 @@ def _timed_run(
     return payload, attempts, started_unix
 
 
-def _bound_timed_run(
-    publisher: EventPublisher,
-    task: CampaignTask,
-    retries: int,
-    backoff_base_s: float,
-    backoff_cap_s: float,
-) -> Tuple[Dict[str, Any], int, float]:
-    """Thread-pool entry: re-bind the campaign's event publisher.
-
-    Contextvars do not follow work items into pool threads, so the
-    ambient :func:`~repro.obs.stream.emit` target must be installed
-    explicitly for nested code (DSE rungs) to publish from workers.
-    """
-    token = bind_publisher(publisher)
-    try:
-        return _timed_run(task, retries, backoff_base_s, backoff_cap_s)
-    finally:
-        unbind_publisher(token)
-
-
 # -- outcomes and reports --------------------------------------------------
 
 
@@ -444,28 +426,15 @@ class CampaignRunner:
 
     # -- manifest ----------------------------------------------------------
 
-    def manifest_path(self, spec: CampaignSpec) -> "os.PathLike":
+    def manifest_path(self, spec: CampaignSpec) -> Path:
         """Where the checkpoint manifest for ``spec`` lives."""
-        return (
-            self.store.directory
-            / f"manifest-{spec.spec_hash()[:16]}.json"
-        )
+        return self._manifest_path(spec.spec_hash())
 
-    def _write_manifest(
-        self,
-        spec: CampaignSpec,
-        hashes: Sequence[str],
-        completed: Sequence[str],
-    ) -> None:
-        payload = {
-            "spec": spec.payload(),
-            "spec_hash": spec.spec_hash(),
-            "model_version": __version__,
-            "total": len(hashes),
-            "tasks": list(hashes),
-            "completed": sorted(completed),
-        }
-        path = self.manifest_path(spec)
+    def _manifest_path(self, spec_hash: str) -> Path:
+        return self.store.directory / f"manifest-{spec_hash[:16]}.json"
+
+    @staticmethod
+    def _write_manifest(path: Path, payload: Dict[str, Any]) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         # A private temp name, not path.with_suffix(".tmp"): joined
         # cluster processes checkpoint the same manifest concurrently,
@@ -515,6 +484,24 @@ class CampaignRunner:
         start = time.perf_counter()
         tasks = spec.tasks()
         hashes = [task_hash(task) for task in tasks]
+        spec_hash = spec.spec_hash()
+        # The manifest's fixed part, derived once: every settle
+        # rewrites the manifest, and re-deriving the spec's payload,
+        # hash and path there cost a third of each rewrite.
+        manifest_path = self._manifest_path(spec_hash)
+        head = {
+            "spec": spec.payload(),
+            "spec_hash": spec_hash,
+            "model_version": __version__,
+            "total": len(hashes),
+            "tasks": list(hashes),
+        }
+
+        def checkpoint(completed: Sequence[str]) -> None:
+            self._write_manifest(
+                manifest_path, dict(head, completed=sorted(completed))
+            )
+
         sampler = acquire_sampler() if self.profile else None
         self._sampler = sampler
         window = sampler.mark() if sampler is not None else None
@@ -522,7 +509,7 @@ class CampaignRunner:
             with get_tracer().span(
                 "campaign.run",
                 attributes={
-                    "spec_hash": spec.spec_hash()[:16],
+                    "spec_hash": spec_hash[:16],
                     "executor": self.executor,
                     "total": len(tasks),
                 },
@@ -533,7 +520,9 @@ class CampaignRunner:
                     else None
                 )
                 try:
-                    report = self._execute(spec, tasks, hashes)
+                    report = self._execute(
+                        spec, tasks, hashes, checkpoint
+                    )
                 finally:
                     if token is not None:
                         unbind_publisher(token)
@@ -561,6 +550,7 @@ class CampaignRunner:
         spec: CampaignSpec,
         tasks: Sequence[CampaignTask],
         hashes: Sequence[str],
+        checkpoint: Callable[[Sequence[str]], None],
     ) -> CampaignReport:
         outcomes: Dict[str, TaskOutcome] = {}
         completed: List[str] = []
@@ -580,7 +570,7 @@ class CampaignRunner:
             else:
                 pending.append((task, digest))
 
-        self._write_manifest(spec, hashes, completed)
+        checkpoint(completed)
         total = len(tasks)
         # Settle-to-settle sampler tick deltas: how many profiler
         # samples elapsed while this task was the newest thing to
@@ -610,7 +600,7 @@ class CampaignRunner:
                     # task span via the attached context.
                     self.store.put(outcome.hash, outcome.result)
                     completed.append(outcome.hash)
-                    self._write_manifest(spec, hashes, completed)
+                    checkpoint(completed)
             # Enrich after the span closed so the outcome carries the
             # final duration; the span is backdated to submit, making
             # duration_ms submit-to-settle wall time.
@@ -715,24 +705,23 @@ class CampaignRunner:
             pool = ProcessPoolExecutor(
                 max_workers=workers, mp_context=_SPAWN
             )
-            entry: Tuple[Callable[..., Any], Tuple[Any, ...]] = (
-                _timed_run, ()
-            )
+            submit = pool.submit
         else:
             pool = ThreadPoolExecutor(max_workers=workers)
-            # Pool threads need the ambient publisher re-bound (a
-            # spawn-pinned process pool cannot carry it at all).
-            entry = (
-                (_bound_timed_run, (self.events,))
-                if self.events is not None
-                else (_timed_run, ())
-            )
+
+            def submit(fn, *args):
+                # Pool threads do not inherit contextvars, so each task
+                # runs in a copy of this one: the run's span parents
+                # the task's spans and the ambient event publisher
+                # stays bound (a spawn-pinned process pool carries
+                # neither).
+                return pool.submit(contextvars.copy_context().run, fn, *args)
+
         with pool:
             futures = {}
             for task, digest in pending:
-                future = pool.submit(
-                    entry[0],
-                    *entry[1],
+                future = submit(
+                    _timed_run,
                     task,
                     self.retries,
                     self.backoff_base_s,

@@ -43,7 +43,7 @@ from .._version import __version__
 from ..errors import ModelError
 from ..obs.metrics import MetricsRegistry
 from ..obs.metrics import get_registry as _global_registry
-from ..obs.profiling import profile_block
+from ..obs.trace import get_tracer
 from ..obs.stream import emit as emit_event
 from .spec import canonical_json, sha256_text
 
@@ -166,7 +166,7 @@ class ResultStore:
         The result must be JSON-representable (campaign payloads are);
         the envelope embeds a checksum over its canonical form.
         """
-        with profile_block("campaign.store.serialize"):
+        with get_tracer().span("campaign.store.serialize"):
             body = canonical_json(result)
             envelope = canonical_json(
                 {

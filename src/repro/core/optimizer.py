@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 from ..errors import InfeasibleDesignError, ModelError
-from ..obs.profiling import profile_block
 from .amdahl import check_fraction
 from .chip import ChipModel
 from .constraints import BoundSet, Budget, LimitingFactor
@@ -204,14 +203,10 @@ def optimize(
         InfeasibleDesignError: no ``r`` satisfies the serial bounds, or
             every candidate leaves no usable parallel resources.
     """
-    # One phase per optimize() call: the sweep below is the scalar
-    # speedup hot path (speedup_heterogeneous et al.), but per-r
-    # instrumentation there would dwarf the arithmetic it measures.
-    with profile_block("core.optimize", chip=chip.label):
-        points = sweep_designs(chip, f, budget, r_max, r_values)
-        if not points:
-            raise InfeasibleDesignError(
-                f"no feasible design for {chip.label} under {budget} "
-                f"(f={f}, r_max={r_max})"
-            )
-        return max(points, key=lambda p: p.speedup)
+    points = sweep_designs(chip, f, budget, r_max, r_values)
+    if not points:
+        raise InfeasibleDesignError(
+            f"no feasible design for {chip.label} under {budget} "
+            f"(f={f}, r_max={r_max})"
+        )
+    return max(points, key=lambda p: p.speedup)

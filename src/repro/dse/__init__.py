@@ -11,8 +11,8 @@ scenarios into a production exploration pipeline:
   regimes (Table 1 baseline, Ginosar sqrt(m), Yavits
   temperature-limited Amdahl) behind one interface.
 * :mod:`~repro.dse.engine` -- config-space expansion and evaluation
-  through the existing r-sweep optimizer, with ``dse.evaluate``
-  spans.
+  through the existing r-sweep optimizer, one ``dse.exhaustive``
+  span per sweep.
 * :mod:`~repro.dse.front` -- the dominance-pruned
   (speedup, area, power) Pareto front, canonically ordered and
   shard-mergeable.

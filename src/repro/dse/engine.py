@@ -11,9 +11,10 @@ sequential law and effective-fabric mapping.  The ``table1`` provider
 is detected (`identity = True`) and skips the wrapper entirely, so
 its results are bit-identical to :mod:`repro.projection`.
 
-Every evaluation runs under a ``dse.evaluate`` span, and campaign
-integration lives in :func:`execute_pareto_task` (sharded exhaustive
-sweep; its payload carries the shard's dominance-pruned front).
+An exhaustive sweep runs under one ``dse.exhaustive`` span (config
+and infeasible counts as attributes), and campaign integration lives
+in :func:`execute_pareto_task` (sharded exhaustive sweep; its payload
+carries the shard's dominance-pruned front).
 """
 
 from __future__ import annotations
@@ -295,27 +296,16 @@ def evaluate_config(
     r_values: Optional[Sequence[float]] = None,
 ) -> Optional[DSEPoint]:
     """Full r-sweep for one config; ``None`` when infeasible."""
-    with get_tracer().span(
-        "dse.evaluate",
-        attributes={
-            "dse.config": config.config_id,
-            "dse.chip": config.chip_label,
-            "dse.provider": config.provider,
-        },
-    ) as span:
-        try:
-            design = optimize(
-                config.chip, config.f, config.eval_budget,
-                r_max=r_max, r_values=r_values,
-            )
-        except InfeasibleDesignError:
-            span.set_attribute("dse.outcome", "infeasible")
-            _configs_counter().inc(outcome="infeasible")
-            return None
-        span.set_attribute("dse.outcome", "ok")
-        span.set_attribute("dse.speedup", design.speedup)
-        _configs_counter().inc(outcome="ok")
-        return _point_from_design(config, design)
+    try:
+        design = optimize(
+            config.chip, config.f, config.eval_budget,
+            r_max=r_max, r_values=r_values,
+        )
+    except InfeasibleDesignError:
+        _configs_counter().inc(outcome="infeasible")
+        return None
+    _configs_counter().inc(outcome="ok")
+    return _point_from_design(config, design)
 
 
 def exhaustive_sweep(
@@ -325,12 +315,16 @@ def exhaustive_sweep(
     """Evaluate every config fully; returns (points, n_infeasible)."""
     points: List[DSEPoint] = []
     infeasible = 0
-    for config in configs:
-        point = evaluate_config(config, r_max=r_max)
-        if point is None:
-            infeasible += 1
-        else:
-            points.append(point)
+    with get_tracer().span(
+        "dse.exhaustive", attributes={"dse.configs": len(configs)}
+    ) as span:
+        for config in configs:
+            point = evaluate_config(config, r_max=r_max)
+            if point is None:
+                infeasible += 1
+            else:
+                points.append(point)
+        span.set_attribute("dse.infeasible", infeasible)
     return points, infeasible
 
 

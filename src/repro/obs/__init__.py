@@ -8,19 +8,25 @@ cost.  Three coordinated pieces:
 
 * **Tracing** (:mod:`repro.obs.trace`, :mod:`repro.obs.context`) --
   spans with parent/child linkage propagated across asyncio tasks
-  (contextvars), dispatcher threads and campaign process pools
-  (explicit carriers); exported to an in-process ring buffer
-  (``GET /v1/traces``) and optionally to a JSONL file.
+  (contextvars), dispatcher threads (explicit carriers) and campaign
+  process pools (parent-side task spans); exported to an in-process
+  ring buffer (``GET /v1/traces``) and optionally to a JSONL file.
+  The span is the one timing primitive: each is opened by the call
+  that owns a loop (a request, a projection, a sensitivity run, a DSE
+  sweep, a campaign task), and every finished span also records its
+  duration in the ``repro_phase_seconds`` summary (read back per name
+  by :func:`phase_totals`, which the ``BENCH_*.json`` writers embed)
+  and, while sampling, tags the profiler's stacks with ``phase:``
+  (off event-loop threads).
 * **Metrics** (:mod:`repro.obs.metrics`) -- one process-wide
   :class:`MetricsRegistry` of counters, gauges and bounded-window
   histograms that the service, the perf cache and the campaign store
   all register into; rendered as JSON (``GET /metrics``,
   ``repro-hetsim metrics-dump``) and Prometheus text
   (``GET /metrics?format=prom``).
-* **Profiling** (:mod:`repro.obs.profiling`) -- ``@timed`` /
-  ``profile_block`` hooks on the hot paths, feeding per-phase
-  wall-time into spans, the registry, and the ``BENCH_*.json``
-  writers.
+* **Profiling** (:mod:`repro.obs.prof`) -- a continuous sampling
+  profiler producing folded stacks, with differential attribution
+  (:mod:`repro.obs.profdiff`) for benchmark regressions.
 
 Structured JSON logging with trace correlation lives in
 :mod:`repro.obs.logging`.  Everything is stdlib-only.
@@ -72,12 +78,6 @@ from .profdiff import (
     diff_profiles,
     render_culprit,
 )
-from .profiling import (
-    phase_totals,
-    profile_block,
-    reset_phase_totals,
-    timed,
-)
 from .regress import (
     MetricVerdict,
     RegressionReport,
@@ -100,7 +100,14 @@ from .stream import (
     emit,
     unbind_publisher,
 )
-from .trace import Span, Tracer, configure_tracer, get_tracer
+from .trace import (
+    Span,
+    Tracer,
+    configure_tracer,
+    get_tracer,
+    phase_totals,
+    reset_phase_totals,
+)
 
 __all__ = [
     # context
@@ -117,6 +124,8 @@ __all__ = [
     "Tracer",
     "configure_tracer",
     "get_tracer",
+    "phase_totals",
+    "reset_phase_totals",
     # metrics
     "Counter",
     "Gauge",
@@ -126,11 +135,6 @@ __all__ = [
     "percentile",
     "render_merged",
     "validate_prometheus",
-    # profiling
-    "phase_totals",
-    "profile_block",
-    "reset_phase_totals",
-    "timed",
     # continuous sampling profiler + differential attribution
     "FoldedProfile",
     "StackSampler",

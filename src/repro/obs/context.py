@@ -11,11 +11,12 @@ mechanism:
 * **dispatcher worker threads** -- ``loop.run_in_executor`` does *not*
   copy contextvars into the pool thread, so the caller serialises the
   context into a plain-dict *carrier* (:func:`inject`) and the worker
-  re-installs it (:func:`attach` on the :func:`extract` result).
-* **campaign process pools** -- a child process shares nothing; the
-  carrier dict pickles through the pool submission and the worker
-  builds spans against the extracted ids, shipping the finished span
-  payloads back in its return value.
+  parents its span on the :func:`extract` result.
+* **campaign process pools** -- a child process shares nothing, so
+  no context crosses: the worker ships only the wall-clock instant it
+  started the task, and the parent builds that task's
+  ``campaign.task`` span at settle time, backdated to the submit
+  instant (:mod:`repro.campaign.runner`).
 
 Ids follow the W3C trace-context shape (128-bit trace id, 64-bit span
 id, lowercase hex) so exported spans line up with external tooling,

@@ -285,32 +285,13 @@ class Histogram(_Instrument):
             self._counts[key] = self._counts.get(key, 0) + 1
             self._sums[key] = self._sums.get(key, 0.0) + float(value)
 
-    def recorder(self, **labels: str) -> Callable[[float], None]:
-        """A bound fast-path observer for one label set.
-
-        Resolves the label key and window once; the returned callable
-        does only the lock + append + totals work.  The profiling
-        hooks use this on paths where ``observe``'s per-call label-key
-        construction would be a measurable fraction of the phase
-        being timed.
-        """
-        key = _label_key(labels)
+    def totals(self) -> Dict[Tuple[Tuple[str, str], ...], Tuple[int, float]]:
+        """Lifetime ``(count, sum)`` per label key, read atomically."""
         with self._lock:
-            window = self._windows.get(key)
-            if window is None:
-                window = self._windows[key] = deque(maxlen=self.window)
-                self._exemplar_ids[key] = deque(maxlen=self.window)
-            exemplars = self._exemplar_ids[key]
-        lock, counts, sums = self._lock, self._counts, self._sums
-
-        def observe(value: float) -> None:
-            with lock:
-                window.append(value)
-                exemplars.append(None)
-                counts[key] = counts.get(key, 0) + 1
-                sums[key] = sums.get(key, 0.0) + value
-
-        return observe
+            return {
+                key: (count, self._sums[key])
+                for key, count in self._counts.items()
+            }
 
     def window_values(self, **labels: str) -> List[float]:
         """The bounded window's samples for one label set, in order."""
@@ -504,7 +485,7 @@ def render_merged(*registries: MetricsRegistry) -> str:
     """One exposition over several registries (first wins per name).
 
     The serving layer renders its per-instance registry merged with
-    the process-wide one (profiling phases, library collectors), and a
+    the process-wide one (span phases, library collectors), and a
     metric family must appear exactly once per exposition.
     """
     seen: Dict[str, _Instrument] = {}

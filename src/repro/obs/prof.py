@@ -1,10 +1,10 @@
 """repro.obs.prof -- a zero-dependency continuous sampling profiler.
 
 The paper asks where a chip's area budget should go; the runtime twin
-of that question is where wall-time actually goes across
-``core.optimize``, the batch dispatcher, the tensor store, and the
-cluster fleet.  :mod:`repro.obs.profiling` answers it coarsely (named
-phase totals); this module answers it at frame granularity:
+of that question is where wall-time actually goes across the scalar
+optimizer, the batch dispatcher, the tensor store, and the cluster
+fleet.  Spans answer it coarsely (:func:`repro.obs.trace.phase_totals`
+per span name); this module answers it at frame granularity:
 
 * :class:`StackSampler` -- a daemon background thread that walks
   ``sys._current_frames()`` at a configurable rate (default
@@ -17,10 +17,11 @@ phase totals); this module answers it at frame granularity:
 * A process-global, refcounted sampler (:func:`acquire_sampler` /
   :func:`release_sampler`) so that every plane that wants sampling on
   (the service, a campaign, the CLI) shares ONE background thread.
-* Phase tagging: while sampling is live, ``profile_block`` pushes its
-  phase name for the current thread and sampled stacks gain a leading
-  ``phase:<name>`` frame, so folded output decomposes by the same
-  phase vocabulary the coarse profiler already uses.
+* Phase tagging: while sampling is live, entering a span
+  (:class:`repro.obs.trace.Span`) off an event-loop thread pushes its
+  name for the current thread and sampled stacks gain a leading
+  ``phase:<name>`` frame, so folded output decomposes by the same span
+  names the traces use.
 
 Everything is stdlib-only; the sampler is injectable (clock and frame
 provider) so tests drive it deterministically without threads.
@@ -59,7 +60,7 @@ DEFAULT_MAX_DEPTH = 64
 Stack = Tuple[str, ...]
 
 # ---------------------------------------------------------------------------
-# Phase tagging (cooperates with repro.obs.profiling.profile_block)
+# Phase tagging (driven by repro.obs.trace.Span enter/exit)
 # ---------------------------------------------------------------------------
 
 #: Per-thread stack of active phase names.  Only the owning thread
@@ -67,8 +68,8 @@ Stack = Tuple[str, ...]
 #: reads racily and tolerates concurrent mutation.
 _PHASES: Dict[int, List[str]] = {}
 
-#: True while at least one sampler is running; lets ``profile_block``
-#: skip the tagging dict entirely when nothing is listening.
+#: True while at least one sampler is running; lets a span skip the
+#: tagging dict entirely when nothing is listening.
 _TAGGING = False
 
 

@@ -1,4 +1,4 @@
-"""Spans, the tracer, and span export (ring buffer + JSONL).
+"""Spans: the one way to time a region, and their export.
 
 A :class:`Span` is one timed operation: a name, a trace/span id pair,
 an optional parent span id, wall-clock start, duration, a status and a
@@ -9,24 +9,36 @@ recent ones in a bounded in-process ring buffer (served by
 JSON line to a trace file (``repro-hetsim serve --trace-file`` /
 ``campaign --trace-file``).
 
-Foreign spans -- built by campaign pool workers in another process and
-shipped home as payload dicts -- enter the same buffer/file through
-:meth:`Tracer.record`, so one trace's spans end up queryable in one
-place no matter which substrate executed them.
+Every finished span also records its duration in the
+``repro_phase_seconds{phase=<span name>}`` summary, which
+:func:`phase_totals` reads back as a per-name table (the
+``BENCH_*.json`` writers embed it).  While the continuous sampler
+runs, entering a span pushes its name as the thread's ``phase:`` tag
+and leaving it pops the tag (:mod:`repro.obs.prof`) -- except on an
+event-loop thread, where a span stays open across awaits.  There is
+no other timing primitive.
+
+Grain: a span is opened by the call that owns a loop -- one per
+request, batch dispatch, projection, sensitivity run, DSE sweep or
+campaign task -- never inside the loop.  A span with no enclosing span
+starts its own trace, so an untraced sweep or sensitivity run records
+exactly one span.
 
 The module-level tracer (:func:`get_tracer`) is what the service, the
-campaign runner and the profiling hooks share; tests build private
+campaign runner and the model's loop owners share; tests build private
 :class:`Tracer` instances to assert in isolation.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import threading
 import time
 from collections import deque
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from . import prof as _prof
 from .context import (
     SpanContext,
     attach,
@@ -35,20 +47,78 @@ from .context import (
     new_span_id,
     new_trace_id,
 )
+from .metrics import Histogram, get_registry
 
-__all__ = ["Span", "Tracer", "get_tracer", "configure_tracer"]
+__all__ = [
+    "Span",
+    "Tracer",
+    "get_tracer",
+    "configure_tracer",
+    "phase_totals",
+    "reset_phase_totals",
+]
 
 #: Default ring-buffer capacity (spans, newest win).
 DEFAULT_BUFFER_SIZE = 4096
+
+_phase_lock = threading.Lock()
+#: Lifetime ``(calls, seconds)`` per span name at the last reset.
+_phase_base: Dict[str, Tuple[int, float]] = {}
+#: Bound on first use, not at import: an idle process exports no
+#: empty ``repro_phase_seconds`` family.
+_phase_seconds: Optional[Histogram] = None
+
+
+def _phase_histogram() -> Histogram:
+    global _phase_seconds
+    if _phase_seconds is None:
+        _phase_seconds = get_registry().histogram(
+            "repro_phase_seconds",
+            "Wall-clock seconds per finished span, by name",
+        )
+    return _phase_seconds
+
+
+def phase_totals(reset: bool = False) -> Dict[str, Dict[str, float]]:
+    """Finished spans per name since the last reset:
+    ``{name: {calls, total_s}}``.
+
+    A view over the ``repro_phase_seconds`` summary's lifetime
+    count/sum, so a span records into one sink.  ``reset=True``
+    snapshots *and* restarts the view -- benchmark repetitions use it
+    to attribute phases to one timed run.
+    """
+    with _phase_lock:
+        totals = {
+            dict(key)["phase"]: value
+            for key, value in _phase_histogram().totals().items()
+        }
+        snapshot = {}
+        for name, (calls, total) in sorted(totals.items()):
+            base_calls, base_total = _phase_base.get(name, (0, 0.0))
+            if calls > base_calls:
+                snapshot[name] = {
+                    "calls": calls - base_calls,
+                    "total_s": total - base_total,
+                }
+        if reset:
+            _phase_base.update(totals)
+    return snapshot
+
+
+def reset_phase_totals() -> None:
+    """Restart the phase totals (benchmarks, between modes)."""
+    phase_totals(reset=True)
 
 
 class Span:
     """One timed operation inside a trace.
 
     Use as a context manager (the usual way, via
-    :meth:`Tracer.span`) or drive :meth:`finish` manually.  Mutating
-    accessors are not thread-safe; a span belongs to the one logical
-    flow that created it.
+    :meth:`Tracer.span`) or drive :meth:`finish` manually; only the
+    context-manager form makes the span current and tags sampled
+    stacks.  Mutating accessors are not thread-safe; a span belongs to
+    the one logical flow that created it.
     """
 
     __slots__ = (
@@ -63,6 +133,7 @@ class Span:
         "_start_perf",
         "_tracer",
         "_token",
+        "_tagged",
     )
 
     def __init__(
@@ -85,6 +156,7 @@ class Span:
         self._start_perf = time.perf_counter()
         self._tracer = tracer
         self._token = None
+        self._tagged = False
 
     @property
     def context(self) -> SpanContext:
@@ -105,12 +177,14 @@ class Span:
         return self
 
     def finish(self, status: Optional[str] = None) -> None:
-        """Stamp the duration and hand the span to the tracer (once)."""
+        """Stamp the duration, record it in the phase summary and hand
+        the span to the tracer (once)."""
         if self.duration_s is not None:
             return
         self.duration_s = time.perf_counter() - self._start_perf
         if status is not None:
             self.status = status
+        _phase_histogram().observe(self.duration_s, phase=self.name)
         self._tracer.record(self.payload())
 
     def payload(self) -> Dict[str, Any]:
@@ -132,9 +206,17 @@ class Span:
 
     def __enter__(self) -> "Span":
         self._token = attach(self.context)
+        # A span on an event-loop thread stays open across awaits while
+        # the thread runs other tasks or waits, so it tags nothing.
+        if _prof.tagging_active() and asyncio._get_running_loop() is None:
+            _prof.push_phase(self.name)
+            self._tagged = True
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        if self._tagged:
+            _prof.pop_phase()
+            self._tagged = False
         if self._token is not None:
             detach(self._token)
             self._token = None
@@ -195,7 +277,7 @@ class Tracer:
     # -- export ------------------------------------------------------------
 
     def record(self, payload: Dict[str, Any]) -> None:
-        """Accept one finished span payload (local or from a worker).
+        """Accept one finished span payload (from :meth:`Span.finish`).
 
         A full ring buffer evicts its oldest span -- and *counts* it:
         the per-tracer ``dropped`` tally surfaces in :meth:`stats` (and
@@ -221,11 +303,8 @@ class Tracer:
                     handle.write(line + "\n")
         if evicted:
             if self._dropped_counter is None:
-                # Lazy: the metrics module imports nothing from here,
-                # but binding at construction would force every Tracer
-                # (including bare test instances) through the registry.
-                from .metrics import get_registry
-
+                # Lazy: binding at construction would register the
+                # family for every Tracer, bare test instances included.
                 self._dropped_counter = get_registry().counter(
                     "repro_trace_spans_dropped_total",
                     "Spans evicted from tracer ring buffers before "
@@ -296,20 +375,8 @@ def get_tracer() -> Tracer:
     return _GLOBAL
 
 
-def configure_tracer(
-    trace_file: Optional[str] = None,
-    buffer_size: Optional[int] = None,
-) -> Tracer:
-    """(Re)configure the global tracer; returns it.
-
-    ``buffer_size`` rebuilds the ring buffer (keeping the newest
-    spans); ``trace_file`` switches JSONL export on (or off via None
-    -- pass the current path to leave it untouched).
-    """
-    with _GLOBAL._lock:
-        if buffer_size is not None:
-            _GLOBAL._buffer = deque(
-                _GLOBAL._buffer, maxlen=buffer_size
-            )
-        _GLOBAL._export_path = trace_file
+def configure_tracer(trace_file: Optional[str] = None) -> Tracer:
+    """Switch the global tracer's JSONL export on (or off via None);
+    returns it."""
+    _GLOBAL.set_export_path(trace_file)
     return _GLOBAL

@@ -29,7 +29,6 @@ evaluation through ``chip.speedup`` -- slower, but every
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,7 +42,6 @@ from ..core.optimizer import (
     feasible_r_values,
 )
 from ..core.power import pollack_perf
-from ..obs.profiling import profile_block
 
 __all__ = [
     "sweep_designs_batch",
@@ -299,32 +297,31 @@ def sweep_designs_batch(
     identical floats -- the Python loop over candidates is replaced by
     one array evaluation.
     """
-    with profile_block("perf.sweep_batch", chip=chip.label):
-        if r_values is None:
-            candidates: Sequence[float] = feasible_r_values(
-                chip, budget, r_max
+    if r_values is None:
+        candidates: Sequence[float] = feasible_r_values(
+            chip, budget, r_max
+        )
+        if not candidates:
+            return []
+        serial_ok = np.ones((1, len(candidates)), dtype=bool)
+        arrays = _eval_quiet(chip, f, [budget], candidates, serial_ok)
+    else:
+        candidates = list(r_values)
+        if not candidates:
+            return []
+        ceiling = chip.max_serial_r(budget)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r_arr = np.array(candidates, dtype=float)[None, :]
+            serial_ok = (r_arr >= 1) & (r_arr <= ceiling)
+            arrays = _evaluate_grid(
+                chip, f, [budget], candidates, serial_ok
             )
-            if not candidates:
-                return []
-            serial_ok = np.ones((1, len(candidates)), dtype=bool)
-            arrays = _eval_quiet(chip, f, [budget], candidates, serial_ok)
-        else:
-            candidates = list(r_values)
-            if not candidates:
-                return []
-            ceiling = chip.max_serial_r(budget)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r_arr = np.array(candidates, dtype=float)[None, :]
-                serial_ok = (r_arr >= 1) & (r_arr <= ceiling)
-                arrays = _evaluate_grid(
-                    chip, f, [budget], candidates, serial_ok
-                )
-        mask = arrays[4]
-        return [
-            _make_point(chip, f, candidates[j], arrays, 0, j)
-            for j in range(len(candidates))
-            if mask[0, j]
-        ]
+    mask = arrays[4]
+    return [
+        _make_point(chip, f, candidates[j], arrays, 0, j)
+        for j in range(len(candidates))
+        if mask[0, j]
+    ]
 
 
 def optimize_batch(
@@ -346,59 +343,36 @@ def optimize_batch(
     budgets = list(budgets)
     if not budgets:
         return []
-    # One phase record per call keeps the instrumentation inside the
-    # benchmark's 5% budget; the grid/materialize split is measured
-    # with raw counters and surfaced as span attributes only.
-    with profile_block("perf.optimize_batch") as phase:
-        if phase.traced:
-            phase.set_attribute("chip", chip.label)
-            phase.set_attribute("batch_size", len(budgets))
-        t0 = perf_counter()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if r_values is None:
-                if r_max < 1:
-                    # Delegate the error to the scalar validator for an
-                    # identical message.
-                    feasible_r_values(chip, budgets[0], r_max)
-                candidates: Sequence[float] = list(range(1, r_max + 1))
-                ceilings = np.array(
-                    [chip.max_serial_r(b) for b in budgets]
-                )
-                r_arr = np.array(candidates, dtype=float)[None, :]
-                serial_ok = r_arr <= ceilings[:, None]
-            else:
-                candidates = list(r_values)
-                if not candidates:
-                    return [None] * len(budgets)
-                ceilings = np.array(
-                    [chip.max_serial_r(b) for b in budgets]
-                )
-                r_arr = np.array(candidates, dtype=float)[None, :]
-                serial_ok = (r_arr >= 1) & (r_arr <= ceilings[:, None])
-            arrays = _evaluate_grid(
-                chip, f, budgets, candidates, serial_ok
-            )
-            mask, speedup = arrays[4], arrays[5]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if r_values is None:
+            if r_max < 1:
+                # Delegate the error to the scalar validator for an
+                # identical message.
+                feasible_r_values(chip, budgets[0], r_max)
+            candidates: Sequence[float] = list(range(1, r_max + 1))
+            ceilings = np.array([chip.max_serial_r(b) for b in budgets])
+            r_arr = np.array(candidates, dtype=float)[None, :]
+            serial_ok = r_arr <= ceilings[:, None]
+        else:
+            candidates = list(r_values)
+            if not candidates:
+                return [None] * len(budgets)
+            ceilings = np.array([chip.max_serial_r(b) for b in budgets])
+            r_arr = np.array(candidates, dtype=float)[None, :]
+            serial_ok = (r_arr >= 1) & (r_arr <= ceilings[:, None])
+        arrays = _evaluate_grid(chip, f, budgets, candidates, serial_ok)
+        mask, speedup = arrays[4], arrays[5]
 
-            score = np.where(mask, speedup, -np.inf)
-            best_j = np.argmax(score, axis=1)
-        grid_s = perf_counter() - t0
-        results: List[Optional[DesignPoint]] = []
-        for i in range(len(budgets)):
-            j = int(best_j[i])
-            if not mask[i, j]:
-                results.append(None)
-                continue
-            results.append(
-                _make_point(chip, f, candidates[j], arrays, i, j)
-            )
-        if phase.traced:
-            phase.set_attribute("grid_ms", round(grid_s * 1e3, 3))
-            phase.set_attribute(
-                "materialize_ms",
-                round((perf_counter() - t0 - grid_s) * 1e3, 3),
-            )
-        return results
+        score = np.where(mask, speedup, -np.inf)
+        best_j = np.argmax(score, axis=1)
+    results: List[Optional[DesignPoint]] = []
+    for i in range(len(budgets)):
+        j = int(best_j[i])
+        if not mask[i, j]:
+            results.append(None)
+            continue
+        results.append(_make_point(chip, f, candidates[j], arrays, i, j))
+    return results
 
 
 def optimize_prefix_batch(
@@ -430,42 +404,37 @@ def optimize_prefix_batch(
         return {}
     if not budgets:
         return {r: [] for r in r_maxes}
-    with profile_block("perf.optimize_prefix_batch") as phase:
-        if phase.traced:
-            phase.set_attribute("chip", chip.label)
-            phase.set_attribute("batch_size", len(budgets))
-            phase.set_attribute("r_maxes", len(r_maxes))
-        if r_maxes[0] < 1:
-            # Delegate the error to the scalar validator for an
-            # identical message (mirrors optimize_batch).
-            feasible_r_values(chip, budgets[0], r_maxes[0])
-        candidates: Sequence[float] = list(range(1, r_maxes[-1] + 1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ceilings = np.array([chip.max_serial_r(b) for b in budgets])
-            r_arr = np.array(candidates, dtype=float)[None, :]
-            serial_ok = r_arr <= ceilings[:, None]
-            arrays = _evaluate_grid(
-                chip, f, budgets, candidates, serial_ok
-            )
-            mask, speedup = arrays[4], arrays[5]
-            score = np.where(mask, speedup, -np.inf)
-        # Winning lanes repeat across prefixes; materialise each (i, j)
-        # cell once and share the frozen DesignPoint.
-        memo: Dict[Tuple[int, int], DesignPoint] = {}
-        out: Dict[int, List[Optional[DesignPoint]]] = {}
-        for r_max in r_maxes:
-            best_j = np.argmax(score[:, :r_max], axis=1)
-            points: List[Optional[DesignPoint]] = []
-            for i in range(len(budgets)):
-                j = int(best_j[i])
-                if not mask[i, j]:
-                    points.append(None)
-                    continue
-                point = memo.get((i, j))
-                if point is None:
-                    point = memo[(i, j)] = _make_point(
-                        chip, f, candidates[j], arrays, i, j
-                    )
-                points.append(point)
-            out[r_max] = points
-        return out
+    if r_maxes[0] < 1:
+        # Delegate the error to the scalar validator for an
+        # identical message (mirrors optimize_batch).
+        feasible_r_values(chip, budgets[0], r_maxes[0])
+    candidates: Sequence[float] = list(range(1, r_maxes[-1] + 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ceilings = np.array([chip.max_serial_r(b) for b in budgets])
+        r_arr = np.array(candidates, dtype=float)[None, :]
+        serial_ok = r_arr <= ceilings[:, None]
+        arrays = _evaluate_grid(
+            chip, f, budgets, candidates, serial_ok
+        )
+        mask, speedup = arrays[4], arrays[5]
+        score = np.where(mask, speedup, -np.inf)
+    # Winning lanes repeat across prefixes; materialise each (i, j)
+    # cell once and share the frozen DesignPoint.
+    memo: Dict[Tuple[int, int], DesignPoint] = {}
+    out: Dict[int, List[Optional[DesignPoint]]] = {}
+    for r_max in r_maxes:
+        best_j = np.argmax(score[:, :r_max], axis=1)
+        points: List[Optional[DesignPoint]] = []
+        for i in range(len(budgets)):
+            j = int(best_j[i])
+            if not mask[i, j]:
+                points.append(None)
+                continue
+            point = memo.get((i, j))
+            if point is None:
+                point = memo[(i, j)] = _make_point(
+                    chip, f, candidates[j], arrays, i, j
+                )
+            points.append(point)
+        out[r_max] = points
+    return out

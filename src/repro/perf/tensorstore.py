@@ -81,7 +81,7 @@ from ..devices.bce import DEFAULT_BCE
 from ..errors import ModelError, TensorStoreError
 from ..itrs.scenarios import get_scenario
 from ..obs.history import envelope
-from ..obs.profiling import profile_block
+from ..obs.trace import get_tracer
 from ..projection.designs import standard_designs
 from ..projection.engine import node_budget
 from .batch import optimize_prefix_batch
@@ -239,11 +239,14 @@ def materialize_task_payload(task) -> Dict[str, Any]:
         )
         for node in nodes
     ]
-    with profile_block("perf.materialize_task") as phase:
-        if phase.traced:
-            phase.set_attribute("workload", task.workload)
-            phase.set_attribute("design", task.design)
-            phase.set_attribute("f_points", len(task.f_grid))
+    with get_tracer().span(
+        "perf.materialize_task",
+        attributes={
+            "workload": task.workload,
+            "design": task.design,
+            "f_points": len(task.f_grid),
+        },
+    ):
         planes: List[List[List[Optional[Dict[str, Any]]]]] = []
         for f in task.f_grid:
             by_r_max = optimize_prefix_batch(

@@ -33,6 +33,7 @@ from ..devices.params import FAST_CORE_DEVICE
 from ..errors import InfeasibleDesignError, ModelError
 from ..itrs.roadmap import NodeParams
 from ..itrs.scenarios import BASELINE, Scenario
+from ..obs.trace import get_tracer
 from ..perf.batch import optimize_batch
 from ..perf.cache import cached
 from ..workloads.registry import get_workload
@@ -240,7 +241,8 @@ def project(
     ``method`` selects the execution path: ``"batch"`` (default)
     memoizes budgets and vectorizes each design's roadmap sweep;
     ``"scalar"`` is the uncached pure-Python reference.  Both return
-    identical results.
+    identical results.  The whole panel is one ``projection.project``
+    span.
     """
     if method not in ("batch", "scalar"):
         raise ModelError(
@@ -253,32 +255,41 @@ def project(
         designs = standard_designs(workload_name, fft_size, bce)
     nodes = scenario.roadmap.nodes
     all_series = []
-    for design in designs:
-        if method == "batch":
-            budgets = [
-                node_budget(
-                    node, workload_name, fft_size, scenario, bce,
-                    design.bandwidth_exempt,
-                )
-                for node in nodes
-            ]
-            points = optimize_batch(design.chip, f, budgets, r_max)
-        else:
-            points = []
-            for node in nodes:
-                budget = node_budget.uncached(
-                    node, workload_name, fft_size, scenario, bce,
-                    design.bandwidth_exempt,
-                )
-                try:
-                    points.append(optimize(design.chip, f, budget, r_max))
-                except InfeasibleDesignError:
-                    points.append(None)
-        cells = tuple(
-            ProjectionCell(node=node, point=point)
-            for node, point in zip(nodes, points)
-        )
-        all_series.append(ProjectionSeries(design=design, cells=cells))
+    with get_tracer().span(
+        "projection.project",
+        attributes={
+            "workload": workload_name,
+            "f": f,
+            "scenario": scenario.name,
+            "method": method,
+        },
+    ):
+        for design in designs:
+            if method == "batch":
+                budgets = [
+                    node_budget(
+                        node, workload_name, fft_size, scenario, bce,
+                        design.bandwidth_exempt,
+                    )
+                    for node in nodes
+                ]
+                points = optimize_batch(design.chip, f, budgets, r_max)
+            else:
+                points = []
+                for node in nodes:
+                    budget = node_budget.uncached(
+                        node, workload_name, fft_size, scenario, bce,
+                        design.bandwidth_exempt,
+                    )
+                    try:
+                        points.append(optimize(design.chip, f, budget, r_max))
+                    except InfeasibleDesignError:
+                        points.append(None)
+            cells = tuple(
+                ProjectionCell(node=node, point=point)
+                for node, point in zip(nodes, points)
+            )
+            all_series.append(ProjectionSeries(design=design, cells=cells))
     return ProjectionResult(
         workload=workload_name,
         fft_size=fft_size,

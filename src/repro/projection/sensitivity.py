@@ -26,6 +26,7 @@ from ..core.ucore import UCore
 from ..devices.bce import BCE, DEFAULT_BCE
 from ..errors import ModelError
 from ..itrs.scenarios import BASELINE, Scenario
+from ..obs.trace import get_tracer
 from ..perf.batch import optimize_batch
 from .designs import DesignSpec, standard_designs
 from .engine import node_budget
@@ -165,7 +166,9 @@ def run_sensitivity(
 
     Every trial draws fresh multipliers for each U-core's (mu, phi) and
     for the node's bandwidth and power budgets, re-optimises every
-    design, and tallies the winner.
+    design, and tallies the winner.  The whole run is one
+    ``projection.sensitivity`` span, with the trial and grid-kernel
+    call counts as attributes.
     """
     if workload == "fft" and fft_size is None:
         fft_size = 1024
@@ -188,23 +191,35 @@ def run_sensitivity(
         for design in designs
     }
 
-    for _ in range(config.trials):
-        bw_mult = float(rng.lognormal(0.0, config.bandwidth_sigma))
-        power_mult = float(rng.lognormal(0.0, config.power_sigma))
-        best_label, best_speed = None, -math.inf
-        for design in designs:
-            trial_design = _perturbed_design(design, rng, config)
-            budget = base_budgets[design.short_label].scaled(
-                power=power_mult, bandwidth=bw_mult
-            )
-            point = optimize_batch(trial_design.chip, f, [budget], r_max)[0]
-            if point is None:
-                continue
-            summary.speedups[design.short_label].append(point.speedup)
-            if point.speedup > best_speed:
-                best_label, best_speed = design.short_label, point.speedup
-        if best_label is not None:
-            summary.win_counts[best_label] = (
-                summary.win_counts.get(best_label, 0) + 1
-            )
+    with get_tracer().span(
+        "projection.sensitivity",
+        attributes={
+            "workload": workload,
+            "f": f,
+            "node_nm": node_nm,
+            "trials": config.trials,
+            "kernel_calls": config.trials * len(designs),
+        },
+    ):
+        for _ in range(config.trials):
+            bw_mult = float(rng.lognormal(0.0, config.bandwidth_sigma))
+            power_mult = float(rng.lognormal(0.0, config.power_sigma))
+            best_label, best_speed = None, -math.inf
+            for design in designs:
+                trial_design = _perturbed_design(design, rng, config)
+                budget = base_budgets[design.short_label].scaled(
+                    power=power_mult, bandwidth=bw_mult
+                )
+                point = optimize_batch(
+                    trial_design.chip, f, [budget], r_max
+                )[0]
+                if point is None:
+                    continue
+                summary.speedups[design.short_label].append(point.speedup)
+                if point.speedup > best_speed:
+                    best_label, best_speed = design.short_label, point.speedup
+            if best_label is not None:
+                summary.win_counts[best_label] = (
+                    summary.win_counts.get(best_label, 0) + 1
+                )
     return summary

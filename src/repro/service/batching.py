@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.chip import ChipModel
 from ..core.constraints import Budget
 from ..core.optimizer import DEFAULT_R_MAX, DesignPoint
-from ..obs.context import attach, detach, extract, inject
+from ..obs.context import extract, inject
 from ..obs.trace import Span, get_tracer
 from ..perf.batch import optimize_batch
 from .metrics import ServiceMetrics
@@ -180,19 +180,19 @@ class MicroBatcher:
         budgets: List[Budget],
         r_max: int,
     ) -> List[Optional[DesignPoint]]:
-        """Run the grid call on a pool thread under the batch's trace.
+        """Run the grid call on a pool thread as one span.
 
         ``run_in_executor`` does not carry contextvars into the pool
         thread, so the dispatch span's context crosses as an explicit
-        carrier -- this is what parents the grid-eval profiling span
+        carrier -- this is what parents the grid-eval span
         (``perf.optimize_batch``) under ``batch.dispatch``.
         """
-        token = attach(extract(carrier)) if carrier else None
-        try:
+        with get_tracer().span(
+            "perf.optimize_batch",
+            parent=extract(carrier),
+            attributes={"chip": chip.label, "batch_size": len(budgets)},
+        ):
             return optimize_batch(chip, f, budgets, r_max)
-        finally:
-            if token is not None:
-                detach(token)
 
     async def _flush_after(self, key: tuple, batch: _Batch) -> None:
         await asyncio.sleep(self.window_s)

@@ -13,7 +13,7 @@ set of increments:
 
 Each service instance owns a private registry, so two services in one
 process (tests spin up dozens) never bleed counts into each other;
-the process-wide registry (profiling phases, perf-cache collectors)
+the process-wide registry (span phases, perf-cache collectors)
 is merged in at render time by the app layer.
 
 Latency quantiles are computed over a bounded window of the most
@@ -32,16 +32,7 @@ from typing import Any, Dict, Optional
 from ..obs.metrics import MetricsRegistry, percentile
 from ..perf.cache import cache_summary, register_cache_metrics
 
-__all__ = ["ServiceMetrics", "_percentile"]
-
-
-def _percentile(samples: list, q: float) -> float:
-    """Interpolated percentile (kept under the seed's private name).
-
-    Delegates to :func:`repro.obs.metrics.percentile`; see there for
-    the empty/one-sample semantics and the small-window rationale.
-    """
-    return percentile(samples, q)
+__all__ = ["ServiceMetrics"]
 
 
 class ServiceMetrics:

@@ -151,6 +151,29 @@ class TestInterruptAndResume:
         assert sorted(manifest["tasks"]) == manifest["completed"]
         assert manifest["spec"] == SPEC.payload()
 
+    def test_spec_is_serialized_once_per_run_not_per_settle(
+        self, tmp_path, monkeypatch
+    ):
+        """Each settle rewrites the manifest; the spec's payload is
+        derived once per run, however many tasks settle."""
+        real_payload = CampaignSpec.payload
+        calls = {"n": 0}
+
+        def counting_payload(spec):
+            calls["n"] += 1
+            return real_payload(spec)
+
+        monkeypatch.setattr(CampaignSpec, "payload", counting_payload)
+        per_run = []
+        for spec in (
+            CampaignSpec(name="one", pareto=SPEC.pareto),
+            SPEC,
+        ):
+            calls["n"] = 0
+            serial_runner(ResultStore(tmp_path / spec.name)).run(spec)
+            per_run.append(calls["n"])
+        assert per_run[0] == per_run[1]
+
 
 class TestRetries:
     def test_flaky_task_retries_until_success(self, tmp_path, monkeypatch):

@@ -1,14 +1,16 @@
-"""Unit coverage for repro.obs: context, spans, metrics, profiling,
-logging.
+"""Unit coverage for repro.obs: context, spans, metrics, span phase
+sinks, logging.
 
 The percentile tests double as the regression suite for the seed's
-nearest-rank bias: ``service.metrics._percentile`` now interpolates,
-so p99 over a small window can actually reach the window maximum.
+nearest-rank bias: ``repro.obs.metrics.percentile`` interpolates, so
+p99 over a small window can actually reach the window maximum.
 """
 
+import asyncio
 import io
 import json
 import logging
+import threading
 
 import pytest
 
@@ -33,18 +35,20 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    get_registry,
     percentile,
     render_merged,
     validate_prometheus,
 )
-from repro.obs.profiling import (
+from repro.obs import prof
+from repro.obs.prof import StackSampler
+from repro.obs.trace import (
+    Span,
+    Tracer,
     phase_totals,
-    profile_block,
     reset_phase_totals,
-    timed,
 )
-from repro.obs.trace import Span, Tracer
-from repro.service.metrics import ServiceMetrics, _percentile
+from repro.service.metrics import ServiceMetrics
 
 
 class TestContext:
@@ -76,7 +80,7 @@ class TestContext:
 class TestPercentile:
     def test_empty_returns_zero(self):
         assert percentile([], 0.99) == 0.0
-        assert _percentile([], 0.5) == 0.0
+        assert percentile([], 0.5) == 0.0
 
     def test_single_sample_returns_it_for_every_q(self):
         for q in (0.0, 0.5, 0.99, 1.0):
@@ -138,15 +142,6 @@ class TestInstruments:
         summary = h.series_summary(phase="x")
         assert summary["count"] == 5
         assert summary["sum"] == 110
-
-    def test_histogram_recorder_fast_path_matches_observe(self):
-        h = Histogram("t_rec", window=16)
-        record = h.recorder(phase="hot")
-        for v in (1.0, 2.0, 3.0):
-            record(v)
-        h.observe(4.0, phase="hot")
-        assert h.window_values(phase="hot") == [1.0, 2.0, 3.0, 4.0]
-        assert h.series_summary(phase="hot")["count"] == 4
 
     def test_registry_get_or_create_and_type_conflict(self):
         r = MetricsRegistry()
@@ -258,51 +253,79 @@ class TestSpansAndTracer:
 
 
 class TestProfiling:
+    """The span is the one timing primitive: every finished span feeds
+    the phase table, the ``repro_phase_seconds`` summary and, while a
+    sampler runs, the ``phase:`` tag of its thread."""
+
     def setup_method(self):
         reset_phase_totals()
 
     def test_phase_totals_accumulate(self):
-        with profile_block("test.phase"):
+        tracer = Tracer()
+        with tracer.span("test.phase"):
             pass
-        with profile_block("test.phase"):
-            pass
+        tracer.span("test.phase").finish()
         totals = phase_totals()
         assert totals["test.phase"]["calls"] == 2
         assert totals["test.phase"]["total_s"] >= 0
 
     def test_reset_snapshot_is_atomic(self):
-        with profile_block("test.reset"):
-            pass
+        Tracer().span("test.reset").finish()
         snap = phase_totals(reset=True)
         assert snap["test.reset"]["calls"] == 1
         assert "test.reset" not in phase_totals()
 
-    def test_untraced_block_opens_no_span(self):
-        block = profile_block("test.untraced")
-        with block:
-            assert not block.traced
+    def test_untraced_region_starts_one_root_span(self):
+        tracer = Tracer()
+        with tracer.span("test.untraced") as span:
+            assert current_context() == span.context
+        [only] = tracer.spans()
+        assert only["name"] == "test.untraced"
+        assert only["parent_id"] is None
 
     def test_traced_block_nests_under_current_span(self):
-        from repro.obs.trace import get_tracer
-
-        tracer = get_tracer()
-        tracer.clear()
+        tracer = Tracer()
         with tracer.span("outer") as outer:
-            with profile_block("test.traced", items=3) as block:
-                assert block.traced
+            with tracer.span("test.traced", attributes={"items": 3}):
+                pass
         spans = tracer.trace(outer.trace_id)
         child = [s for s in spans if s["name"] == "test.traced"][0]
         assert child["parent_id"] == outer.span_id
         assert child["attributes"]["items"] == 3
 
-    def test_timed_decorator_names_phase(self):
-        @timed("test.timed")
-        def work():
-            return 5
+    def test_finished_span_feeds_phase_histogram(self):
+        histogram = get_registry().histogram("repro_phase_seconds")
+        before = histogram.series_summary(phase="test.hist")["count"]
+        Tracer().span("test.hist").finish()
+        after = histogram.series_summary(phase="test.hist")["count"]
+        assert after == before + 1
 
-        assert work() == 5
-        assert work.phase_name == "test.timed"
-        assert phase_totals()["test.timed"]["calls"] == 1
+    def test_entered_span_tags_sampled_stacks(self):
+        sampler = StackSampler(hz=500.0)
+        sampler.start()
+        try:
+            with Tracer().span("test.sampled"):
+                threading.Event().wait(0.2)
+        finally:
+            sampler.stop()
+        tagged = [
+            stack for stack in sampler.profile().counts
+            if stack[0] == "phase:test.sampled"
+        ]
+        assert tagged, "no sampled stack carried the span's phase tag"
+
+    def test_span_on_an_event_loop_thread_does_not_tag(self, monkeypatch):
+        monkeypatch.setattr(prof, "_TAGGING", True)
+        ident = threading.get_ident()
+
+        async def main():
+            with Tracer().span("test.async"):
+                return prof._current_phase(ident)
+
+        assert asyncio.run(main()) is None
+        with Tracer().span("test.sync"):
+            assert prof._current_phase(ident) == "test.sync"
+        assert prof._current_phase(ident) is None
 
 
 class TestLogging:

@@ -18,10 +18,22 @@ import json
 import pytest
 
 from repro.campaign.runner import CampaignRunner
-from repro.campaign.spec import CampaignSpec, ParetoTask
+from repro.campaign.spec import (
+    CampaignSpec,
+    ParetoFrontTask,
+    ParetoTask,
+    SensitivityTask,
+    SuccessiveHalvingTask,
+)
 from repro.campaign.store import ResultStore
+from repro.dse.dsl import builtin_scenario
+from repro.dse.engine import expand_configs, exhaustive_sweep
 from repro.obs.context import new_trace_id
 from repro.obs.trace import get_tracer
+from repro.projection.sensitivity import (
+    SensitivityConfig,
+    run_sensitivity,
+)
 from repro.service.app import ModelService, ServiceConfig
 
 
@@ -315,3 +327,89 @@ class TestJobsAdoptRequestTraces:
             hops += 1
             assert hops < 10, "parent chain does not terminate"
         assert node["name"] == "http.request"
+
+
+class TestSpanGrain:
+    """Spans open at the call that owns a loop, never inside it, so a
+    trace's size follows the work's structure, not its iteration
+    count -- and a campaign's trace always holds its own tasks."""
+
+    SCENARIO = builtin_scenario("baseline")
+
+    def _spec(self, trials, grid):
+        scenario_json = self.SCENARIO.canonical()
+        return CampaignSpec(
+            name=f"grain-{trials}",
+            sensitivity=(
+                SensitivityTask(
+                    workload="mmm", f=0.99, node_nm=22, trials=trials
+                ),
+            ),
+            dse_pareto=(
+                ParetoFrontTask(
+                    scenario_json=scenario_json,
+                    area_scale_grid=grid,
+                    power_scale_grid=grid,
+                ),
+            ),
+            dse_halving=(
+                SuccessiveHalvingTask(
+                    scenario_json=scenario_json,
+                    area_scale_grid=grid,
+                    power_scale_grid=grid,
+                ),
+            ),
+        )
+
+    def _drain(self, tmp_path, trials, grid=(1.0,)):
+        tracer = get_tracer()
+        tracer.clear()
+        before = tracer.stats()
+        report = CampaignRunner(
+            store=ResultStore(tmp_path / f"store-{trials}"),
+            executor="serial",
+            backoff_base_s=0.0,
+        ).run(self._spec(trials, grid))
+        assert report.ok
+        after = tracer.stats()
+        return report, after["exported"] - before["exported"], (
+            after["dropped"] - before["dropped"]
+        )
+
+    def test_campaign_trace_keeps_every_task(self, tmp_path):
+        # Sized so that one span per kernel call or DSE config would
+        # overflow the 4096-span ring several hundred spans over.
+        report, _spans, dropped = self._drain(
+            tmp_path, trials=400, grid=(0.5, 1.0, 2.0)
+        )
+        assert dropped == 0
+        [trace_id] = {o.trace_id for o in report.outcomes}
+        settled = {
+            s["span_id"]
+            for s in _by_name(get_tracer().trace(trace_id), "campaign.task")
+        }
+        assert len(report.outcomes) == 3
+        assert {o.span_id for o in report.outcomes} <= settled
+
+    def test_span_count_does_not_follow_trials(self, tmp_path):
+        _r, few, _d = self._drain(tmp_path, trials=5)
+        _r, many, _d = self._drain(tmp_path, trials=50)
+        assert few == many
+
+    @pytest.mark.parametrize("grid", [(1.0,), (0.5, 1.0, 2.0, 4.0)])
+    def test_untraced_sweep_is_one_root_span(self, grid):
+        configs = expand_configs(self.SCENARIO, grid, grid)
+        get_tracer().clear()
+        _points, infeasible = exhaustive_sweep(configs)
+        [span] = get_tracer().spans()
+        assert span["parent_id"] is None
+        assert span["attributes"]["dse.configs"] == len(configs)
+        assert span["attributes"]["dse.infeasible"] == infeasible
+
+    @pytest.mark.parametrize("trials", [5, 40])
+    def test_untraced_sensitivity_is_one_root_span(self, trials):
+        get_tracer().clear()
+        run_sensitivity("mmm", 0.99, config=SensitivityConfig(trials=trials))
+        [span] = get_tracer().spans()
+        assert span["parent_id"] is None
+        assert span["attributes"]["trials"] == trials

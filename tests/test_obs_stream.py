@@ -228,7 +228,7 @@ class TestAmbientEmission:
         def worker():
             # A fresh thread does not inherit the contextvar ...
             seen.append(emit("k"))
-            # ... until it binds explicitly (what _bound_timed_run does).
+            # ... until it binds explicitly.
             inner = bind_publisher(publisher)
             try:
                 seen.append(emit("k"))

@@ -22,6 +22,7 @@ import shutil
 import pytest
 
 from repro.obs.metrics import validate_prometheus
+from repro.obs.trace import get_tracer
 from repro.perf.tensorstore import (
     REL_ERROR_BOUND,
     build_tensor_store,
@@ -391,3 +392,43 @@ class TestPrometheusFamilies:
         assert block["store"]["status"] == "ready"
         assert block["fastpath"] == {"entries": 0, "pending": 0}
         assert set(block) >= {"hit", "interp", "fallback"}
+
+
+class TestTraceFile:
+    def test_traced_on_grid_request_exports_its_lookup(
+        self, tensor_dir, tmp_path
+    ):
+        """A traced on-grid request's JSONL shows ``http.request ->
+        tensor.lookup``: the store answered it, inside its trace."""
+        trace_file = tmp_path / "trace.jsonl"
+        trace_id = "0af7651916cd43dd8448eb211c80319c"
+        previous = get_tracer().export_path
+
+        async def main():
+            service = ModelService(
+                _live_config(
+                    tensor_dir=tensor_dir, trace_file=str(trace_file)
+                )
+            )
+            try:
+                return await service.handle_request(
+                    "POST", "/v1/speedup", TestTransportFastPath.BODY,
+                    {"x-request-id": trace_id},
+                )
+            finally:
+                service.close()
+
+        try:
+            status, _payload, headers = _run(main())
+        finally:
+            get_tracer().set_export_path(previous)
+        assert status == 200
+        assert headers["X-Trace-Id"] == trace_id
+        spans = {
+            span["span_id"]: span
+            for span in map(json.loads, trace_file.read_text().splitlines())
+            if span["trace_id"] == trace_id
+        }
+        [lookup] = [s for s in spans.values() if s["name"] == "tensor.lookup"]
+        assert lookup["attributes"]["outcome"] == "hit"
+        assert spans[lookup["parent_id"]]["name"] == "http.request"
