@@ -54,6 +54,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.perf.tensorstore import build_tensor_store
 from repro.service.app import ModelService, ServiceConfig
 from repro.service.http import start_server
+from repro.service.metrics import metrics_payload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_service.json"
@@ -204,7 +205,7 @@ async def _run_materialized_phase(
         await _run_phase(port, mix)  # prime the byte cache
         materialized = await _run_phase(port, mix)
         service._drain_fastpath()
-        counters = service.metrics.snapshot()["tensorstore"]
+        counters = metrics_payload(service.registry)["tensorstore"]
     finally:
         server.close()
         await server.wait_closed()
@@ -307,9 +308,9 @@ async def _run_load() -> dict:
     mix = _request_mix()
     try:
         cold = await _run_phase(port, mix)
-        after_cold = service.metrics.snapshot()
+        after_cold = metrics_payload(service.registry)
         warm = await _run_phase(port, mix)
-        final = service.metrics.snapshot()
+        final = metrics_payload(service.registry)
     finally:
         server.close()
         await server.wait_closed()

@@ -36,7 +36,7 @@ from ..obs.context import (
     new_span_id,
     new_trace_id,
 )
-from ..obs.metrics import percentile
+from ..obs.metrics import MetricsRegistry, percentile
 from ..obs.stream import EventBus, EventPublisher
 from .runner import CampaignRunner, TaskOutcome
 from .spec import CampaignSpec
@@ -96,8 +96,9 @@ class JobManager:
         store_dir: root for a manager-owned store when ``store`` is
             not given.
         task_workers: width of each campaign's internal thread pool.
-        metrics: optional :class:`~repro.service.metrics.ServiceMetrics`
-            observing job lifecycle events.
+        registry: counts job lifecycle events
+            (``repro_service_jobs_total``) and backs a manager-owned
+            store; ``None`` keeps the job counts private.
         events: optional :class:`~repro.obs.stream.EventBus`; when
             given, every job publishes its lifecycle (queued, started,
             task settles/retries, finished) onto a stream named after
@@ -110,8 +111,7 @@ class JobManager:
         store: Optional[ResultStore] = None,
         store_dir: Optional[str] = None,
         task_workers: int = 2,
-        metrics: Optional[Any] = None,
-        registry: Optional[Any] = None,
+        registry: Optional[MetricsRegistry] = None,
         events: Optional[EventBus] = None,
     ):
         self.store = (
@@ -120,7 +120,12 @@ class JobManager:
             else ResultStore(store_dir, registry=registry)
         )
         self.task_workers = task_workers
-        self.metrics = metrics
+        self._lifecycle = (
+            registry if registry is not None else MetricsRegistry()
+        ).counter(
+            "repro_service_jobs_total",
+            "Campaign job lifecycle events by state",
+        )
         self.events = events
         self._lock = threading.Lock()
         self._jobs: Dict[str, JobRecord] = {}
@@ -188,8 +193,7 @@ class JobManager:
                 },
                 trace_id=record.trace_id,
             )
-        if self.metrics is not None:
-            self.metrics.record_job(JobState.QUEUED)
+        self._lifecycle.inc(state=JobState.QUEUED)
         thread.start()
         return record
 
@@ -285,8 +289,7 @@ class JobManager:
                 record.error = f"{type(exc).__name__}: {exc}"
                 record.finished_unix = time.time()
             self._finish_stream(record, publisher)
-            if self.metrics is not None:
-                self.metrics.record_job(JobState.FAILED)
+            self._lifecycle.inc(state=JobState.FAILED)
             return
         with self._lock:
             record.finished_unix = time.time()
@@ -302,8 +305,7 @@ class JobManager:
                     f"failed"
                 )
         self._finish_stream(record, publisher)
-        if self.metrics is not None:
-            self.metrics.record_job(record.state)
+        self._lifecycle.inc(state=record.state)
 
     def _finish_stream(
         self, record: JobRecord, publisher: Optional[EventPublisher]

@@ -49,6 +49,7 @@ import time
 from typing import Dict, List, Optional, Set, Tuple
 from urllib.parse import parse_qs, quote
 
+from ..errors import MethodNotAllowedError, NotFoundError, ServiceError
 from ..obs.logging import get_logger, log_event
 from ..obs.metrics import MetricsRegistry, render_merged
 from ..obs.prof import FoldedProfile
@@ -62,7 +63,15 @@ from ..service.http import (
     _encode_response,
     _ProtocolError,
     _read_request,
+    small_reads,
     write_stream_response,
+)
+from ..service.schemas import (
+    error_payload,
+    parse_events_query,
+    parse_limit,
+    parse_profile_query,
+    query_stream,
 )
 from .hashring import rendezvous_rank, shard_key
 from .prommerge import merge_expositions
@@ -196,12 +205,14 @@ class Router:
         self, port: int
     ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
         try:
-            return await asyncio.wait_for(
+            reader, writer = await asyncio.wait_for(
                 asyncio.open_connection(self.config.host, port),
                 timeout=CONNECT_TIMEOUT_S,
             )
         except (OSError, asyncio.TimeoutError) as exc:
             raise UpstreamError(f"connect to port {port} failed: {exc}")
+        small_reads(writer)
+        return reader, writer
 
     async def _upstream_request(
         self,
@@ -298,12 +309,14 @@ class Router:
                     method, path, bare_path, upstream_headers, body
                 )
             except UpstreamError as exc:
-                status, payload, worker = (
-                    503,
-                    {"error": "UpstreamError", "message": str(exc)},
-                    "none",
-                )
+                status, payload, worker = 503, error_payload(exc), "none"
                 self.supervisor.poll()
+            except ServiceError as exc:
+                # A malformed query to a router-owned endpoint: the
+                # shared parsers name it exactly as a worker would.
+                status, payload, worker = (
+                    exc.http_status, error_payload(exc), "router",
+                )
             span.set_attribute("status", status)
             span.set_attribute("worker", worker)
         latency = time.perf_counter() - start
@@ -497,18 +510,7 @@ class Router:
         """
         query = parse_qs(path.partition("?")[2])
         trace_id = query.get("trace_id", [None])[0]
-        limit_text = query.get("limit", [None])[0]
-        limit: Optional[int] = None
-        if limit_text is not None:
-            try:
-                limit = max(0, int(limit_text))
-            except ValueError:
-                return 400, {
-                    "error": "BadRequest",
-                    "message": (
-                        f"limit must be an integer, got {limit_text!r}"
-                    ),
-                }
+        limit = parse_limit(query)
         workers = self._alive_workers()
         results = await asyncio.gather(
             *(
@@ -580,28 +582,7 @@ class Router:
         mirroring the ``/v1/traces`` merge.  The router process does
         not sample; it only aggregates.
         """
-        query = parse_qs(path.partition("?")[2])
-        seconds_text = query.get("seconds", ["1"])[0]
-        try:
-            seconds = float(seconds_text)
-        except ValueError:
-            return 400, {
-                "error": "BadRequest",
-                "message": (
-                    f"seconds must be a number, got {seconds_text!r}"
-                ),
-            }
-        if not 0.0 <= seconds <= 60.0:
-            return 400, {
-                "error": "BadRequest",
-                "message": f"seconds must be within [0, 60], got {seconds:g}",
-            }
-        fmt = query.get("format", ["json"])[0]
-        if fmt not in ("json", "folded"):
-            return 400, {
-                "error": "BadRequest",
-                "message": f"format must be 'json' or 'folded', got {fmt!r}",
-            }
+        seconds, fmt = parse_profile_query(parse_qs(path.partition("?")[2]))
         workers = self._alive_workers()
         if not workers:
             raise UpstreamError("no live workers")
@@ -634,10 +615,9 @@ class Router:
                 continue
             merged.merge(profile, prefix=f"worker:{worker}")
         if not per_worker:
-            return 503, {
-                "error": "UpstreamError",
-                "message": "no worker answered the profile capture",
-            }
+            return 503, error_payload(
+                UpstreamError("no worker answered the profile capture")
+            )
         if fmt == "folded":
             return 200, TextPayload(merged.to_text())
         doc = merged.payload()
@@ -653,68 +633,22 @@ class Router:
     ) -> Tuple[int, object]:
         """``GET /v1/events`` against the router's own bus.
 
-        Mirrors the worker endpoint's contract (job_id/stream, cursor,
-        follow, limit) for streams the router itself publishes --
-        today the always-open ``cluster`` stream of worker respawns.
+        The worker endpoint's contract and query parsers, for streams
+        the router itself publishes -- today the always-open
+        ``cluster`` stream of worker respawns.
         """
         if method != "GET":
-            return 405, {
-                "error": "MethodNotAllowed",
-                "message": "use GET for /v1/events",
-            }
+            raise MethodNotAllowedError("use GET for /v1/events")
         query = parse_qs(path.partition("?")[2])
-        stream = query.get("job_id", [None])[0]
-        if stream is None:
-            stream = query.get("stream", [None])[0]
-        if not stream:
-            return 400, {
-                "error": "BadRequest",
-                "message": (
-                    "pass job_id=<job> (or stream=<name>) to select "
-                    "an event stream"
-                ),
-            }
-        cursor_text = query.get("cursor", ["0"])[0]
-        try:
-            cursor = int(cursor_text)
-        except ValueError:
-            return 400, {
-                "error": "BadRequest",
-                "message": (
-                    f"cursor must be an integer, got {cursor_text!r}"
-                ),
-            }
-        if cursor < 0:
-            return 400, {
-                "error": "BadRequest",
-                "message": f"cursor must be >= 0, got {cursor}",
-            }
+        stream, cursor, follow = parse_events_query(query)
         if not self.events.known(stream):
-            return 404, {
-                "error": "NotFound",
-                "message": f"no event stream {stream!r} on the router",
-            }
-        follow = query.get("follow", ["0"])[0].lower() in (
-            "1", "true", "yes", "sse",
-        )
+            raise NotFoundError(f"no event stream {stream!r} on the router")
         if follow:
             return 200, EventStreamResponse(
                 self.events, stream, cursor=cursor
             )
-        limit_text = query.get("limit", [None])[0]
-        limit: Optional[int] = None
-        if limit_text is not None:
-            try:
-                limit = max(0, int(limit_text))
-            except ValueError:
-                return 400, {
-                    "error": "BadRequest",
-                    "message": (
-                        f"limit must be an integer, got {limit_text!r}"
-                    ),
-                }
         return 200, events_payload(
-            self.events, stream, cursor=cursor, limit=limit
+            self.events, stream, cursor=cursor, limit=parse_limit(query)
         )
 
     async def _find_stream_owner(self, stream: str) -> Optional[str]:
@@ -755,16 +689,12 @@ class Router:
         """
         owner = await self._find_stream_owner(stream)
         if owner is None:
+            missing = NotFoundError(
+                f"no event stream {stream!r} on any worker"
+            )
             writer.write(
                 _encode_response(
-                    404,
-                    {
-                        "error": "NotFound",
-                        "message": (
-                            f"no event stream {stream!r} on any worker"
-                        ),
-                    },
-                    keep_alive=False,
+                    404, error_payload(missing), keep_alive=False
                 )
             )
             await writer.drain()
@@ -777,11 +707,7 @@ class Router:
         except UpstreamError as exc:
             self.supervisor.poll()
             writer.write(
-                _encode_response(
-                    503,
-                    {"error": "UpstreamError", "message": str(exc)},
-                    keep_alive=False,
-                )
+                _encode_response(503, error_payload(exc), keep_alive=False)
             )
             await writer.drain()
             return
@@ -817,6 +743,7 @@ class Router:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        small_reads(writer)
         try:
             while True:
                 try:
@@ -824,12 +751,7 @@ class Router:
                 except _ProtocolError as exc:
                     writer.write(
                         _encode_response(
-                            exc.status,
-                            {
-                                "error": "ProtocolError",
-                                "message": str(exc),
-                            },
-                            keep_alive=False,
+                            exc.status, error_payload(exc), keep_alive=False
                         )
                     )
                     await writer.drain()
@@ -841,10 +763,7 @@ class Router:
                 method, path, headers, body = request
                 bare_path = path.partition("?")[0]
                 if bare_path == "/v1/events" and method == "GET":
-                    query = parse_qs(path.partition("?")[2])
-                    stream = query.get("job_id", [None])[0]
-                    if stream is None:
-                        stream = query.get("stream", [None])[0]
+                    stream = query_stream(parse_qs(path.partition("?")[2]))
                     if stream and not self.events.known(stream):
                         # Worker-owned stream: splice the owner's raw
                         # response (possibly an unbounded SSE tail)

@@ -18,6 +18,8 @@ __all__ = [
     "UnknownExperimentError",
     "ServiceError",
     "BadRequestError",
+    "NotFoundError",
+    "MethodNotAllowedError",
     "UnprocessableRequestError",
     "TooManyRequestsError",
     "ServiceTimeoutError",
@@ -84,6 +86,18 @@ class BadRequestError(ServiceError):
     """The request body is not valid JSON or fails schema validation."""
 
     http_status = 400
+
+
+class NotFoundError(ServiceError):
+    """No route, job, or event stream by the requested name."""
+
+    http_status = 404
+
+
+class MethodNotAllowedError(ServiceError):
+    """The route exists but does not accept this HTTP method."""
+
+    http_status = 405
 
 
 class UnprocessableRequestError(ServiceError):

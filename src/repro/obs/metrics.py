@@ -1,15 +1,15 @@
 """The unified metrics registry: counters, gauges, windowed histograms.
 
-Before this module each layer kept private counters --
-``ServiceMetrics`` for requests, ``repro.perf.cache`` for memoization,
-the campaign store for hits/misses -- and ``GET /metrics`` glued their
-snapshots together by hand.  :class:`MetricsRegistry` inverts that:
-every layer registers named instruments into one registry, and the
+Every layer -- the serving front end, the micro-batcher, campaign
+jobs and store, ``repro.perf.cache``, SLOs, spans -- registers named
+instruments into a registry and records into them directly; the
 registry renders them all, in either of two forms:
 
-* :meth:`MetricsRegistry.snapshot` -- the JSON dict behind the
-  existing ``GET /metrics`` endpoint and ``repro-hetsim
-  metrics-dump``;
+* :meth:`MetricsRegistry.snapshot` -- the JSON dict behind
+  ``repro-hetsim metrics-dump`` and the router's own ``/metrics``
+  section (a service's JSON ``GET /metrics`` body is shaped by
+  :func:`repro.service.metrics.metrics_payload` over the same
+  instruments);
 * :meth:`MetricsRegistry.render_prometheus` -- the Prometheus text
   exposition format behind ``GET /metrics?format=prom`` (histograms
   export as summaries with interpolated ``quantile`` samples).

@@ -35,6 +35,7 @@ for deterministic window tests.  Everything is stdlib-only.
 from __future__ import annotations
 
 import logging
+import math
 import threading
 import time
 from collections import deque
@@ -145,33 +146,22 @@ DEFAULT_OBJECTIVES: Tuple[SLObjective, ...] = (
 class _ObjectiveState:
     """Mutable accounting for one objective (guarded by the tracker).
 
-    Window membership is maintained *incrementally*: each event enters
-    both window deques with its running total/bad counters bumped, and
-    pruning decrements them as events age out.  ``record`` used to
-    rescan every event inside the slow window per request -- O(events)
-    per record, quadratic over a burst -- which showed up as the single
-    largest term on the serving hot path under load.  The counters make
-    both burn-rate reads O(1) with amortized-O(1) maintenance, with
-    bit-identical results for the monotone timestamps the tracker sees.
+    Memory grows with time, not traffic: besides the lifetime
+    ``good_total``/``bad_total``, each window keeps one *mark* per
+    second that saw traffic -- ``(second, good_total, bad_total)`` as
+    they stood before that second's first event.  A window's counts
+    are the lifetime counts minus its oldest mark, and a mark leaves
+    the window once its second is older than ``now - width``, so an
+    event at ``t`` counts while ``floor(t) >= ceil(now - width)``:
+    window edges are exact to the second.
     """
 
-    __slots__ = (
-        "fast_events", "slow_events",
-        "fast_total", "fast_bad",
-        "slow_total", "slow_bad",
-        "good_total", "bad_total", "alerting",
-    )
+    __slots__ = ("fast_marks", "slow_marks", "good_total", "bad_total",
+                 "alerting")
 
     def __init__(self):
-        #: (timestamp, bad) pairs inside each window, oldest first.
-        #: The tuples are shared between the deques, so the second
-        #: window costs pointers, not copies.
-        self.fast_events: Deque[Tuple[float, bool]] = deque()
-        self.slow_events: Deque[Tuple[float, bool]] = deque()
-        self.fast_total = 0
-        self.fast_bad = 0
-        self.slow_total = 0
-        self.slow_bad = 0
+        self.fast_marks: Deque[Tuple[int, int, int]] = deque()
+        self.slow_marks: Deque[Tuple[int, int, int]] = deque()
         self.good_total = 0
         self.bad_total = 0
         self.alerting = False
@@ -264,21 +254,21 @@ class SLOTracker:
         in-order drains guarantee.
         """
         now = self._clock() if now is None else now
+        second = math.floor(now)
         fired: List[Dict[str, Any]] = []
         with self._lock:
             for objective in self.objectives:
                 if not objective.matches(endpoint):
                     continue
                 state = self._states[objective.name]
+                marks = state.slow_marks
+                if not marks or marks[-1][0] < second:
+                    # This second's first event: both windows mark it.
+                    mark = (second, state.good_total, state.bad_total)
+                    marks.append(mark)
+                    state.fast_marks.append(mark)
                 bad = objective.is_bad(latency_s, error)
-                event = (now, bad)
-                state.fast_events.append(event)
-                state.slow_events.append(event)
-                state.fast_total += 1
-                state.slow_total += 1
                 if bad:
-                    state.fast_bad += 1
-                    state.slow_bad += 1
                     state.bad_total += 1
                 else:
                     state.good_total += 1
@@ -293,20 +283,12 @@ class SLOTracker:
             self._emit_alert(alert)
 
     def _prune(self, state: _ObjectiveState, now: float) -> None:
-        fast_horizon = now - self.fast_window_s
-        events = state.fast_events
-        while events and events[0][0] < fast_horizon:
-            _, was_bad = events.popleft()
-            state.fast_total -= 1
-            if was_bad:
-                state.fast_bad -= 1
-        slow_horizon = now - self.slow_window_s
-        events = state.slow_events
-        while events and events[0][0] < slow_horizon:
-            _, was_bad = events.popleft()
-            state.slow_total -= 1
-            if was_bad:
-                state.slow_bad -= 1
+        for marks, width in (
+            (state.fast_marks, self.fast_window_s),
+            (state.slow_marks, self.slow_window_s),
+        ):
+            while marks and marks[0][0] < now - width:
+                marks.popleft()
 
     # -- math --------------------------------------------------------------
 
@@ -316,18 +298,20 @@ class SLOTracker:
     ) -> float:
         """Bad fraction over the window divided by the error budget.
 
-        Reads the window's running counters (the caller prunes to
-        ``now`` first, so membership is exact).  An empty window (no
-        traffic) burns nothing, and a window holding fewer than
+        The window holds every event since its oldest mark (the
+        caller prunes to ``now`` first).  An empty window (no traffic)
+        burns nothing, and a window holding fewer than
         ``min_window_events`` is treated the same way -- too little
         evidence to page on.  A zero budget (target 1.0) burns
         infinitely on any bad event -- there is no allowance to spend
         -- and nothing otherwise.
         """
-        if fast:
-            total, bad = state.fast_total, state.fast_bad
-        else:
-            total, bad = state.slow_total, state.slow_bad
+        marks = state.fast_marks if fast else state.slow_marks
+        if not marks:
+            return 0.0
+        _, good, bad = marks[0]
+        bad = state.bad_total - bad
+        total = state.good_total - good + bad
         if total < self.min_window_events or bad == 0:
             return 0.0
         fraction = bad / total
@@ -374,7 +358,7 @@ class SLOTracker:
         Gauges are *not* refreshed here: every export path
         (:meth:`refresh_gauges` before a Prometheus render,
         :meth:`snapshot` for the JSON forms) recomputes them from the
-        running counters, so per-record gauge writes would only buy
+        window marks, so per-record gauge writes would only buy
         staleness-freedom nobody reads -- and they dominated the cost
         of this hot-path method.
         """

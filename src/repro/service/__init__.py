@@ -8,7 +8,9 @@ turns the batched projection engine into a request/response service:
 * ``POST /v1/optimize`` -- the best design under one node's Table 1
   budgets (bit-identical to :func:`repro.perf.batch.optimize_batch`).
 * ``GET /healthz``      -- liveness + version.
-* ``GET /metrics``      -- latency / cache-hit / batch-size counters.
+* ``GET /metrics``      -- latency / cache-hit / batch-size counters,
+  as JSON (:func:`~repro.service.metrics.metrics_payload`) or
+  Prometheus text, from one per-instance metrics registry.
 
 The layer's core is the **micro-batching dispatcher**
 (:class:`MicroBatcher`): concurrent in-flight requests for the same
@@ -41,7 +43,6 @@ from .events import (
     sse_lagged_frame,
 )
 from .http import run_server, start_server
-from .metrics import ServiceMetrics
 from .respcache import ResponseCache
 from .watch import WatchState, iter_sse_frames, render_event, watch
 from .schemas import (
@@ -58,7 +59,6 @@ __all__ = [
     "ModelService",
     "ServiceConfig",
     "MicroBatcher",
-    "ServiceMetrics",
     "ResponseCache",
     "SpeedupRequest",
     "SweepRequest",

@@ -16,9 +16,9 @@
    :func:`~repro.projection.engine.node_budget` and the r-sweep runs
    through the :class:`~repro.service.batching.MicroBatcher`, so
    concurrent compatible requests share one NumPy grid call.
-6. **Account** -- per-request structured JSON access logs and the
-   :class:`~repro.service.metrics.ServiceMetrics` counters behind
-   ``GET /metrics``.
+6. **Account** -- per-request structured JSON access logs, plus one
+   record per finished request into the instance's metrics registry
+   and SLO tracker, behind both ``GET /metrics`` forms.
 
 The class is deliberately transport-free (``handle(method, path,
 body) -> (status, payload)``) so tests drive the full lifecycle
@@ -41,7 +41,7 @@ from .._version import __version__
 from ..campaign.jobs import JobManager
 from ..obs.context import new_span_id
 from ..obs.logging import get_logger, log_event
-from ..obs.metrics import get_registry, render_merged
+from ..obs.metrics import MetricsRegistry, get_registry, render_merged
 from ..obs.prof import DEFAULT_HZ, acquire_sampler, release_sampler
 from ..obs.slo import SLObjective, SLOTracker
 from ..obs.stream import EventBus
@@ -51,18 +51,21 @@ from ..devices.bce import DEFAULT_BCE
 from ..errors import (
     BadRequestError,
     InfeasibleDesignError,
+    MethodNotAllowedError,
     ModelError,
+    NotFoundError,
     ReproError,
     ServiceError,
     ServiceTimeoutError,
     TooManyRequestsError,
 )
 from ..itrs.scenarios import get_scenario
+from ..perf.cache import register_cache_metrics
 from ..projection.designs import DesignSpec, standard_designs
 from ..projection.engine import node_budget
 from .batching import MicroBatcher
 from .events import EventStreamResponse, events_payload
-from .metrics import ServiceMetrics
+from .metrics import metrics_payload
 from .respcache import ResponseCache
 from .tensor import TensorServing, TransportFastPath
 from .schemas import (
@@ -70,9 +73,13 @@ from .schemas import (
     SpeedupRequest,
     SweepRequest,
     design_point_payload,
+    error_payload,
     parse_dse,
+    parse_events_query,
     parse_job,
+    parse_limit,
     parse_optimize,
+    parse_profile_query,
     parse_speedup,
     parse_sweep,
     request_payload,
@@ -149,9 +156,49 @@ class ModelService:
 
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config or ServiceConfig()
-        self.metrics = ServiceMetrics()
-        #: The per-instance obs registry backing both /metrics forms.
-        self.registry = self.metrics.registry
+        #: The per-instance obs registry backing both /metrics forms;
+        #: private, so two services in one process never share counts.
+        self.registry = r = MetricsRegistry()
+        self._started = time.monotonic()
+        self._requests = r.counter(
+            "repro_service_requests_total",
+            "Finished requests by endpoint and HTTP status",
+        )
+        self._latency = r.histogram(
+            "repro_service_request_seconds",
+            "Request latency by endpoint (bounded window)",
+        )
+        self._cache_lookups = r.counter(
+            "repro_service_response_cache_total",
+            "Response-cache lookups by result",
+        )
+        self._shed = r.counter(
+            "repro_service_shed_total",
+            "Requests shed with 429 at the admission queue",
+        )
+        self._timeouts = r.counter(
+            "repro_service_timeouts_total",
+            "Requests that exceeded the evaluation deadline (503)",
+        )
+        self._inflight = r.gauge(
+            "repro_service_inflight",
+            "Requests currently holding an evaluation slot",
+        )
+        #: Tensor-store outcomes; the fast path's drain counts here too.
+        self.tensor_outcomes = r.counter(
+            "repro_tensorstore_requests_total",
+            "Materialized tensor-store lookups by outcome",
+        )
+        self._dse = r.counter(
+            "repro_dse_requests_total",
+            "DSE job submissions by mode and outcome",
+        )
+        r.gauge(
+            "repro_service_uptime_seconds",
+            "Seconds since this service instance started",
+            callback=lambda: time.monotonic() - self._started,
+        )
+        register_cache_metrics(r)
         self.tracer = get_tracer()
         if self.config.trace_file is not None:
             self.tracer.set_export_path(self.config.trace_file)
@@ -163,7 +210,7 @@ class ModelService:
         self.batcher = MicroBatcher(
             window_s=self.config.batch_window_ms / 1000.0,
             executor=self._executor,
-            metrics=self.metrics,
+            registry=self.registry,
         )
         self._semaphore = asyncio.Semaphore(self.config.max_inflight)
         self._waiting = 0
@@ -181,7 +228,6 @@ class ModelService:
         self.jobs = JobManager(
             store_dir=self.config.store_dir,
             task_workers=self.config.job_task_workers,
-            metrics=self.metrics,
             registry=self.registry,
             events=self.events,
         )
@@ -219,8 +265,7 @@ class ModelService:
     def close(self) -> None:
         """Drain jobs, flush the campaign store, release the worker
         threads and the profiler reference (idempotent)."""
-        if self.fastpath is not None:
-            self.fastpath.drain()
+        self._drain_fastpath()
         self.jobs.close(drain_timeout_s=self.config.drain_timeout_s)
         self._executor.shutdown(wait=False)
         if self._sampler_held:
@@ -285,14 +330,14 @@ class ModelService:
                     method, path, body, query, request_id
                 )
             except ServiceError as exc:
-                status, payload = exc.http_status, _error_payload(exc)
+                status, payload = exc.http_status, error_payload(exc)
             except InfeasibleDesignError as exc:
                 # Parsed fine, but the budgets admit no design: 422,
                 # with the model's binding-bound message passed through.
-                status, payload = 422, _error_payload(exc)
+                status, payload = 422, error_payload(exc)
             except ReproError as exc:
                 # Any other intentional model error is a client error.
-                status, payload = 400, _error_payload(exc)
+                status, payload = 400, error_payload(exc)
             span.set_attribute("status", status)
             if cache_state is not None:
                 span.set_attribute(
@@ -301,12 +346,8 @@ class ModelService:
         latency = time.perf_counter() - start
         # Deferred fast-path accounting drains first so its (older)
         # capture timestamps reach the SLO tracker before this event's.
-        if self.fastpath is not None:
-            self.fastpath.drain()
-        self.metrics.record_request(
-            path, status, latency, cache_state, trace_id=span.trace_id
-        )
-        self.slo.record(path, latency, error=status >= 500)
+        self._drain_fastpath()
+        self.account(path, status, latency, cache_state, span.trace_id)
         self._log_access(
             method, path, status, latency, cache_state,
             request_id=request_id, trace_id=span.trace_id,
@@ -316,6 +357,28 @@ class ModelService:
             "X-Trace-Id": span.trace_id,
         }
         return status, payload, response_headers
+
+    def account(
+        self,
+        path: str,
+        status: int,
+        latency: float,
+        cache_state: Optional[bool] = None,
+        trace_id: Optional[str] = None,
+        now: Optional[float] = None,
+    ) -> None:
+        """Record one finished request: count, latency, cache, SLO.
+
+        ``trace_id`` rides along as the latency sample's exemplar, so
+        the slowest request in the window stays resolvable to its
+        trace; ``now`` is the fast path's capture time (see
+        :meth:`SLOTracker.record`).
+        """
+        self._requests.inc(endpoint=path, status=str(status))
+        self._latency.observe(latency, trace_id=trace_id, endpoint=path)
+        if cache_state is not None:
+            self._cache_lookups.inc(result="hit" if cache_state else "miss")
+        self.slo.record(path, latency, error=status >= 500, now=now)
 
     @staticmethod
     def _request_identity(
@@ -354,7 +417,7 @@ class ModelService:
                 self.slo.refresh_gauges()
                 text = render_merged(self.registry, get_registry())
                 return 200, text, None
-            snapshot = self.metrics.snapshot()
+            snapshot = metrics_payload(self.registry)
             snapshot["campaign"] = self.jobs.stats()
             snapshot["slo"] = self.slo.snapshot()
             snapshot["events"] = self.events.stats()
@@ -390,18 +453,18 @@ class ModelService:
             try:
                 spec = parse_dse(_decode_json(body))
             except BadRequestError:
-                self.metrics.record_dse("invalid", "rejected")
+                self._dse.inc(mode="invalid", outcome="rejected")
                 raise
             mode = "halving" if spec.dse_halving else "pareto"
             record = self.jobs.submit(spec, request_id=request_id)
-            self.metrics.record_dse(mode, "accepted")
+            self._dse.inc(mode=mode, outcome="accepted")
             return 202, self.jobs.payload(record), None
         if path.startswith("/v1/jobs/"):
             self._require_method(method, "GET", path)
             job_id = path[len("/v1/jobs/"):]
             record = self.jobs.get(job_id)
             if record is None:
-                raise _NotFoundError(f"no job {job_id!r}")
+                raise NotFoundError(f"no job {job_id!r}")
             return 200, self.jobs.payload(record), None
         if path == "/v1/speedup":
             self._require_method(method, "POST", path)
@@ -424,7 +487,7 @@ class ModelService:
             if answered is not None:
                 return answered
             return await self._cached_eval(request, self._eval_optimize)
-        raise _NotFoundError(f"no route for {path!r}")
+        raise NotFoundError(f"no route for {path!r}")
 
     def _drain_fastpath(self) -> None:
         """Flush deferred fast-path accounting before a metrics read."""
@@ -450,7 +513,7 @@ class ModelService:
             answered = getattr(self.tensor, f"{kind}_payload")(request)
             outcome = "fallback" if answered is None else answered[1]
             span.set_attribute("outcome", outcome)
-        self.metrics.record_tensor(outcome)
+        self.tensor_outcomes.inc(outcome=outcome)
         if answered is None:
             return None
         return 200, answered[0], None
@@ -458,7 +521,7 @@ class ModelService:
     @staticmethod
     def _require_method(method: str, expected: str, path: str) -> None:
         if method != expected:
-            raise _MethodNotAllowedError(
+            raise MethodNotAllowedError(
                 f"{path} only accepts {expected}, got {method}"
             )
 
@@ -481,7 +544,7 @@ class ModelService:
         payload = {
             "status": "ok" if healthy else "degraded",
             "version": __version__,
-            "uptime_s": self.metrics.snapshot()["uptime_s"],
+            "uptime_s": time.monotonic() - self._started,
             "checks": checks,
             # Informational only: a burning SLO means "stop deploying",
             # not "stop routing", so it never degrades the 200/503
@@ -507,43 +570,15 @@ class ModelService:
         switches from a JSON batch to a chunked SSE tail; ``limit``
         caps a batch read.
         """
-        stream = query.get("job_id", [None])[0]
-        if stream is None:
-            stream = query.get("stream", [None])[0]
-        if not stream:
-            raise BadRequestError(
-                "pass job_id=<job> (or stream=<name>) to select an "
-                "event stream"
-            )
-        cursor_text = query.get("cursor", ["0"])[0]
-        try:
-            cursor = int(cursor_text)
-        except ValueError:
-            raise BadRequestError(
-                f"cursor must be an integer, got {cursor_text!r}"
-            ) from None
-        if cursor < 0:
-            raise BadRequestError(f"cursor must be >= 0, got {cursor}")
+        stream, cursor, follow = parse_events_query(query)
         if not self.events.known(stream):
-            raise _NotFoundError(f"no event stream {stream!r}")
-        follow = query.get("follow", ["0"])[0].lower() in (
-            "1", "true", "yes", "sse",
-        )
+            raise NotFoundError(f"no event stream {stream!r}")
         if follow:
             return 200, EventStreamResponse(
                 self.events, stream, cursor=cursor
             )
-        limit_text = query.get("limit", [None])[0]
-        limit = None
-        if limit_text is not None:
-            try:
-                limit = max(0, int(limit_text))
-            except ValueError:
-                raise BadRequestError(
-                    f"limit must be an integer, got {limit_text!r}"
-                ) from None
         return 200, events_payload(
-            self.events, stream, cursor=cursor, limit=limit
+            self.events, stream, cursor=cursor, limit=parse_limit(query)
         )
 
     async def _profile(self, query: Dict[str, Any]) -> Any:
@@ -562,22 +597,7 @@ class ModelService:
                 "the continuous profiler is off on this instance "
                 "(started with --no-profile)"
             )
-        seconds_text = query.get("seconds", ["1"])[0]
-        try:
-            seconds = float(seconds_text)
-        except ValueError:
-            raise BadRequestError(
-                f"seconds must be a number, got {seconds_text!r}"
-            ) from None
-        if not 0.0 <= seconds <= 60.0:
-            raise BadRequestError(
-                f"seconds must be within [0, 60], got {seconds:g}"
-            )
-        fmt = query.get("format", ["json"])[0]
-        if fmt not in ("json", "folded"):
-            raise BadRequestError(
-                f"format must be 'json' or 'folded', got {fmt!r}"
-            )
+        seconds, fmt = parse_profile_query(query)
         if seconds > 0:
             mark = self.sampler.mark()
             await asyncio.sleep(seconds)
@@ -595,16 +615,7 @@ class ModelService:
     def _traces(self, query: Dict[str, Any]) -> Dict[str, Any]:
         """The ``GET /v1/traces`` payload: buffered spans, filtered."""
         trace_id = query.get("trace_id", [None])[0]
-        limit_text = query.get("limit", [None])[0]
-        limit = None
-        if limit_text is not None:
-            try:
-                limit = max(0, int(limit_text))
-            except ValueError:
-                raise BadRequestError(
-                    f"limit must be an integer, got {limit_text!r}"
-                ) from None
-        spans = self.tracer.spans(trace_id=trace_id, limit=limit)
+        spans = self.tracer.spans(trace_id=trace_id, limit=parse_limit(query))
         stats = self.tracer.stats()
         payload = {
             "spans": spans,
@@ -641,7 +652,7 @@ class ModelService:
             self._semaphore.locked()
             and self._waiting >= self.config.queue_depth
         ):
-            self.metrics.record_shed()
+            self._shed.inc()
             raise TooManyRequestsError(
                 f"server at capacity: {self.config.max_inflight} "
                 f"in flight and {self._waiting} queued "
@@ -652,19 +663,19 @@ class ModelService:
             await self._semaphore.acquire()
         finally:
             self._waiting -= 1
-        self.metrics.inflight_started()
+        self._inflight.inc()
         try:
             return await asyncio.wait_for(
                 evaluator(request), self.config.request_timeout_s
             )
         except asyncio.TimeoutError:
-            self.metrics.record_timeout()
+            self._timeouts.inc()
             raise ServiceTimeoutError(
                 f"evaluation exceeded the "
                 f"{self.config.request_timeout_s:g}s deadline"
             ) from None
         finally:
-            self.metrics.inflight_finished()
+            self._inflight.dec()
             self._semaphore.release()
 
     # -- evaluators --------------------------------------------------------
@@ -826,16 +837,8 @@ class ModelService:
         )
 
 
-class _NotFoundError(ServiceError):
-    http_status = 404
-
-
 class _ProfilerDisabledError(ServiceError):
     http_status = 503
-
-
-class _MethodNotAllowedError(ServiceError):
-    http_status = 405
 
 
 def _decode_json(body: bytes) -> Any:
@@ -845,8 +848,3 @@ def _decode_json(body: bytes) -> Any:
         return json.loads(body)
     except (ValueError, UnicodeDecodeError) as exc:
         raise BadRequestError(f"request body is not valid JSON: {exc}")
-
-
-def _error_payload(exc: Exception) -> Dict[str, Any]:
-    name = type(exc).__name__.lstrip("_")
-    return {"error": name, "message": str(exc)}

@@ -36,9 +36,9 @@ from ..core.chip import ChipModel
 from ..core.constraints import Budget
 from ..core.optimizer import DEFAULT_R_MAX, DesignPoint
 from ..obs.context import extract, inject
+from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Span, get_tracer
 from ..perf.batch import optimize_batch
-from .metrics import ServiceMetrics
 
 __all__ = ["MicroBatcher"]
 
@@ -69,21 +69,36 @@ class _Batch:
 
 
 class MicroBatcher:
-    """Coalesce same-(chip, f, r_max) evaluations into one grid call."""
+    """Coalesce same-(chip, f, r_max) evaluations into one grid call.
+
+    Every flush is counted in ``registry`` (the service's; ``None``
+    keeps a private one): ``repro_service_batch_dispatches_total``,
+    ``repro_service_batched_items_total`` and
+    ``repro_service_max_batch_items``.
+    """
 
     def __init__(
         self,
         window_s: float = 0.002,
         executor=None,
-        metrics: Optional[ServiceMetrics] = None,
+        registry: Optional[MetricsRegistry] = None,
     ):
         self.window_s = window_s
         self._executor = executor
-        self._metrics = metrics or ServiceMetrics()
         self._pending: Dict[tuple, _Batch] = {}
-        #: Lifetime totals, independent of the metrics sink (tests).
-        self.dispatch_count = 0
-        self.item_count = 0
+        r = registry if registry is not None else MetricsRegistry()
+        self._dispatches = r.counter(
+            "repro_service_batch_dispatches_total",
+            "Micro-batch flushes (one optimize_batch grid call each)",
+        )
+        self._items = r.counter(
+            "repro_service_batched_items_total",
+            "Evaluations coalesced across all micro-batches",
+        )
+        self._max_batch = r.gauge(
+            "repro_service_max_batch_items",
+            "Largest micro-batch coalesced so far",
+        )
 
     def pending_keys(self) -> List[tuple]:
         """Keys with an open batch window (diagnostics/tests)."""
@@ -223,9 +238,11 @@ class MicroBatcher:
                 if not item.future.done():
                     item.future.set_exception(exc)
             return
-        self.dispatch_count += 1
-        self.item_count += len(batch.items)
-        self._metrics.record_batch(len(batch.items))
+        size = len(batch.items)
+        self._dispatches.inc()
+        self._items.inc(size)
+        if size > self._max_batch.value():  # flushes run on one loop
+            self._max_batch.set(size)
         for item, point in zip(batch.items, points):
             # A caller that timed out meanwhile has a cancelled future.
             if not item.future.done():

@@ -15,7 +15,7 @@ silently-defaulted answer to a misspelled query.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..campaign.spec import CampaignSpec
 from ..core.optimizer import DEFAULT_R_MAX, DesignPoint
@@ -31,9 +31,17 @@ __all__ = [
     "parse_optimize",
     "parse_job",
     "parse_dse",
+    "query_stream",
+    "parse_events_query",
+    "parse_limit",
+    "parse_profile_query",
     "design_point_payload",
     "request_payload",
+    "error_payload",
 ]
+
+#: A parsed query string (``urllib.parse.parse_qs`` output).
+Query = Mapping[str, List[str]]
 
 #: Workloads the standard design lists cover.
 VALID_WORKLOADS = ("mmm", "fft", "bs")
@@ -359,6 +367,81 @@ def parse_dse(body: Any) -> CampaignSpec:
     return spec
 
 
+# -- query strings, shared by the worker and the router ------------------
+
+
+def query_stream(query: Query) -> Optional[str]:
+    """The stream a ``/v1/events`` query names: ``job_id``, else
+    ``stream``."""
+    stream = query.get("job_id", [None])[0]
+    return query.get("stream", [None])[0] if stream is None else stream
+
+
+def parse_events_query(query: Query) -> Tuple[str, int, bool]:
+    """``(stream, cursor, follow)`` of a ``GET /v1/events`` query.
+
+    ``cursor`` is the first sequence number wanted; ``follow=1``
+    asks for an SSE tail instead of a batch read, whose ``limit`` is
+    :func:`parse_limit`'s.
+    """
+    stream = query_stream(query)
+    if not stream:
+        raise BadRequestError(
+            "pass job_id=<job> (or stream=<name>) to select an event "
+            "stream"
+        )
+    cursor_text = query.get("cursor", ["0"])[0]
+    try:
+        cursor = int(cursor_text)
+    except ValueError:
+        raise BadRequestError(
+            f"cursor must be an integer, got {cursor_text!r}"
+        ) from None
+    if cursor < 0:
+        raise BadRequestError(f"cursor must be >= 0, got {cursor}")
+    follow = query.get("follow", ["0"])[0].lower() in (
+        "1", "true", "yes", "sse",
+    )
+    return stream, cursor, follow
+
+
+def parse_limit(query: Query) -> Optional[int]:
+    """A batch read's ``limit`` (None when absent, floored at 0)."""
+    limit_text = query.get("limit", [None])[0]
+    if limit_text is None:
+        return None
+    try:
+        return max(0, int(limit_text))
+    except ValueError:
+        raise BadRequestError(
+            f"limit must be an integer, got {limit_text!r}"
+        ) from None
+
+
+def parse_profile_query(query: Query) -> Tuple[float, str]:
+    """``(seconds, format)`` of a ``GET /v1/profile`` query."""
+    seconds_text = query.get("seconds", ["1"])[0]
+    try:
+        seconds = float(seconds_text)
+    except ValueError:
+        raise BadRequestError(
+            f"seconds must be a number, got {seconds_text!r}"
+        ) from None
+    if not 0.0 <= seconds <= 60.0:
+        raise BadRequestError(
+            f"seconds must be within [0, 60], got {seconds:g}"
+        )
+    fmt = query.get("format", ["json"])[0]
+    if fmt not in ("json", "folded"):
+        raise BadRequestError(
+            f"format must be 'json' or 'folded', got {fmt!r}"
+        )
+    return seconds, fmt
+
+
+# -- responses ------------------------------------------------------------
+
+
 def design_point_payload(point: DesignPoint) -> Dict[str, Any]:
     """A :class:`DesignPoint` as a JSON-ready dict.
 
@@ -394,3 +477,8 @@ def _json_number(value: float) -> Any:
 def request_payload(request: Any) -> Dict[str, Any]:
     """Echo a parsed request back to the client (canonicalised)."""
     return asdict(request)
+
+
+def error_payload(exc: Exception) -> Dict[str, Any]:
+    """The ``{"error", "message"}`` body of every error response."""
+    return {"error": type(exc).__name__.lstrip("_"), "message": str(exc)}

@@ -305,8 +305,9 @@ class TransportFastPath:
 
     Accounting is deferred, never dropped: each served response
     appends ``(endpoint, status, latency, outcome, capture-time)`` to
-    a queue; :meth:`drain` replays the queue into the service's
-    metrics and SLO tracker with the original timestamps.
+    a queue; :meth:`drain` replays the queue through the service's
+    :meth:`~repro.service.app.ModelService.account` with the original
+    timestamps.
     """
 
     def __init__(
@@ -421,13 +422,8 @@ class TransportFastPath:
                 )
             except IndexError:
                 break
-            service.metrics.record_request(
-                endpoint, status, latency, None
-            )
-            service.metrics.record_tensor(outcome)
-            service.slo.record(
-                endpoint, latency, error=status >= 500, now=captured
-            )
+            service.account(endpoint, status, latency, now=captured)
+            service.tensor_outcomes.inc(outcome=outcome)
             drained += 1
         return drained
 

@@ -9,8 +9,8 @@ from repro.campaign.jobs import JobManager, JobState
 from repro.campaign.spec import CampaignSpec, SensitivityTask
 from repro.campaign.store import ResultStore
 from repro.errors import ModelError
+from repro.obs.metrics import MetricsRegistry
 from repro.service.app import ModelService, ServiceConfig
-from repro.service.metrics import ServiceMetrics
 
 SMALL_SPEC = CampaignSpec(
     figures=("F8",),
@@ -62,15 +62,15 @@ class TestJobManager:
         manager.close()
 
     def test_metrics_observe_job_lifecycle(self, tmp_path):
-        metrics = ServiceMetrics()
+        registry = MetricsRegistry()
         manager = JobManager(
-            store=ResultStore(tmp_path), metrics=metrics
+            store=ResultStore(tmp_path), registry=registry
         )
         manager.submit(SMALL_SPEC)
         assert manager.join(timeout=60)
-        jobs = metrics.snapshot()["jobs"]
-        assert jobs[JobState.QUEUED] == 1
-        assert jobs[JobState.SUCCEEDED] == 1
+        jobs = registry.counter("repro_service_jobs_total")
+        assert jobs.value(state=JobState.QUEUED) == 1
+        assert jobs.value(state=JobState.SUCCEEDED) == 1
         manager.close()
 
     def test_stats_surface_store_counters(self, tmp_path):

@@ -183,7 +183,7 @@ class TestEventsPassthrough:
             cluster.port, "GET", "/v1/events?job_id=no-such-job&cursor=0"
         )
         assert status == 404
-        assert json.loads(body)["error"] == "NotFound"
+        assert json.loads(body)["error"] == "NotFoundError"
 
     def test_missing_stream_param_is_a_400(self, cluster):
         status, body = _request(cluster.port, "GET", "/v1/events")
@@ -301,7 +301,7 @@ class TestScatteredTraces:
             cluster.port, "GET", "/v1/traces?limit=x"
         )
         assert status == 400
-        assert json.loads(body)["error"] == "BadRequest"
+        assert json.loads(body)["error"] == "BadRequestError"
 
 
 class TestKilledWorkerMidTail:

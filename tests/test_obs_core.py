@@ -48,7 +48,7 @@ from repro.obs.trace import (
     phase_totals,
     reset_phase_totals,
 )
-from repro.service.metrics import ServiceMetrics
+from repro.service.metrics import metrics_payload
 
 
 class TestContext:
@@ -103,10 +103,13 @@ class TestPercentile:
             percentile([1.0], -0.1)
 
     def test_service_latency_window_overflow(self):
-        metrics = ServiceMetrics(latency_window=8)
+        registry = MetricsRegistry()
+        latency = registry.histogram(
+            "repro_service_request_seconds", window=8
+        )
         for i in range(20):
-            metrics.record_request("/v1/x", 200, float(i), None)
-        snap = metrics.snapshot()["latency"]["/v1/x"]
+            latency.observe(float(i), endpoint="/v1/x")
+        snap = metrics_payload(registry)["latency"]["/v1/x"]
         # Quantiles cover only the newest 8 samples (12..19), and
         # p99 interpolates toward the window maximum (19s).
         assert snap["count"] == 8

@@ -179,7 +179,9 @@ class TestDispatcherThread:
                         for nm in nodes
                     )
                 )
-                dispatches = service.batcher.dispatch_count
+                dispatches = service.registry.counter(
+                    "repro_service_batch_dispatches_total"
+                ).value()
                 return responses, dispatches
             finally:
                 service.close()

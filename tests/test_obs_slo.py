@@ -4,6 +4,9 @@ evidence guard, budget accounting, and edge-triggered alerting under
 an injected clock.
 """
 
+import math
+import random
+
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
@@ -145,11 +148,86 @@ class TestBurnRateEdges:
         clock.now = 3601.0
         tracker.record("/v1/x", 0.01, error=False)
         state = tracker._states["avail"]
-        assert len(state.slow_events) == 1
-        assert state.slow_total == 1 and state.slow_bad == 0
+        assert [mark[0] for mark in state.slow_marks] == [3601]
+        assert _window_counts(state.slow_marks, state) == (1, 0)
         # Lifetime totals survive the prune: the budget is spent.
         assert state.bad_total == 30
         assert tracker.status("avail") == STATUS_EXHAUSTED
+
+
+def _window_counts(marks, state):
+    """``(total, bad)`` inside a window: lifetime minus oldest mark."""
+    _, good, bad = marks[0]
+    bad = state.bad_total - bad
+    return state.good_total - good + bad, bad
+
+
+def _recount(events, now, width, objective, min_events):
+    """Brute-force burn rate: every event with ``floor(t) >=
+    ceil(now - width)`` is inside the window."""
+    edge = math.ceil(now - width)
+    inside = [bad for t, bad in events if math.floor(t) >= edge]
+    total, bad = len(inside), sum(inside)
+    if total < min_events or bad == 0:
+        return 0.0
+    return (bad / total) / objective.budget
+
+
+class TestSecondMarks:
+    """Windows counted by the second: the same answers as recounting
+    every event, in memory bounded by the window length."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_a_brute_force_recount(self, seed):
+        rng = random.Random(seed)
+        fast_s = rng.choice((3.0, 7.5, 12.25))
+        slow_s = fast_s * rng.choice((1.0, 2.0, 4.5))
+        min_events = rng.choice((1, 3, 10))
+        tracker, clock = _tracker(
+            objectives=(AVAIL, TIGHT), fast_window_s=fast_s,
+            slow_window_s=slow_s, min_window_events=min_events,
+        )
+        events = {"avail": [], "lat99": []}
+        for _ in range(400):
+            # Binary-exact steps, so window edges often land on seconds.
+            clock.now += rng.choice((0.0, 0.25, 0.5, 1.0, 2.75, 9.0, 30.0))
+            if rng.random() < 0.75:
+                latency = rng.choice((0.01, 0.5))
+                error = rng.random() < 0.2
+                tracker.record("/v1/x", latency, error=error)
+                events["avail"].append((clock.now, error))
+                events["lat99"].append(
+                    (clock.now, TIGHT.is_bad(latency, error))
+                )
+                continue
+            for objective in (AVAIL, TIGHT):
+                seen = events[objective.name]
+                assert tracker.burn_rates(objective.name) == {
+                    "fast": _recount(
+                        seen, clock.now, fast_s, objective, min_events
+                    ),
+                    "slow": _recount(
+                        seen, clock.now, slow_s, objective, min_events
+                    ),
+                }
+                bad = sum(b for _, b in seen)
+                expected = (
+                    max(0.0, 1.0 - bad / (objective.budget * len(seen)))
+                    if seen else 1.0
+                )
+                assert tracker.error_budget_remaining(
+                    objective.name
+                ) == expected
+
+    def test_marks_are_bounded_by_seconds_not_events(self):
+        tracker, _ = _tracker(objectives=(AVAIL,))
+        for i in range(100_000):  # 100k events over 10 s
+            tracker.record("/v1/x", 0.01, error=(i % 100 == 0), now=i * 1e-4)
+        state = tracker._states["avail"]
+        assert len(state.fast_marks) <= 11
+        assert len(state.slow_marks) <= 11
+        assert _window_counts(state.fast_marks, state) == (100_000, 1000)
+        assert _window_counts(state.slow_marks, state) == (100_000, 1000)
 
 
 class TestAlerting:

@@ -31,6 +31,13 @@ def _service(**overrides):
     return ModelService(ServiceConfig(**defaults))
 
 
+def _dispatches(service):
+    """Micro-batch flushes so far, from the service registry."""
+    return service.registry.counter(
+        "repro_service_batch_dispatches_total"
+    ).value()
+
+
 async def _post(service, path, body):
     return await service.handle(
         "POST", path, json.dumps(body).encode()
@@ -281,13 +288,12 @@ class TestResponseCache:
         async def main():
             service = _service()
             first = await _post(service, "/v1/speedup", body)
-            dispatches = service.batcher.dispatch_count
+            dispatches = _dispatches(service)
             second = await _post(service, "/v1/speedup", body)
             _, metrics = await service.handle("GET", "/metrics")
             service.close()
             return (
-                first, second, dispatches,
-                service.batcher.dispatch_count, metrics,
+                first, second, dispatches, _dispatches(service), metrics,
             )
 
         first, second, before, after, metrics = _run(main())
@@ -442,8 +448,10 @@ class TestBatchingAcrossRequests:
                     for nm in nodes
                 )
             )
-            dispatches = service.batcher.dispatch_count
-            items = service.batcher.item_count
+            dispatches = _dispatches(service)
+            items = service.registry.counter(
+                "repro_service_batched_items_total"
+            ).value()
             service.close()
             return results, dispatches, items
 

@@ -12,6 +12,7 @@ import pytest
 from repro.core.constraints import Budget
 from repro.errors import ModelError
 from repro.itrs.scenarios import BASELINE
+from repro.obs.metrics import MetricsRegistry
 from repro.perf.batch import optimize_batch
 from repro.projection.designs import standard_designs
 from repro.projection.engine import node_budget
@@ -20,6 +21,16 @@ from repro.service.batching import MicroBatcher
 
 def _mmm_designs():
     return {d.short_label: d for d in standard_designs("mmm")}
+
+
+def _batcher(window_s):
+    """A batcher counting into a registry the test can read."""
+    registry = MetricsRegistry()
+    return MicroBatcher(window_s=window_s, registry=registry), registry
+
+
+def _count(registry, name="repro_service_batch_dispatches_total"):
+    return registry.counter(name).value()
 
 
 def _roadmap_budgets(design):
@@ -38,18 +49,20 @@ class TestCoalescing:
         budgets = _roadmap_budgets(design)
 
         async def main():
-            batcher = MicroBatcher(window_s=0.005)
+            batcher, registry = _batcher(0.005)
             points = await asyncio.gather(
                 *(
                     batcher.evaluate(design.chip, 0.99, b)
                     for b in budgets
                 )
             )
-            return batcher, points
+            return registry, points
 
-        batcher, points = asyncio.run(main())
-        assert batcher.dispatch_count == 1
-        assert batcher.item_count == len(budgets)
+        registry, points = asyncio.run(main())
+        assert _count(registry) == 1
+        assert _count(registry, "repro_service_batched_items_total") == len(
+            budgets
+        )
         direct = optimize_batch(design.chip, 0.99, budgets)
         assert points == direct
 
@@ -58,32 +71,30 @@ class TestCoalescing:
         budgets = _roadmap_budgets(design)
 
         async def main():
-            batcher = MicroBatcher(window_s=0.0)
+            batcher, registry = _batcher(0.0)
             await asyncio.gather(
                 *(
                     batcher.evaluate(design.chip, 0.99, b)
                     for b in budgets
                 )
             )
-            return batcher
+            return registry
 
-        batcher = asyncio.run(main())
-        assert batcher.dispatch_count == 1
+        assert _count(asyncio.run(main())) == 1
 
     def test_different_f_values_do_not_coalesce(self):
         design = _mmm_designs()["ASIC"]
         budget = _roadmap_budgets(design)[0]
 
         async def main():
-            batcher = MicroBatcher(window_s=0.005)
+            batcher, registry = _batcher(0.005)
             await asyncio.gather(
                 batcher.evaluate(design.chip, 0.9, budget),
                 batcher.evaluate(design.chip, 0.99, budget),
             )
-            return batcher
+            return registry
 
-        batcher = asyncio.run(main())
-        assert batcher.dispatch_count == 2
+        assert _count(asyncio.run(main())) == 2
 
     def test_different_chips_do_not_coalesce(self):
         designs = _mmm_designs()
@@ -91,15 +102,15 @@ class TestCoalescing:
         budget = node_budget(BASELINE.roadmap.nodes[0], "mmm", None)
 
         async def main():
-            batcher = MicroBatcher(window_s=0.005)
+            batcher, registry = _batcher(0.005)
             points = await asyncio.gather(
                 batcher.evaluate(asic.chip, 0.99, budget),
                 batcher.evaluate(sym.chip, 0.99, budget),
             )
-            return batcher, points
+            return registry, points
 
-        batcher, points = asyncio.run(main())
-        assert batcher.dispatch_count == 2
+        registry, points = asyncio.run(main())
+        assert _count(registry) == 2
         assert points[0].label == "ASIC"
         assert points[1].label == "SymCMP"
 
@@ -108,13 +119,13 @@ class TestCoalescing:
         budget = _roadmap_budgets(design)[0]
 
         async def main():
-            batcher = MicroBatcher(window_s=0.001)
+            batcher, registry = _batcher(0.001)
             first = await batcher.evaluate(design.chip, 0.99, budget)
             second = await batcher.evaluate(design.chip, 0.99, budget)
-            return batcher, first, second
+            return registry, first, second
 
-        batcher, first, second = asyncio.run(main())
-        assert batcher.dispatch_count == 2
+        registry, first, second = asyncio.run(main())
+        assert _count(registry) == 2
         assert first == second
 
 
@@ -159,16 +170,16 @@ class TestErrors:
         budget = _roadmap_budgets(design)[0]
 
         async def main():
-            batcher = MicroBatcher(window_s=0.005)
+            batcher, registry = _batcher(0.005)
             results = await asyncio.gather(
                 batcher.evaluate(design.chip, -1.0, budget),
                 batcher.evaluate(design.chip, -1.0, budget),
                 return_exceptions=True,
             )
-            return batcher, results
+            return registry, results
 
-        batcher, results = asyncio.run(main())
-        assert batcher.dispatch_count == 0  # the flush failed
+        registry, results = asyncio.run(main())
+        assert _count(registry) == 0  # the flush failed
         assert all(isinstance(r, ModelError) for r in results)
 
     def test_pending_key_cleared_after_flush(self):
@@ -185,14 +196,14 @@ class TestErrors:
 
 class TestMetricsAccounting:
     def test_batch_sizes_recorded(self):
-        from repro.service.metrics import ServiceMetrics
+        from repro.service.metrics import metrics_payload
 
         design = _mmm_designs()["ASIC"]
         budgets = _roadmap_budgets(design)
-        metrics = ServiceMetrics()
+        registry = MetricsRegistry()
 
         async def main():
-            batcher = MicroBatcher(window_s=0.005, metrics=metrics)
+            batcher = MicroBatcher(window_s=0.005, registry=registry)
             await asyncio.gather(
                 *(
                     batcher.evaluate(design.chip, 0.99, b)
@@ -201,7 +212,7 @@ class TestMetricsAccounting:
             )
 
         asyncio.run(main())
-        snap = metrics.snapshot()["batching"]
+        snap = metrics_payload(registry)["batching"]
         assert snap["dispatches"] == 1
         assert snap["items"] == len(budgets)
         assert snap["efficiency"] == pytest.approx(len(budgets))

@@ -116,6 +116,38 @@ class TestWire:
         direct = optimize(design.chip, 0.99, budget)
         assert payload["point"]["speedup"] == direct.speedup
 
+    def test_body_longer_than_one_read_arrives_whole(self):
+        """A body several times ``READ_BYTES`` (JSON padded with
+        whitespace) is reassembled across reads and answered like the
+        compact one."""
+        from repro.service.http import READ_BYTES
+
+        body = {"workload": "mmm", "f": 0.99, "design": "ASIC",
+                "node_nm": 22}
+        padded = json.dumps(body).encode() + b" " * (5 * READ_BYTES)
+        raw = (
+            f"POST /v1/speedup HTTP/1.1\r\nHost: localhost\r\n"
+            f"Connection: close\r\nContent-Length: {len(padded)}\r\n\r\n"
+        ).encode() + padded
+
+        async def main():
+            service, server, port = await _serve()
+            try:
+                return (
+                    await _roundtrip(port, raw),
+                    await _roundtrip(
+                        port,
+                        _request_bytes("POST", "/v1/speedup", body,
+                                       close=True),
+                    ),
+                )
+            finally:
+                await _shutdown(service, server)
+
+        padded_answer, compact_answer = asyncio.run(main())
+        assert padded_answer[0] == 200
+        assert padded_answer[2] == compact_answer[2]
+
     def test_keep_alive_serves_two_requests(self):
         async def main():
             service, server, port = await _serve()

@@ -51,6 +51,15 @@ def _run(coro):
     return asyncio.run(coro)
 
 
+def _tensor_counts(service):
+    """The service's tensor-store outcome counts, from its registry."""
+    family = service.registry.counter("repro_tensorstore_requests_total")
+    return {
+        outcome: family.value(outcome=outcome)
+        for outcome in ("hit", "interp", "fallback")
+    }
+
+
 def _live_config(**overrides):
     defaults = dict(batch_window_ms=0.5, request_timeout_s=5.0)
     defaults.update(overrides)
@@ -117,7 +126,7 @@ class TestBitIdentity:
             try:
                 live_out = await _collect(live, mix)
                 tensor_out = await _collect(tensor, mix)
-                counters = tensor.metrics.snapshot()["tensorstore"]
+                counters = _tensor_counts(tensor)
             finally:
                 live.close()
                 tensor.close()
@@ -159,7 +168,7 @@ class TestInterpolatedServing:
                 status, payload = await tensor.handle(
                     "POST", "/v1/speedup", json.dumps(body).encode()
                 )
-                counters = tensor.metrics.snapshot()["tensorstore"]
+                counters = _tensor_counts(tensor)
             finally:
                 live.close()
                 tensor.close()
@@ -199,7 +208,7 @@ class TestInterpolatedServing:
                 tensor_out = await tensor.handle(
                     "POST", path, json.dumps(body).encode()
                 )
-                counters = tensor.metrics.snapshot()["tensorstore"]
+                counters = _tensor_counts(tensor)
             finally:
                 live.close()
                 tensor.close()
@@ -239,7 +248,7 @@ class TestQuarantine:
                 reference = await live.handle(
                     "POST", "/v1/speedup", json.dumps(body).encode()
                 )
-                counters = service.metrics.snapshot()["tensorstore"]
+                counters = _tensor_counts(service)
                 fastpath = service.fastpath
             finally:
                 live.close()
@@ -344,9 +353,11 @@ class TestTransportFastPath:
             assert fp.stats()["pending"] == 3
             fp.drain()
             assert fp.stats()["pending"] == 0
-            snapshot = service.metrics.snapshot()
-            assert snapshot["requests"]["/v1/speedup"]["200"] == 3
-            assert snapshot["tensorstore"]["hit"] == 3
+            requests = service.registry.counter(
+                "repro_service_requests_total"
+            )
+            assert requests.value(endpoint="/v1/speedup", status="200") == 3
+            assert _tensor_counts(service)["hit"] == 3
         finally:
             service.close()
 
@@ -392,6 +403,177 @@ class TestPrometheusFamilies:
         assert block["store"]["status"] == "ready"
         assert block["fastpath"] == {"entries": 0, "pending": 0}
         assert set(block) >= {"hit", "interp", "fallback"}
+
+
+def _key_tree(value):
+    """``value`` with every leaf replaced by None: its shape only."""
+    if isinstance(value, dict):
+        return {key: _key_tree(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_key_tree(item) for item in value]
+    return None
+
+
+class TestMetricsSurface:
+    """The serving metrics surface, pinned after one request of each
+    kind: which Prometheus families exist, and the JSON ``/metrics``
+    key tree that dashboards, perfbench and tests read."""
+
+    REQUESTS = (
+        # hit, interp, fallback, then the same fallback again: a live
+        # request answered by the response cache; then a sweep hit.
+        ("/v1/speedup", {"workload": "mmm", "f": 0.99, "design": "ASIC",
+                         "node_nm": 22}),
+        ("/v1/speedup", {"workload": "mmm", "f": 0.45, "design": "ASIC",
+                         "node_nm": 22}),
+        ("/v1/optimize", {"workload": "mmm", "f": 0.45, "node_nm": 22}),
+        ("/v1/optimize", {"workload": "mmm", "f": 0.45, "node_nm": 22}),
+        ("/v1/sweep", {"workload": "mmm", "f": 0.99, "design": "ASIC"}),
+        ("/v1/dse", {"scenario": "baseline"}),
+    )
+
+    FAMILIES = {
+        "repro_dse_configs_evaluated_total",
+        "repro_dse_requests_total",
+        "repro_phase_seconds",
+        "repro_service_batch_dispatches_total",
+        "repro_service_batched_items_total",
+        "repro_service_inflight",
+        "repro_service_jobs_total",
+        "repro_service_max_batch_items",
+        "repro_service_request_seconds",
+        "repro_service_requests_total",
+        "repro_service_response_cache_total",
+        "repro_service_shed_total",
+        "repro_service_timeouts_total",
+        "repro_service_uptime_seconds",
+        "repro_slo_burn_rate",
+        "repro_slo_error_budget_remaining",
+        "repro_slo_events_total",
+        "repro_slo_status",
+        "repro_tensorstore_build_age_seconds",
+        "repro_tensorstore_requests_total",
+    }
+
+    @pytest.fixture(scope="class")
+    def surface(self, tensor_dir):
+        """``(JSON /metrics body, Prometheus text)`` after the mix."""
+        async def main():
+            service = ModelService(_live_config(tensor_dir=tensor_dir))
+            try:
+                for path, body in self.REQUESTS:
+                    status, _ = await service.handle(
+                        "POST", path, json.dumps(body).encode()
+                    )
+                    assert status in (200, 202), path
+                assert service.jobs.join(timeout=60)
+                # One replay through the transport byte cache, so its
+                # deferred accounting lands in the same families.
+                assert service.fastpath.response_bytes(
+                    "POST", "/v1/speedup", {},
+                    TestTransportFastPath.BODY,
+                ) is not None
+                _, snapshot = await service.handle("GET", "/metrics")
+                _, text, _ = await service.handle_request(
+                    "GET", "/metrics?format=prom"
+                )
+            finally:
+                service.close()
+            return snapshot, text
+
+        return _run(main())
+
+    def test_prometheus_families(self, surface):
+        _snapshot, text = surface
+        families = {
+            line.split()[2]
+            for line in text.splitlines()
+            if line.startswith("# TYPE ")
+        }
+        pinned = {
+            name for name in families
+            if name.startswith(
+                ("repro_service_", "repro_tensorstore_", "repro_slo_",
+                 "repro_dse_")
+            )
+            or name == "repro_phase_seconds"
+        }
+        assert pinned == self.FAMILIES
+        validate_prometheus(text, required=sorted(self.FAMILIES))
+
+    def test_json_key_tree(self, surface):
+        snapshot, _text = surface
+        latency = dict.fromkeys(
+            ("count", "mean_ms", "p50_ms", "p99_ms", "slowest_ms",
+             "slowest_trace_id")
+        )
+        endpoints = ("/v1/speedup", "/v1/optimize", "/v1/sweep",
+                     "/v1/dse")
+        objective = dict.fromkeys(
+            ("name", "endpoint", "target", "latency_threshold_ms",
+             "status", "burn_rate_fast", "burn_rate_slow",
+             "error_budget_remaining", "events_good", "events_bad")
+        )
+        store = dict.fromkeys(
+            ("enabled", "status", "directory", "groups", "designs",
+             "cells", "bytes", "f_points", "r_max", "spec_hash",
+             "built_unix", "model_version")
+        )
+        assert _key_tree(snapshot) == {
+            "uptime_s": None,
+            "inflight": None,
+            "requests": {
+                "/v1/speedup": {"200": None},
+                "/v1/optimize": {"200": None},
+                "/v1/sweep": {"200": None},
+                "/v1/dse": {"202": None},
+            },
+            "latency": {endpoint: latency for endpoint in endpoints},
+            "cache": {"hits": None, "misses": None},
+            "batching": dict.fromkeys(
+                ("dispatches", "items", "max_batch", "efficiency")
+            ),
+            "shed": None,
+            "timeouts": None,
+            "jobs": {"queued": None, "succeeded": None},
+            "dse": {"accepted": None, "rejected": None},
+            "tensorstore": {
+                "hit": None,
+                "interp": None,
+                "fallback": None,
+                "store": store,
+                "fastpath": {"entries": None, "pending": None},
+            },
+            "perf_cache": dict.fromkeys(
+                ("caches", "hits", "misses", "entries")
+            ),
+            "campaign": {
+                "total": None,
+                "states": {"succeeded": None},
+                "store": dict.fromkeys(
+                    ("hits", "misses", "writes", "corrupt")
+                ),
+            },
+            "slo": {
+                "status": None,
+                "objectives": [objective] * 4,
+                "windows": {"fast_s": None, "slow_s": None},
+                "burn_thresholds": {"fast": None, "slow": None},
+            },
+            "events": dict.fromkeys(
+                ("streams", "published", "trimmed", "open")
+            ),
+        }
+        # The counts behind the tree: one of each outcome, and the
+        # fast-path replay drained into the request and tensor counts.
+        assert snapshot["requests"]["/v1/speedup"]["200"] == 3
+        assert snapshot["tensorstore"]["hit"] == 3
+        assert snapshot["tensorstore"]["interp"] == 1
+        assert snapshot["tensorstore"]["fallback"] == 2
+        assert snapshot["cache"] == {"hits": 1, "misses": 1}
+        assert snapshot["dse"] == {"accepted": 1, "rejected": 0}
+        assert snapshot["jobs"] == {"queued": 1, "succeeded": 1}
+        assert snapshot["tensorstore"]["fastpath"]["entries"] == 1
 
 
 class TestTraceFile:
