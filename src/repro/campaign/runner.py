@@ -257,6 +257,30 @@ def _timed_run(
     return payload, attempts, started_unix
 
 
+def _manifest_renderer(
+    head: Dict[str, Any],
+) -> Callable[[Sequence[str]], str]:
+    """The checkpoint manifest's text as a function of the completed
+    hashes: ``json.dumps(dict(head, completed=sorted(completed)),
+    indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    ``completed`` sorts before every key of ``head``, so ``head`` is
+    encoded once and each checkpoint splices only the sorted list in
+    front of it.  (``indent`` forces the pure-Python encoder, which
+    re-encoding the whole spec on every settle paid for.)
+    """
+    rest = json.dumps(head, indent=2, sort_keys=True)[1:]
+
+    def render(completed: Sequence[str]) -> str:
+        items = ",\n".join(
+            f"    {json.dumps(digest)}" for digest in sorted(completed)
+        )
+        listed = f"[\n{items}\n  ]" if items else "[]"
+        return '{\n  "completed": ' + listed + "," + rest + "\n"
+
+    return render
+
+
 # -- outcomes and reports --------------------------------------------------
 
 
@@ -434,7 +458,7 @@ class CampaignRunner:
         return self.store.directory / f"manifest-{spec_hash[:16]}.json"
 
     @staticmethod
-    def _write_manifest(path: Path, payload: Dict[str, Any]) -> None:
+    def _write_manifest(path: Path, text: str) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         # A private temp name, not path.with_suffix(".tmp"): joined
         # cluster processes checkpoint the same manifest concurrently,
@@ -447,9 +471,7 @@ class CampaignRunner:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(
-                    json.dumps(payload, indent=2, sort_keys=True) + "\n"
-                )
+                handle.write(text)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -485,22 +507,21 @@ class CampaignRunner:
         tasks = spec.tasks()
         hashes = [task_hash(task) for task in tasks]
         spec_hash = spec.spec_hash()
-        # The manifest's fixed part, derived once: every settle
-        # rewrites the manifest, and re-deriving the spec's payload,
-        # hash and path there cost a third of each rewrite.
+        # The manifest's fixed part, derived and encoded once: every
+        # settle rewrites the manifest.
         manifest_path = self._manifest_path(spec_hash)
-        head = {
-            "spec": spec.payload(),
-            "spec_hash": spec_hash,
-            "model_version": __version__,
-            "total": len(hashes),
-            "tasks": list(hashes),
-        }
+        render = _manifest_renderer(
+            {
+                "spec": spec.payload(),
+                "spec_hash": spec_hash,
+                "model_version": __version__,
+                "total": len(hashes),
+                "tasks": list(hashes),
+            }
+        )
 
         def checkpoint(completed: Sequence[str]) -> None:
-            self._write_manifest(
-                manifest_path, dict(head, completed=sorted(completed))
-            )
+            self._write_manifest(manifest_path, render(completed))
 
         sampler = acquire_sampler() if self.profile else None
         self._sampler = sampler

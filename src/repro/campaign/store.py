@@ -168,13 +168,14 @@ class ResultStore:
         """
         with get_tracer().span("campaign.store.serialize"):
             body = canonical_json(result)
-            envelope = canonical_json(
-                {
-                    "task_hash": task_hash,
-                    "model_version": self.model_version,
-                    "checksum": sha256_text(body),
-                    "result": json.loads(body),
-                }
+            # The canonical JSON of the envelope dict, spliced: its keys
+            # sort in this order and ``body`` is already canonical, so
+            # the result is encoded once, not twice plus a parse.
+            envelope = (
+                '{"checksum":' + canonical_json(sha256_text(body))
+                + ',"model_version":' + canonical_json(self.model_version)
+                + ',"result":' + body
+                + ',"task_hash":' + canonical_json(task_hash) + "}"
             )
         path = self.path_for(task_hash)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -37,6 +37,7 @@ from .power import (
 from .ucore import UCore, speedup_heterogeneous
 
 __all__ = [
+    "serial_r_ceiling",
     "ChipModel",
     "SymmetricCMP",
     "AsymmetricCMP",
@@ -45,6 +46,25 @@ __all__ = [
     "HeterogeneousAssistedChip",
     "HeterogeneousChip",
 ]
+
+
+def serial_r_ceiling(
+    area: float, power: float, bandwidth: float, alpha: float
+) -> float:
+    """Largest ``r`` the serial bounds of one budget allow (Table 1).
+
+    ``r^(alpha/2) <= P`` and ``sqrt(r) <= B``, capped by the area (the
+    fast core must fit on die).  Plain floats, so the grid kernel
+    derives each row's ceiling with the same Python ``**`` as
+    :meth:`ChipModel.max_serial_r`.
+    """
+    r_power = max_r_for_serial_power(power, alpha)
+    r_bw = (
+        max_r_for_serial_bandwidth(bandwidth)
+        if math.isfinite(bandwidth)
+        else math.inf
+    )
+    return min(r_power, r_bw, area)
 
 
 class ChipModel(ABC):
@@ -105,13 +125,9 @@ class ChipModel(ABC):
 
         Also capped by the area budget (the fast core must fit on die).
         """
-        r_power = max_r_for_serial_power(budget.power, budget.alpha)
-        r_bw = (
-            max_r_for_serial_bandwidth(budget.bandwidth)
-            if math.isfinite(budget.bandwidth)
-            else math.inf
+        return serial_r_ceiling(
+            budget.area, budget.power, budget.bandwidth, budget.alpha
         )
-        return min(r_power, r_bw, budget.area)
 
     def serial_feasible(self, budget: Budget, r: float) -> bool:
         """Whether an ``r``-BCE sequential core fits the serial bounds."""

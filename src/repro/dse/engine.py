@@ -21,7 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import groupby
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from ..core.chip import ChipModel, HeterogeneousChip
 from ..core.constraints import Budget
@@ -38,6 +41,7 @@ from ..errors import InfeasibleDesignError, ModelError
 from ..obs.metrics import get_registry
 from ..obs.stream import emit as emit_event
 from ..obs.trace import get_tracer
+from ..perf.batch import GridRows, bound_grid
 from ..projection.engine import node_budget
 from .dsl import (
     BEST_SUBSTRATE,
@@ -55,8 +59,13 @@ __all__ = [
     "expand_configs",
     "evaluate_config",
     "exhaustive_sweep",
+    "feasible_signature",
+    "feasible_signatures",
     "execute_pareto_task",
 ]
+
+#: A config's ``(r, n_effective)`` pairs over its feasible serial sizes.
+Signature = Tuple[Tuple[int, float], ...]
 
 
 class _ProviderChip(ChipModel):
@@ -330,14 +339,16 @@ def exhaustive_sweep(
 
 def feasible_signature(
     config: DSEConfig, r_max: int = DEFAULT_R_MAX
-) -> Optional[Tuple[Tuple[int, float], ...]]:
+) -> Optional[Signature]:
     """The (r, n_effective) vector that fully determines evaluation.
 
     Two configs with the same chip, ``f`` and signature produce
     bit-identical r-sweeps (speedup depends only on ``(f, n, r)``),
     which is what lets successive halving share one evaluation across
     a whole equivalence class.  ``None`` marks a config whose serial
-    bounds are infeasible outright.
+    bounds are infeasible outright.  This is the scalar reference;
+    :func:`feasible_signatures` derives the same vectors a block of
+    configs at a time.
     """
     try:
         r_values = feasible_r_values(
@@ -349,6 +360,40 @@ def feasible_signature(
         (r, config.chip.bounds(config.eval_budget, r).n_effective)
         for r in r_values
     )
+
+
+def feasible_signatures(
+    configs: Iterable[DSEConfig], r_max: int = DEFAULT_R_MAX
+) -> Iterator[Tuple[DSEConfig, Optional[Signature]]]:
+    """``(config, feasible_signature(config, r_max))`` for every config,
+    in order.
+
+    Each run of consecutive configs sharing a chip is one grid-kernel
+    block (:func:`~repro.perf.batch.bound_grid`) over the run's
+    distinct budgets: its ``n_effective`` grid over ``r = 1..r_max``,
+    sliced to each budget's feasible prefix.  Configs with equal
+    budgets (one per ``f``) share one signature, and a caller that
+    classifies the stream holds one block at a time, never every
+    config's signature at once.
+    """
+    for _, run in groupby(configs, key=lambda config: id(config.chip)):
+        block = list(run)
+        rows: Dict[Budget, int] = {}
+        for config in block:
+            rows.setdefault(config.eval_budget, len(rows))
+        n_effective, ceilings = bound_grid(
+            block[0].chip, GridRows.from_budgets(list(rows)), r_max
+        )
+        signatures: List[Optional[Signature]] = []
+        for i, ceiling in enumerate(ceilings.tolist()):
+            if not ceiling >= 1:  # below 1 or NaN: no serial core fits
+                signatures.append(None)
+                continue
+            feasible = int(min(r_max, ceiling))
+            row = n_effective[i, :feasible].tolist()
+            signatures.append(tuple(zip(range(1, feasible + 1), row)))
+        for config in block:
+            yield config, signatures[rows[config.eval_budget]]
 
 
 def execute_pareto_task(task: Any) -> Dict[str, Any]:

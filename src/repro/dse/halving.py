@@ -8,7 +8,8 @@ generic algorithm lacks:
 1. **Equivalence classes.**  A config's full r-sweep depends only on
    its chip, its parallel fraction, and its *feasibility signature* --
    the vector of ``(r, n_effective)`` pairs over the feasible serial
-   sizes (:func:`repro.dse.engine.feasible_signature`).  Budget grids
+   sizes, read from one grid-kernel block per chip
+   (:func:`repro.dse.engine.feasible_signatures`).  Budget grids
    saturate (past the power bound, more area buys nothing), so many
    configs share a signature; one representative evaluation serves
    the whole class, bit-identically.
@@ -29,6 +30,7 @@ generic algorithm lacks:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.optimizer import DEFAULT_R_MAX, optimize, sweep_designs
@@ -40,7 +42,7 @@ from .engine import (
     DSEScenario,
     _configs_counter,
     expand_configs,
-    feasible_signature,
+    feasible_signatures,
 )
 from .front import DSEPoint, pareto_front
 
@@ -66,12 +68,14 @@ class _Class:
     def rep(self) -> DSEConfig:
         return self.members[0]
 
+    @cached_property
     def minimal_budgets(self) -> List[Tuple[float, float]]:
         """The 2D-minimal (area, power) pairs among the members.
 
         Non-minimal members are dominated by a classmate (equal
         speedup, component-wise smaller budgets), so coverage of the
-        minimal pairs is coverage of the whole class.
+        minimal pairs is coverage of the whole class.  Computed once,
+        on first use by pruning: membership is final after phase 0.
         """
         pairs = sorted(
             {(m.budget.area, m.budget.power) for m in self.members}
@@ -145,8 +149,8 @@ def _covers(
 ) -> bool:
     """Every minimal budget pair of ``candidate`` has a member of
     ``dominator`` at component-wise <= budgets."""
-    dom_pairs = dominator.minimal_budgets()
-    for area, power in candidate.minimal_budgets():
+    dom_pairs = dominator.minimal_budgets
+    for area, power in candidate.minimal_budgets:
         if not any(
             da <= area and dp <= power for da, dp in dom_pairs
         ):
@@ -159,8 +163,8 @@ def _covers_strictly(
 ) -> bool:
     """Like :func:`_covers`, but every pair is covered with at least
     one strictly smaller budget component."""
-    dom_pairs = dominator.minimal_budgets()
-    for area, power in candidate.minimal_budgets():
+    dom_pairs = dominator.minimal_budgets
+    for area, power in candidate.minimal_budgets:
         if not any(
             da <= area
             and dp <= power
@@ -237,8 +241,7 @@ def successive_halving(
     # -- phase 0: equivalence classes (no speedup evaluations) -------------
     classes: Dict[Tuple, _Class] = {}
     infeasible = 0
-    for config in configs:
-        signature = feasible_signature(config, r_max)
+    for config, signature in feasible_signatures(configs, r_max):
         if signature is None:
             infeasible += 1
             continue

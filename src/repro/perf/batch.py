@@ -5,9 +5,18 @@ The scalar optimizer (:mod:`repro.core.optimizer`) resolves one
 Python loop.  A figure campaign evaluates thousands of such cells, and
 almost all of the work is embarrassingly data-parallel: the Table 1
 bounds and the speedup formulas are closed-form arithmetic over
-``(budget, r)`` pairs.  This module evaluates the *whole grid* --
-every candidate ``r`` for every budget (typically every node of a
-roadmap) -- as float64 array operations in one shot.
+``(row, r)`` pairs.  This module evaluates the *whole grid* -- every
+candidate ``r`` for every row -- as float64 array operations in one
+shot.
+
+A row is one set of model parameters (:class:`GridRows`): a budget
+(area, power, bandwidth, alpha) and, for the U-core models, optionally
+its own mu and phi.  The Budget-list adapters (:func:`optimize_batch`,
+:func:`optimize_prefix_batch`, :func:`sweep_designs_batch`) make one
+row per budget -- typically every node of a roadmap.  Monte-Carlo
+sensitivity makes one row per trial (:func:`best_speedups`), and DSE
+equivalence classes read the bound grid of a whole block of configs
+(:func:`bound_grid`).
 
 Bit-for-bit parity with the scalar reference is a hard requirement
 (the differential tests assert full ``DesignPoint`` equality), so the
@@ -16,62 +25,182 @@ in the *same* order as the scalar formulas:
 
 * additions, subtractions, multiplications, divisions and ``sqrt`` are
   correctly rounded, so the NumPy and scalar results are identical;
-* ``r ** exponent`` terms are precomputed with scalar Python ``pow``
-  (one call per distinct ``(r, exponent)`` pair) and broadcast,
-  eliminating any libm-vs-SIMD discrepancy;
+* ``r ** exponent`` terms and each row's serial ceiling
+  (``P ** (2/alpha)``) are computed with scalar Python ``pow`` and
+  broadcast, eliminating any libm-vs-SIMD discrepancy;
 * ``perf_seq(r)`` is evaluated through the chip's own (possibly
   custom) law, once per candidate ``r``, then broadcast.
 
 Models without a registered vector kernel fall back to elementwise
-evaluation through ``chip.speedup`` -- slower, but every
+evaluation through the chip's own scalar methods, one
+:class:`~repro.core.constraints.Budget` per row -- slower, but every
 :class:`~repro.core.chip.ChipModel` subclass works out of the box.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.amdahl import check_fraction
-from ..core.chip import ChipModel
+from ..core.chip import ChipModel, serial_r_ceiling
 from ..core.constraints import BoundSet, Budget
 from ..core.optimizer import (
     DEFAULT_R_MAX,
     DesignPoint,
     feasible_r_values,
 )
-from ..core.power import pollack_perf
+from ..core.power import DEFAULT_ALPHA, pollack_perf
+from ..errors import ModelError
 
 __all__ = [
+    "GridRows",
     "sweep_designs_batch",
     "optimize_batch",
     "optimize_prefix_batch",
+    "best_speedups",
+    "bound_grid",
 ]
+
+#: Models with a vector branch; any other chip takes the generic
+#: fallback through its own scalar methods.
+_UCORE_MODELS = ("heterogeneous", "heterogeneous-assisted")
+_VECTOR_MODELS = (
+    "symmetric", "asymmetric-offload", "asymmetric", "dynamic",
+) + _UCORE_MODELS
+
+
+class GridRows(NamedTuple):
+    """The grid's leading axis: one set of model parameters per row.
+
+    ``area``, ``power``, ``bandwidth`` and ``alpha`` hold one budget per
+    row; ``mu`` and ``phi``, when given, replace a U-core chip's own
+    parameters row by row.  Any field may be a scalar shared by every
+    row.  :func:`best_speedups` and :func:`bound_grid` check each row
+    the way :class:`~repro.core.constraints.Budget` checks a budget,
+    and that mu/phi rows are positive (NaN rejected).
+    """
+
+    area: np.ndarray
+    power: np.ndarray
+    bandwidth: np.ndarray = math.inf
+    alpha: np.ndarray = DEFAULT_ALPHA
+    mu: Optional[np.ndarray] = None
+    phi: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_budgets(cls, budgets: Sequence[Budget]) -> "GridRows":
+        """One row per budget."""
+        return cls(
+            np.array([b.area for b in budgets]),
+            np.array([b.power for b in budgets]),
+            np.array([b.bandwidth for b in budgets]),
+            np.array([b.alpha for b in budgets]),
+        )
+
+    def budget(self, i: int) -> Budget:
+        """Row ``i`` as a :class:`Budget` (the generic fallback's view)."""
+        return Budget(
+            area=float(self.area[i]),
+            power=float(self.power[i]),
+            bandwidth=float(self.bandwidth[i]),
+            alpha=float(self.alpha[i]),
+        )
+
+
+def _checked_rows(chip: ChipModel, rows: GridRows) -> GridRows:
+    """``rows`` as equal-length float arrays, every row validated.
+
+    A bad budget row is rebuilt as a :class:`Budget`, which raises the
+    same :class:`~repro.errors.ModelError` a scalar caller would see.
+    mu/phi rows must be positive (NaN included) and need a chip the
+    U-core vector branches serve.
+    """
+    given = {k: v for k, v in rows._asdict().items() if v is not None}
+    arrays = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in given.values())
+    )
+    if arrays[0].ndim != 1:
+        raise ModelError("grid rows must be one-dimensional")
+    rows = GridRows(**dict(zip(given, arrays)))
+    ok = (
+        (rows.area > 0) & (rows.power > 0) & (rows.bandwidth > 0)
+        & (rows.alpha >= 1)
+    )
+    if not ok.all():
+        rows.budget(int(np.argmin(ok)))  # raises the Budget error
+    for name in ("mu", "phi"):
+        values = getattr(rows, name)
+        if values is None:
+            continue
+        if _vector_model(chip) not in _UCORE_MODELS:
+            raise ModelError(
+                f"{name} rows need a U-core chip, got {chip.label}"
+            )
+        positive = values > 0
+        if not positive.all():
+            bad = float(values[int(np.argmin(positive))])
+            raise ModelError(f"{name} must be positive, got {bad}")
+    return rows
+
+
+def _check_r_max(r_max: int) -> None:
+    # Same message as the scalar validator (feasible_r_values).
+    if r_max < 1:
+        raise ModelError(f"r_max must be >= 1, got {r_max}")
+
+
+def _vector_model(chip: ChipModel) -> Optional[str]:
+    """The vector branch serving ``chip``; None selects the fallback.
+
+    Read from the class: a wrapper that copies an inner chip's
+    ``model_id`` onto the instance (the DSE provider adapter, which
+    remaps ``n`` and has no ``ucore``) keeps its own bound and speedup
+    methods, which only the fallback calls.
+    """
+    model = type(chip).model_id
+    return model if model in _VECTOR_MODELS else None
+
+
+def _ucore_params(chip: ChipModel, rows: GridRows):
+    """``(mu, phi)``: per-row columns where given, else the chip's."""
+    mu = chip.ucore.mu if rows.mu is None else rows.mu[:, None]
+    phi = chip.ucore.phi if rows.phi is None else rows.phi[:, None]
+    return mu, phi
+
+
+def _serial_ceilings(chip: ChipModel, rows: GridRows) -> np.ndarray:
+    """Each row's ``max_serial_r``, one scalar evaluation per row."""
+    if type(chip).max_serial_r is ChipModel.max_serial_r:
+        return np.array(list(map(
+            serial_r_ceiling, rows.area.tolist(), rows.power.tolist(),
+            rows.bandwidth.tolist(), rows.alpha.tolist(),
+        )))
+    # A chip with its own max_serial_r keeps it.
+    return np.array(
+        [chip.max_serial_r(rows.budget(i)) for i in range(len(rows.area))]
+    )
 
 
 def _pow_matrix(
     r_vals: Sequence[float],
-    alphas: Sequence[float],
+    alphas: np.ndarray,
     exponent_of,
 ) -> np.ndarray:
-    """``r ** exponent_of(alpha)`` as a (budgets, r) matrix.
+    """``r ** exponent_of(alpha)`` as a (rows, r) matrix.
 
     Computed with scalar Python ``pow`` so every entry is bitwise
-    identical to the scalar path's ``r ** e``; distinct
-    ``(r, exponent)`` pairs are evaluated once.
+    identical to the scalar path's ``r ** e``; each distinct alpha's
+    row is evaluated once.
     """
-    cache: Dict[Tuple[float, float], float] = {}
-    out = np.empty((len(alphas), len(r_vals)))
-    for i, alpha in enumerate(alphas):
-        e = exponent_of(alpha)
-        for j, r in enumerate(r_vals):
-            key = (r, e)
-            value = cache.get(key)
-            if value is None:
-                value = cache[key] = r ** e
-            out[i, j] = value
-    return out
+    index: Dict[float, int] = {}
+    positions = [index.setdefault(a, len(index)) for a in alphas.tolist()]
+    table = np.array(
+        [[r ** e for r in r_vals] for e in map(exponent_of, index)]
+    ).reshape(len(index), len(r_vals))
+    return table[positions]
 
 
 def _perf_law_matrix(chip: ChipModel, values: np.ndarray) -> np.ndarray:
@@ -89,30 +218,29 @@ def _perf_law_matrix(chip: ChipModel, values: np.ndarray) -> np.ndarray:
 
 def _grid_bounds(
     chip: ChipModel,
-    budgets: Sequence[Budget],
+    rows: GridRows,
     r_vals: Sequence[float],
     r: np.ndarray,
     sqrt_r: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Table 1 parallel-phase bounds over the (budget, r) grid.
+    """Table 1 parallel-phase bounds over the (row, r) grid.
 
     Returns ``(n_area, n_power, n_bandwidth)``, each of shape
-    ``(len(budgets), len(r_vals))``.  Each branch mirrors the exact
+    ``(rows, len(r_vals))``.  Each branch mirrors the exact
     expression (and operation order) of the corresponding
     ``ChipModel.bound_*`` scalar method.
     """
-    area = np.array([b.area for b in budgets])[:, None]
-    power = np.array([b.power for b in budgets])[:, None]
-    bandwidth = np.array([b.bandwidth for b in budgets])[:, None]
-    alphas = [b.alpha for b in budgets]
-    shape = (len(budgets), len(r_vals))
+    area = rows.area[:, None]
+    power = rows.power[:, None]
+    bandwidth = rows.bandwidth[:, None]
+    shape = (len(rows.area), len(r_vals))
 
     n_area = np.broadcast_to(area, shape).copy()
-    model = chip.model_id
+    model = _vector_model(chip)
 
     if model == "symmetric":
         # n <= P / r^(alpha/2 - 1);  n <= B * sqrt(r)
-        pow_term = _pow_matrix(r_vals, alphas, lambda a: a / 2.0 - 1.0)
+        pow_term = _pow_matrix(r_vals, rows.alpha, lambda a: a / 2.0 - 1.0)
         n_power = power / pow_term
         n_bandwidth = bandwidth * sqrt_r
     elif model == "asymmetric-offload":
@@ -121,7 +249,7 @@ def _grid_bounds(
         n_bandwidth = bandwidth + r
     elif model == "asymmetric":
         # n <= P - r^(alpha/2) + r;  n <= B - sqrt(r) + r
-        seqp = _pow_matrix(r_vals, alphas, lambda a: a / 2.0)
+        seqp = _pow_matrix(r_vals, rows.alpha, lambda a: a / 2.0)
         n_power = power - seqp + r
         n_bandwidth = bandwidth - sqrt_r + r
     elif model == "dynamic":
@@ -129,24 +257,23 @@ def _grid_bounds(
         n_bandwidth = np.broadcast_to(bandwidth, shape).copy()
     elif model == "heterogeneous":
         # n <= P / phi + r;  n <= B / mu + r
-        n_power = power / chip.ucore.phi + r
-        n_bandwidth = bandwidth / chip.ucore.mu + r
+        mu, phi = _ucore_params(chip, rows)
+        n_power = power / phi + r
+        n_bandwidth = bandwidth / mu + r
     elif model == "heterogeneous-assisted":
         # headroom-gated: the fast core's own draw comes off the top.
-        seqp = _pow_matrix(r_vals, alphas, lambda a: a / 2.0)
+        mu, phi = _ucore_params(chip, rows)
+        seqp = _pow_matrix(r_vals, rows.alpha, lambda a: a / 2.0)
         p_head = power - seqp
         b_head = bandwidth - sqrt_r
         r_grid = np.broadcast_to(r, shape)
-        n_power = np.where(
-            p_head <= 0, r_grid, p_head / chip.ucore.phi + r
-        )
-        n_bandwidth = np.where(
-            b_head <= 0, r_grid, b_head / chip.ucore.mu + r
-        )
+        n_power = np.where(p_head <= 0, r_grid, p_head / phi + r)
+        n_bandwidth = np.where(b_head <= 0, r_grid, b_head / mu + r)
     else:
         # Generic fallback: one scalar bounds() call per grid cell.
         n_power = np.empty(shape)
         n_bandwidth = np.empty(shape)
+        budgets = [rows.budget(i) for i in range(shape[0])]
         for i, budget in enumerate(budgets):
             for j, rv in enumerate(r_vals):
                 n_power[i, j] = chip.bound_power(budget, rv)
@@ -160,6 +287,7 @@ def _grid_bounds(
 def _grid_speedup(
     chip: ChipModel,
     f: float,
+    rows: GridRows,
     n: np.ndarray,
     r: np.ndarray,
     ps: np.ndarray,
@@ -172,7 +300,7 @@ def _grid_speedup(
     holds an ``errstate`` suppressing divide/invalid warnings -- and
     discarded.
     """
-    model = chip.model_id
+    model = _vector_model(chip)
     if model == "symmetric":
         serial = (1.0 - f) / ps
         parallel = f / ((n / r) * ps)
@@ -195,14 +323,16 @@ def _grid_speedup(
     if model == "heterogeneous":
         if f == 0.0:
             return np.broadcast_to(ps, n.shape).copy()
+        mu, _ = _ucore_params(chip, rows)
         serial = (1.0 - f) / ps
-        parallel = f / (chip.ucore.mu * (n - r))
+        parallel = f / (mu * (n - r))
         return 1.0 / (serial + parallel)
     if model == "heterogeneous-assisted":
         if f == 0.0:
             return np.broadcast_to(ps, n.shape).copy()
+        mu, _ = _ucore_params(chip, rows)
         serial = (1.0 - f) / ps
-        parallel = f / (chip.ucore.mu * (n - r) + ps)
+        parallel = f / (mu * (n - r) + ps)
         return 1.0 / (serial + parallel)
     # Generic fallback: scalar speedup on feasible lanes only (the
     # scalar path never evaluates infeasible ones either).
@@ -212,33 +342,36 @@ def _grid_speedup(
     return out
 
 
+def _n_grid(chip: ChipModel, rows: GridRows, r_vals: Sequence[float]):
+    """``(r, n_area, n_power, n_bandwidth, n_effective)`` over the grid."""
+    r = np.array(r_vals, dtype=float)[None, :]
+    n_area, n_power, n_bandwidth = _grid_bounds(
+        chip, rows, r_vals, r, np.sqrt(r)
+    )
+    n = np.minimum(np.minimum(n_area, n_power), n_bandwidth)
+    return r, n_area, n_power, n_bandwidth, n
+
+
 def _evaluate_grid(
     chip: ChipModel,
     f: float,
-    budgets: Sequence[Budget],
+    rows: GridRows,
     r_vals: Sequence[float],
-    serial_ok: np.ndarray,
 ):
-    """Bounds, feasibility and speedup over the (budget, r) grid.
+    """Bounds, feasibility and speedup over the (row, r) grid.
 
-    ``serial_ok`` is the per-(budget, r) serial-bound mask the caller
-    derived (grid sweeps use ``r <= max_serial_r``; explicit r lists
-    replicate ``serial_feasible``).  Returns the bound arrays, the
-    effective ``n``, the full feasibility mask, and the speedup.
+    Returns the bound arrays, the effective ``n``, the feasibility
+    mask -- ``serial_feasible`` (``1 <= r <= max_serial_r``) and
+    ``evaluate_design``'s resource checks -- and the speedup.
 
     The caller must hold ``np.errstate(divide="ignore",
     invalid="ignore")``: infeasible lanes legitimately produce inf/NaN
     intermediates that the mask discards.
     """
     check_fraction(f)
-    r = np.array(r_vals, dtype=float)[None, :]
-    sqrt_r = np.sqrt(r)
-    n_area, n_power, n_bandwidth = _grid_bounds(
-        chip, budgets, r_vals, r, sqrt_r
-    )
-    n = np.minimum(np.minimum(n_area, n_power), n_bandwidth)
-
-    mask = serial_ok.copy()
+    r, n_area, n_power, n_bandwidth, n = _n_grid(chip, rows, r_vals)
+    ceilings = _serial_ceilings(chip, rows)
+    mask = (r >= 1) & (r <= ceilings[:, None])
     if chip.model_id != "dynamic":
         # evaluate_design: `if n < r ... return None`
         mask &= ~(n < r)
@@ -247,14 +380,14 @@ def _evaluate_grid(
         mask &= ~(n <= r)
 
     ps = _perf_law_matrix(chip, r[0])
-    speedup = _grid_speedup(chip, f, n, r, ps, mask)
+    speedup = _grid_speedup(chip, f, rows, n, r, ps, mask)
     return n_area, n_power, n_bandwidth, n, mask, speedup
 
 
-def _eval_quiet(chip, f, budgets, r_vals, serial_ok):
-    """:func:`_evaluate_grid` under the required errstate guard."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _evaluate_grid(chip, f, budgets, r_vals, serial_ok)
+def _best_lanes(arrays) -> np.ndarray:
+    """Each row's winning column: first maximum over feasible lanes."""
+    mask, speedup = arrays[4], arrays[5]
+    return np.argmax(np.where(mask, speedup, -np.inf), axis=1)
 
 
 def _make_point(
@@ -301,21 +434,14 @@ def sweep_designs_batch(
         candidates: Sequence[float] = feasible_r_values(
             chip, budget, r_max
         )
-        if not candidates:
-            return []
-        serial_ok = np.ones((1, len(candidates)), dtype=bool)
-        arrays = _eval_quiet(chip, f, [budget], candidates, serial_ok)
     else:
         candidates = list(r_values)
-        if not candidates:
-            return []
-        ceiling = chip.max_serial_r(budget)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r_arr = np.array(candidates, dtype=float)[None, :]
-            serial_ok = (r_arr >= 1) & (r_arr <= ceiling)
-            arrays = _evaluate_grid(
-                chip, f, [budget], candidates, serial_ok
-            )
+    if not candidates:
+        return []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arrays = _evaluate_grid(
+            chip, f, GridRows.from_budgets([budget]), candidates
+        )
     mask = arrays[4]
     return [
         _make_point(chip, f, candidates[j], arrays, 0, j)
@@ -343,28 +469,19 @@ def optimize_batch(
     budgets = list(budgets)
     if not budgets:
         return []
+    if r_values is None:
+        _check_r_max(r_max)
+        candidates: Sequence[float] = list(range(1, r_max + 1))
+    else:
+        candidates = list(r_values)
+        if not candidates:
+            return [None] * len(budgets)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if r_values is None:
-            if r_max < 1:
-                # Delegate the error to the scalar validator for an
-                # identical message.
-                feasible_r_values(chip, budgets[0], r_max)
-            candidates: Sequence[float] = list(range(1, r_max + 1))
-            ceilings = np.array([chip.max_serial_r(b) for b in budgets])
-            r_arr = np.array(candidates, dtype=float)[None, :]
-            serial_ok = r_arr <= ceilings[:, None]
-        else:
-            candidates = list(r_values)
-            if not candidates:
-                return [None] * len(budgets)
-            ceilings = np.array([chip.max_serial_r(b) for b in budgets])
-            r_arr = np.array(candidates, dtype=float)[None, :]
-            serial_ok = (r_arr >= 1) & (r_arr <= ceilings[:, None])
-        arrays = _evaluate_grid(chip, f, budgets, candidates, serial_ok)
-        mask, speedup = arrays[4], arrays[5]
-
-        score = np.where(mask, speedup, -np.inf)
-        best_j = np.argmax(score, axis=1)
+        arrays = _evaluate_grid(
+            chip, f, GridRows.from_budgets(budgets), candidates
+        )
+        best_j = _best_lanes(arrays)
+    mask = arrays[4]
     results: List[Optional[DesignPoint]] = []
     for i in range(len(budgets)):
         j = int(best_j[i])
@@ -404,17 +521,11 @@ def optimize_prefix_batch(
         return {}
     if not budgets:
         return {r: [] for r in r_maxes}
-    if r_maxes[0] < 1:
-        # Delegate the error to the scalar validator for an
-        # identical message (mirrors optimize_batch).
-        feasible_r_values(chip, budgets[0], r_maxes[0])
+    _check_r_max(r_maxes[0])
     candidates: Sequence[float] = list(range(1, r_maxes[-1] + 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        ceilings = np.array([chip.max_serial_r(b) for b in budgets])
-        r_arr = np.array(candidates, dtype=float)[None, :]
-        serial_ok = r_arr <= ceilings[:, None]
         arrays = _evaluate_grid(
-            chip, f, budgets, candidates, serial_ok
+            chip, f, GridRows.from_budgets(budgets), candidates
         )
         mask, speedup = arrays[4], arrays[5]
         score = np.where(mask, speedup, -np.inf)
@@ -438,3 +549,46 @@ def optimize_prefix_batch(
             points.append(point)
         out[r_max] = points
     return out
+
+
+def best_speedups(
+    chip: ChipModel,
+    f: float,
+    rows: GridRows,
+    r_max: int = DEFAULT_R_MAX,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row's best speedup over ``r = 1..r_max``, and its feasibility.
+
+    Row ``i`` answers ``optimize_batch(chip, f, [budget_i], r_max)``
+    with the row's mu/phi standing in for the chip's U-core: the
+    speedup is that point's, bit for bit, and ``feasible[i]`` is False
+    where it would be None (the speedup there is meaningless).  No
+    :class:`DesignPoint` is built, so one call can cover thousands of
+    Monte-Carlo rows.
+    """
+    rows = _checked_rows(chip, rows)
+    _check_r_max(r_max)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arrays = _evaluate_grid(chip, f, rows, list(range(1, r_max + 1)))
+        best_j = _best_lanes(arrays)
+    lanes = np.arange(len(best_j))
+    return arrays[5][lanes, best_j], arrays[4][lanes, best_j]
+
+
+def bound_grid(
+    chip: ChipModel,
+    rows: GridRows,
+    r_max: int = DEFAULT_R_MAX,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``n_effective`` over the (row, r = 1..r_max) grid, and each
+    row's serial ceiling (``max_serial_r``).
+
+    Entry ``[i, r - 1]`` equals ``chip.bounds(budget_i, r).n_effective``;
+    the feasible serial sizes of row ``i`` are the prefix
+    ``r <= ceiling[i]``.
+    """
+    rows = _checked_rows(chip, rows)
+    _check_r_max(r_max)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = _n_grid(chip, rows, list(range(1, r_max + 1)))[4]
+    return n, _serial_ceilings(chip, rows)

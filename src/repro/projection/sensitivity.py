@@ -15,6 +15,7 @@ the headline claims of the paper do (see the sensitivity benchmark).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -22,12 +23,11 @@ import numpy as np
 
 from ..core.chip import HeterogeneousChip
 from ..core.optimizer import DEFAULT_R_MAX
-from ..core.ucore import UCore
 from ..devices.bce import BCE, DEFAULT_BCE
 from ..errors import ModelError
 from ..itrs.scenarios import BASELINE, Scenario
 from ..obs.trace import get_tracer
-from ..perf.batch import optimize_batch
+from ..perf.batch import GridRows, best_speedups
 from .designs import DesignSpec, standard_designs
 from .engine import node_budget
 
@@ -128,29 +128,6 @@ class SensitivitySummary:
         }
 
 
-def _perturbed_design(
-    design: DesignSpec, rng: np.random.Generator, config: SensitivityConfig
-) -> DesignSpec:
-    """Clone a design with log-normally perturbed U-core parameters."""
-    chip = design.chip
-    if not isinstance(chip, HeterogeneousChip):
-        return design
-    ucore = chip.ucore
-    perturbed = UCore(
-        name=ucore.name,
-        mu=ucore.mu * float(rng.lognormal(0.0, config.mu_sigma)),
-        phi=ucore.phi * float(rng.lognormal(0.0, config.phi_sigma)),
-        kind=ucore.kind,
-        workload=ucore.workload,
-    )
-    return DesignSpec(
-        index=design.index,
-        label=design.label,
-        chip=HeterogeneousChip(perturbed),
-        bandwidth_exempt=design.bandwidth_exempt,
-    )
-
-
 def run_sensitivity(
     workload: str,
     f: float,
@@ -164,11 +141,13 @@ def run_sensitivity(
 ) -> SensitivitySummary:
     """Monte-Carlo projection at one node under parameter uncertainty.
 
-    Every trial draws fresh multipliers for each U-core's (mu, phi) and
-    for the node's bandwidth and power budgets, re-optimises every
-    design, and tallies the winner.  The whole run is one
-    ``projection.sensitivity`` span, with the trial and grid-kernel
-    call counts as attributes.
+    Every trial draws fresh multipliers for the node's bandwidth and
+    power budgets and for each U-core's (mu, phi), re-optimises every
+    design, and tallies the winner.  Each design is one grid-kernel
+    call over a trials x r grid
+    (:func:`~repro.perf.batch.best_speedups`).  The whole run is one
+    ``projection.sensitivity`` span, with the trial and kernel call
+    counts as attributes.
     """
     if workload == "fft" and fft_size is None:
         fft_size = 1024
@@ -176,20 +155,21 @@ def run_sensitivity(
         designs = standard_designs(workload, fft_size, bce)
     node = scenario.roadmap.node(node_nm)
     rng = np.random.default_rng(config.seed)
+    trials = config.trials
     summary = SensitivitySummary(
-        workload=workload, f=f, node_nm=node_nm, trials=config.trials
+        workload=workload, f=f, node_nm=node_nm, trials=trials
     )
-    for design in designs:
-        summary.speedups[design.short_label] = []
-
-    # One cached derivation per design; trials only rescale it.
-    base_budgets = {
-        design.short_label: node_budget(
-            node, workload, fft_size, scenario, bce,
-            design.bandwidth_exempt,
-        )
-        for design in designs
-    }
+    # Every multiplier in one draw, in per-trial order: the trial's
+    # bandwidth and power, then (mu, phi) of each U-core design.
+    perturbed = [isinstance(d.chip, HeterogeneousChip) for d in designs]
+    sigmas = [config.bandwidth_sigma, config.power_sigma] + [
+        config.mu_sigma, config.phi_sigma
+    ] * sum(perturbed)
+    draws = rng.lognormal(0.0, np.tile(sigmas, trials)).reshape(
+        trials, len(sigmas)
+    )
+    best = np.full(trials, -np.inf)
+    winner = np.full(trials, -1)
 
     with get_tracer().span(
         "projection.sensitivity",
@@ -197,29 +177,45 @@ def run_sensitivity(
             "workload": workload,
             "f": f,
             "node_nm": node_nm,
-            "trials": config.trials,
-            "kernel_calls": config.trials * len(designs),
+            "trials": trials,
+            "kernel_calls": len(designs),
         },
     ):
-        for _ in range(config.trials):
-            bw_mult = float(rng.lognormal(0.0, config.bandwidth_sigma))
-            power_mult = float(rng.lognormal(0.0, config.power_sigma))
-            best_label, best_speed = None, -math.inf
-            for design in designs:
-                trial_design = _perturbed_design(design, rng, config)
-                budget = base_budgets[design.short_label].scaled(
-                    power=power_mult, bandwidth=bw_mult
-                )
-                point = optimize_batch(
-                    trial_design.chip, f, [budget], r_max
-                )[0]
-                if point is None:
-                    continue
-                summary.speedups[design.short_label].append(point.speedup)
-                if point.speedup > best_speed:
-                    best_label, best_speed = design.short_label, point.speedup
-            if best_label is not None:
-                summary.win_counts[best_label] = (
-                    summary.win_counts.get(best_label, 0) + 1
-                )
+        column = 2
+        for k, design in enumerate(designs):
+            base = node_budget(
+                node, workload, fft_size, scenario, bce,
+                design.bandwidth_exempt,
+            )
+            mu = phi = None
+            if perturbed[k]:
+                ucore = design.chip.ucore
+                mu = ucore.mu * draws[:, column]
+                phi = ucore.phi * draws[:, column + 1]
+                column += 2
+            rows = GridRows(
+                area=base.area,
+                power=base.power * draws[:, 1],
+                bandwidth=(
+                    base.bandwidth * draws[:, 0]
+                    if math.isfinite(base.bandwidth)
+                    else base.bandwidth
+                ),
+                alpha=base.alpha,
+                mu=mu,
+                phi=phi,
+            )
+            speed, feasible = best_speedups(design.chip, f, rows, r_max)
+            summary.speedups[design.short_label] = speed[feasible].tolist()
+            # Strict `>` in design order: the first maximum wins ties,
+            # and a NaN never wins.
+            better = feasible & (speed > best)
+            best = np.where(better, speed, best)
+            winner[better] = k
+    for k, wins in Counter(winner.tolist()).items():
+        if k >= 0:
+            label = designs[k].short_label
+            summary.win_counts[label] = (
+                summary.win_counts.get(label, 0) + wins
+            )
     return summary

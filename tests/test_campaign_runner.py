@@ -6,6 +6,8 @@ re-invoked with resume completes without re-executing finished tasks
 produces output bit-identical to an uninterrupted run.
 """
 
+import json
+
 import pytest
 
 from repro.campaign import runner as runner_mod
@@ -150,6 +152,36 @@ class TestInterruptAndResume:
         assert manifest["spec_hash"] == SPEC.spec_hash()
         assert sorted(manifest["tasks"]) == manifest["completed"]
         assert manifest["spec"] == SPEC.payload()
+
+    def test_manifest_bytes_are_the_sorted_full_encoding(self, tmp_path):
+        """Every checkpoint writes exactly what encoding the whole
+        manifest with sorted keys would, for an empty, a partial and a
+        full completed set.  The runner encodes the rest once and
+        splices ``completed`` in front, which holds only while no
+        other key sorts before it."""
+        store = ResultStore(tmp_path)
+        path = serial_runner(store).manifest_path(SPEC)
+        written = []
+        serial_runner(
+            store, progress=lambda *_: written.append(path.read_text())
+        ).run(SPEC)
+        manifest = json.loads(written[-1])
+        head = {k: v for k, v in manifest.items() if k != "completed"}
+        hashes = manifest["tasks"]
+
+        def encoded(completed):
+            return json.dumps(
+                dict(head, completed=sorted(completed)),
+                indent=2, sort_keys=True,
+            ) + "\n"
+
+        render = runner_mod._manifest_renderer(head)
+        for completed in ([], hashes[2::-1], hashes):
+            assert render(completed) == encoded(completed)
+        # Serial settles complete the tasks in spec order.
+        assert written == [
+            encoded(hashes[:done]) for done in range(1, len(hashes) + 1)
+        ]
 
     def test_spec_is_serialized_once_per_run_not_per_settle(
         self, tmp_path, monkeypatch

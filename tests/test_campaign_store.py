@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro._version import __version__
+from repro.campaign.spec import canonical_json, sha256_text
 from repro.campaign.store import ResultStore
 
 HASH_A = "a" * 64
@@ -47,6 +48,21 @@ class TestRoundTrip:
             p for p in store.directory.rglob("*.tmp")
         ]
         assert leftovers == []
+
+    def test_envelope_is_the_canonical_encoding(self, store):
+        """The file holds exactly the canonical JSON of the envelope
+        dict, whose checksum covers the result's canonical form."""
+        result = dict(PAYLOAD, label="ASIC\u00b5", tiny=5e-324,
+                      nested={"b": [0.1, 1e300], "a": -0.0})
+        path = store.put(HASH_A, result)
+        body = canonical_json(result)
+        assert path.read_text(encoding="utf-8") == canonical_json({
+            "task_hash": HASH_A,
+            "model_version": store.model_version,
+            "checksum": sha256_text(body),
+            "result": result,
+        })
+        assert store.get(HASH_A) == result
 
     def test_contains_does_not_touch_counters(self, store):
         assert not store.contains(HASH_A)

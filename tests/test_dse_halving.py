@@ -6,10 +6,22 @@ front as the exhaustive sweep while fully evaluating <= 25% of the
 configs.
 """
 
+import inspect
+
 import pytest
 
-from repro.dse.dsl import ChipSpec, DSEScenario, SegmentSpec
-from repro.dse.engine import exhaustive_sweep, expand_configs
+from repro.dse.dsl import (
+    ChipSpec,
+    DSEScenario,
+    SegmentSpec,
+    builtin_scenario,
+)
+from repro.dse.engine import (
+    exhaustive_sweep,
+    expand_configs,
+    feasible_signature,
+    feasible_signatures,
+)
 from repro.dse.front import pareto_front
 from repro.dse.halving import successive_halving
 from repro.errors import ModelError
@@ -102,6 +114,56 @@ class TestAcceptance:
         result = successive_halving(scenario)
         for point in result.points:
             assert exhaustive[point.config_id] == point
+
+
+MULTI_UCORE = DSEScenario(
+    name="multi",
+    f_values=(0.99,),
+    chips=(
+        ChipSpec(kind="single", device="ASIC"),
+        ChipSpec(
+            kind="multi",
+            segments=(
+                SegmentSpec(name="hot", weight=3.0, device="ASIC"),
+                SegmentSpec(name="simd", weight=1.0, device="GTX480"),
+            ),
+        ),
+    ),
+)
+#: The benchmark campaign's halving space: 3,600 baseline configs.
+CAMPAIGN_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+
+
+class TestStreamedSignatures:
+    @pytest.mark.parametrize(
+        "scenario,grids",
+        [
+            (builtin_scenario("baseline"), (CAMPAIGN_GRID, CAMPAIGN_GRID)),
+            (
+                DSEScenario(name="alt-ginosar", provider="ginosar-sqrtm",
+                            f_values=(0.9, 0.999)),
+                ((0.5, 1.0, 2.0), (1.0,)),
+            ),
+            (
+                DSEScenario(name="alt-yavits", provider="yavits",
+                            f_values=(0.9, 0.999)),
+                ((0.5, 1.0, 2.0), (1.0,)),
+            ),
+            (MULTI_UCORE, ((0.5, 1.0, 2.0), (0.5, 1.0))),
+        ],
+        ids=["campaign-3600", "ginosar-sqrtm", "yavits", "multi-ucore"],
+    )
+    def test_equal_the_scalar_signature(self, scenario, grids):
+        """The block kernel's signatures are the scalar reference's,
+        config for config, in config order."""
+        configs = expand_configs(scenario, *grids)
+        streamed = feasible_signatures(configs)
+        assert inspect.isgenerator(streamed)
+        pairs = list(streamed)
+        assert [config for config, _ in pairs] == configs
+        assert [signature for _, signature in pairs] == [
+            feasible_signature(config) for config in configs
+        ]
 
 
 class TestValidation:

@@ -11,6 +11,7 @@ random budgets far off the calibrated grid.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,11 +25,15 @@ from repro.core.chip import (
     SymmetricCMP,
 )
 from repro.core.constraints import Budget
+from repro.core.multicore import MultiUCoreChip, WorkloadSegment
 from repro.core.optimizer import optimize, sweep_designs
 from repro.core.ucore import UCore
-from repro.errors import InfeasibleDesignError
+from repro.errors import InfeasibleDesignError, ModelError
 from repro.itrs.scenarios import get_scenario, scenario_names
 from repro.perf.batch import (
+    GridRows,
+    best_speedups,
+    bound_grid,
     optimize_batch,
     optimize_prefix_batch,
     sweep_designs_batch,
@@ -232,3 +237,93 @@ class TestPrefixBatchMatchesBatch:
         assert optimize_prefix_batch(
             SymmetricCMP(), 0.5, [Budget(area=10.0, power=10.0)], ()
         ) == {}
+
+
+_row = st.tuples(
+    st.floats(0.5, 1e4),  # area
+    st.floats(0.5, 1e4),  # power
+    st.one_of(st.just(math.inf), st.floats(0.5, 1e4)),  # bandwidth
+    st.floats(1.0, 3.0),  # alpha
+    st.floats(0.05, 1e3),  # mu
+    st.floats(0.05, 50.0),  # phi
+)
+
+
+@given(
+    rows=st.lists(_row, min_size=1, max_size=8),
+    f=st.sampled_from(F_VALUES),
+    model=st.sampled_from((HeterogeneousChip, HeterogeneousAssistedChip)),
+)
+@settings(max_examples=150, deadline=None)
+def test_parameter_rows_match_row_by_row_budgets(rows, f, model):
+    """A call over per-row arrays (mu and phi included) equals
+    ``optimize_batch`` row by row on ``model(UCore(mu_i, phi_i))`` and
+    ``Budget(...)``; the bound grid equals ``chip.bounds`` cell by
+    cell; and one multi-budget adapter call equals the per-budget
+    calls, full DesignPoint for full DesignPoint."""
+    area, power, bandwidth, alpha, mu, phi = map(np.array, zip(*rows))
+    grid_rows = GridRows(area, power, bandwidth, alpha, mu=mu, phi=phi)
+    template = model(UCore(name="row", mu=1.0, phi=1.0))
+    speed, feasible = best_speedups(template, f, grid_rows)
+    n_effective, ceilings = bound_grid(template, grid_rows)
+    budgets = [Budget(a, p, b, al) for a, p, b, al, _, _ in rows]
+    for i, (budget, (*_, mu_i, phi_i)) in enumerate(zip(budgets, rows)):
+        chip = model(UCore(name="row", mu=mu_i, phi=phi_i))
+        [point] = optimize_batch(chip, f, [budget])
+        assert feasible[i] == (point is not None)
+        if point is not None:
+            assert speed[i] == point.speedup
+        assert ceilings[i] == chip.max_serial_r(budget)
+        assert n_effective[i].tolist() == [
+            chip.bounds(budget, r).n_effective for r in range(1, 17)
+        ]
+    chip = model(UCore(name="row", mu=rows[0][4], phi=rows[0][5]))
+    assert optimize_batch(chip, f, budgets) == [
+        optimize_batch(chip, f, [budget])[0] for budget in budgets
+    ]
+
+
+class TestParameterRows:
+    def test_bad_rows_raise_the_budget_errors(self):
+        chip = HeterogeneousChip(UCore(name="u", mu=2.0, phi=1.0))
+        for field, value, message in (
+            ("area", math.nan, "area budget must not be NaN"),
+            ("power", 0.0, "power budget must be positive, got 0.0"),
+            ("bandwidth", -1.0,
+             "bandwidth budget must be positive, got -1.0"),
+            ("alpha", 0.5, "alpha must be >= 1, got 0.5"),
+        ):
+            rows = dict(area=[10.0, 10.0], power=[5.0, 5.0],
+                        bandwidth=[4.0, 4.0], alpha=[1.75, 1.75])
+            rows[field] = [rows[field][0], value]
+            with pytest.raises(ModelError, match=message):
+                best_speedups(chip, 0.9, GridRows(**rows))
+            with pytest.raises(ModelError, match=message):
+                bound_grid(chip, GridRows(**rows))
+
+    def test_bad_ucore_rows_are_rejected(self):
+        chip = HeterogeneousChip(UCore(name="u", mu=2.0, phi=1.0))
+        with pytest.raises(ModelError, match="mu must be positive"):
+            best_speedups(chip, 0.9, GridRows(10.0, 5.0, mu=[1.0, 0.0]))
+        with pytest.raises(ModelError, match="phi must be positive"):
+            best_speedups(chip, 0.9, GridRows(10.0, 5.0, phi=[math.nan]))
+        with pytest.raises(ModelError, match="U-core chip"):
+            best_speedups(SymmetricCMP(), 0.9, GridRows(10.0, 5.0, mu=2.0))
+
+    def test_fallback_models_use_their_own_methods(self):
+        """A multi-U-core chip (no vector branch) through the bound
+        grid and the best-speedup path matches its scalar methods."""
+        chip = MultiUCoreChip([
+            WorkloadSegment("hot", 3.0, UCore(name="a", mu=50.0, phi=2.0)),
+            WorkloadSegment("simd", 1.0, UCore(name="g", mu=3.0, phi=0.6)),
+        ])
+        budgets = [Budget(19.0, 10.0, 42.0), Budget(64.0, 1e9, 1e9)]
+        rows = GridRows.from_budgets(budgets)
+        n_effective, _ = bound_grid(chip, rows, r_max=8)
+        speed, feasible = best_speedups(chip, 0.99, rows, r_max=8)
+        for i, budget in enumerate(budgets):
+            assert n_effective[i].tolist() == [
+                chip.bounds(budget, r).n_effective for r in range(1, 9)
+            ]
+            point = optimize(chip, 0.99, budget, r_max=8)
+            assert feasible[i] and speed[i] == point.speedup

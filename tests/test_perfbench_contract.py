@@ -7,28 +7,42 @@ resolves; ``perfbench/launch.py`` and ``perfbench/run.py`` import
 them passes the rest of this suite and still breaks the benchmark, so
 every such name is resolved here -- without calling ``install`` or
 importing the benchmark scripts' own dependencies.
+
+The ``campaign`` workload also checks its results against a digest
+that ``BENCHMARK.json`` records for seed 1; that digest is checked
+here too, so a change to the model's output fails the suite rather
+than only a benchmark run.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
-def _load_tracing():
+def _load(name):
+    """A perfbench module, imported by path (the scripts are not a
+    package)."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", PERFBENCH / "tracing.py"
+        f"perfbench_{name}", PERFBENCH / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
+    # Registered first: dataclasses resolve string annotations
+    # through the defining module.
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
-TARGETS = _load_tracing().TARGETS
+TARGETS = _load("tracing").TARGETS
 
 
 def _repro_imports(script):
@@ -73,3 +87,31 @@ def test_every_repro_import_resolves(script):
         module = importlib.import_module(module_name)
         if name is not None:
             assert hasattr(module, name), f"{module_name}.{name}"
+
+
+def test_campaign_seed_1_matches_the_recorded_digest(tmp_path):
+    """Drain the ``campaign`` workload's seed-1 spec as its campaign
+    process does (serial runner, builtin scenarios swapped in) and
+    compare the results digest with the one ``BENCHMARK.json``
+    records."""
+    from repro.campaign.runner import CampaignRunner
+    from repro.campaign.spec import CampaignSpec, sha256_text
+    from repro.campaign.store import ResultStore
+    from repro.dse.dsl import builtin_scenario
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    [why] = [w["why"] for w in bench["workloads"] if w["name"] == "campaign"]
+    recorded = re.search(r"sha256 ([0-9a-f]{64})", why).group(1)
+
+    payload = _load("workloads").campaign_payload(1)
+    for key in ("dse_pareto", "dse_halving"):
+        for task in payload[key]:
+            task["scenario_json"] = builtin_scenario(
+                task["scenario_json"]
+            ).canonical()
+    report = CampaignRunner(
+        store=ResultStore(tmp_path / "store"), workers=1,
+        executor="serial",
+    ).run(CampaignSpec.from_payload(payload))
+    assert report.ok
+    assert sha256_text(report.results_json()) == recorded

@@ -1,8 +1,16 @@
 """Tests for the Pareto-frontier and sensitivity-analysis extensions."""
 
+import math
+
+import numpy as np
 import pytest
 
-from repro.errors import ModelError
+from repro.core.chip import HeterogeneousChip
+from repro.core.optimizer import optimize
+from repro.core.ucore import UCore
+from repro.errors import InfeasibleDesignError, ModelError
+from repro.itrs.scenarios import get_scenario, scenario_names
+from repro.projection.engine import node_budget
 from repro.projection.pareto import (
     ParetoPoint,
     design_space_points,
@@ -11,6 +19,7 @@ from repro.projection.pareto import (
 from repro.projection.designs import standard_designs
 from repro.projection.sensitivity import (
     SensitivityConfig,
+    SensitivitySummary,
     run_sensitivity,
 )
 
@@ -159,3 +168,86 @@ class TestSensitivity:
         )
         assert a.win_counts == b.win_counts
         assert a.speedups == b.speedups
+
+
+def _per_trial_sensitivity(workload, f, node_nm, scenario, config):
+    """Reference: the per-trial loop :func:`run_sensitivity` replaced.
+
+    Each trial draws the bandwidth and power multipliers, then a
+    perturbed clone of every heterogeneous design's U-core, and
+    optimizes every design with the scalar optimizer.
+    """
+    fft_size = 1024 if workload == "fft" else None
+    designs = standard_designs(workload, fft_size)
+    node = scenario.roadmap.node(node_nm)
+    rng = np.random.default_rng(config.seed)
+    summary = SensitivitySummary(
+        workload=workload, f=f, node_nm=node_nm, trials=config.trials
+    )
+    for design in designs:
+        summary.speedups[design.short_label] = []
+    base = {
+        design.short_label: node_budget(
+            node, workload, fft_size, scenario,
+            bandwidth_exempt=design.bandwidth_exempt,
+        )
+        for design in designs
+    }
+    for _ in range(config.trials):
+        bw_mult = float(rng.lognormal(0.0, config.bandwidth_sigma))
+        power_mult = float(rng.lognormal(0.0, config.power_sigma))
+        best_label, best_speed = None, -math.inf
+        for design in designs:
+            chip = design.chip
+            if isinstance(chip, HeterogeneousChip):
+                ucore = chip.ucore
+                chip = HeterogeneousChip(
+                    UCore(
+                        name=ucore.name,
+                        mu=ucore.mu
+                        * float(rng.lognormal(0.0, config.mu_sigma)),
+                        phi=ucore.phi
+                        * float(rng.lognormal(0.0, config.phi_sigma)),
+                        kind=ucore.kind,
+                        workload=ucore.workload,
+                    )
+                )
+            budget = base[design.short_label].scaled(
+                power=power_mult, bandwidth=bw_mult
+            )
+            try:
+                point = optimize(chip, f, budget)
+            except InfeasibleDesignError:
+                continue
+            summary.speedups[design.short_label].append(point.speedup)
+            if point.speedup > best_speed:
+                best_label, best_speed = design.short_label, point.speedup
+        if best_label is not None:
+            summary.win_counts[best_label] = (
+                summary.win_counts.get(best_label, 0) + 1
+            )
+    return summary
+
+
+@pytest.mark.parametrize("scenario_name", scenario_names())
+@pytest.mark.parametrize("workload", ("mmm", "fft", "bs"))
+def test_array_kernel_matches_the_per_trial_loop(scenario_name, workload):
+    """One kernel call per design reproduces the per-trial scalar loop:
+    the same payload (every speedup bit for bit) and the same
+    ``win_counts`` insertion order, on every node, edge and high f,
+    built-in scenario and seed."""
+    scenario = get_scenario(scenario_name)
+    for node_nm in (40, 32, 22, 16, 11):
+        for f in (0.0, 0.5, 0.99, 1.0):
+            for seed in (1, 2):
+                config = SensitivityConfig(trials=4, seed=seed)
+                got = run_sensitivity(
+                    workload, f, node_nm, scenario, config=config
+                )
+                want = _per_trial_sensitivity(
+                    workload, f, node_nm, scenario, config
+                )
+                assert got.payload() == want.payload()
+                assert list(got.win_counts.items()) == list(
+                    want.win_counts.items()
+                )
