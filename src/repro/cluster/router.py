@@ -4,8 +4,10 @@ The router is deliberately thin: it terminates client connections,
 computes each request's shard key (:func:`~repro.cluster.hashring
 .shard_key`), forwards the request to the rendezvous owner over a
 pooled keep-alive upstream connection, and relays the response.  All
-model work happens in workers; the router never parses a model
-payload.
+model work happens in workers.  The router parses a request body only
+for its shard key, and never decodes an answer it relays: the client
+gets the worker's body bytes under the worker's content type.  Only
+the merged views below decode worker JSON.
 
 Cross-worker concerns it *does* own:
 
@@ -30,10 +32,16 @@ Cross-worker concerns it *does* own:
   the job; the router finds the owner and splices its response --
   chunked SSE tail included -- through byte for byte.  The router's
   own ``cluster`` stream (worker respawns) is served locally.
-* **Traces** -- the router opens the root ``router.request`` span and
-  forwards its trace id as ``X-Request-Id`` upstream; the worker's
-  identity rule adopts a 32-hex request id as its trace id, so one
-  request is one trace across both processes with zero new protocol.
+* **Traces** -- the router honours the tracing opt-in exactly as a
+  worker does (:func:`~repro.service.tensor.fast_path_eligible`).  An
+  untraced keep-alive model POST crosses with no router span, no id
+  forwarded and no access line, so the owning worker can answer it
+  from its byte cache; it carries whatever ids the worker answered
+  with.  Every other request gets the root ``router.request`` span,
+  whose trace id is forwarded as ``X-Request-Id`` upstream; the
+  worker's identity rule adopts a 32-hex request id as its trace id,
+  so one request is one trace across both processes with zero new
+  protocol.
 * **Failure semantics** -- a dead upstream mid-request is retried on
   the next-ranked worker for idempotent GETs; an in-flight POST gets
   an honest one-line 503 (the model cannot know whether the worker
@@ -58,7 +66,7 @@ from ..obs.trace import get_tracer
 from ..service.app import ModelService
 from ..service.events import EventStreamResponse, events_payload
 from ..service.http import (
-    PROM_CONTENT_TYPE,
+    EncodedBody,
     TextPayload,
     _encode_response,
     _ProtocolError,
@@ -73,6 +81,7 @@ from ..service.schemas import (
     parse_profile_query,
     query_stream,
 )
+from ..service.tensor import fast_path_eligible
 from .hashring import rendezvous_rank, shard_key
 from .prommerge import merge_expositions
 from .supervisor import ClusterConfig, WorkerSupervisor
@@ -130,8 +139,29 @@ def _encode_upstream_request(
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
 
 
+#: Identity headers a worker's full pipeline answers with.
+_ID_HEADERS = ("X-Request-Id", "X-Trace-Id")
+
+
+def _relay(
+    headers: Dict[str, str], body: bytes
+) -> Tuple[EncodedBody, Dict[str, str]]:
+    """One worker's answer as sent: its body bytes and its ids.
+
+    A byte-cache answer carries no ids; a full-pipeline one carries
+    the worker's ``X-Request-Id``/``X-Trace-Id``.
+    """
+    ids = {
+        name: headers[name.lower()]
+        for name in _ID_HEADERS
+        if name.lower() in headers
+    }
+    content_type = headers.get("content-type", "application/octet-stream")
+    return EncodedBody(body, content_type), ids
+
+
 def _decode_payload(headers: Dict[str, str], body: bytes):
-    """An upstream body as an :func:`_encode_response` payload."""
+    """A worker's body, decoded for a merge of several workers."""
     content_type = headers.get("content-type", "")
     if content_type.startswith("application/json"):
         try:
@@ -280,11 +310,29 @@ class Router:
         body: bytes,
         headers: Optional[Dict[str, str]] = None,
     ) -> Tuple[int, object, Dict[str, str]]:
-        """Route one request; mirrors ``ModelService.handle_request``."""
+        """Route one request; mirrors ``ModelService.handle_request``.
+
+        Identity follows the worker's own rule: a request its byte
+        cache may answer (:func:`~repro.service.tensor.fast_path_eligible`)
+        crosses with no router span, no id forwarded upstream and no
+        access line, and keeps the ids the worker answered with --
+        none from the byte cache, the worker's own from its full
+        pipeline.  Every other request opens the root
+        ``router.request`` span and carries the router's ids.
+        """
         start = time.perf_counter()
-        headers = dict(headers or {})
-        request_id, trace_id = ModelService._request_identity(headers)
+        headers = headers or {}
         bare_path = path.partition("?")[0]
+        upstream_headers = {
+            "Content-Type": headers.get("content-type", "application/json"),
+        }
+        if fast_path_eligible(method, path, headers):
+            status, payload, worker, ids = await self._answer(
+                method, path, bare_path, upstream_headers, body
+            )
+            self._account(worker, status, start)
+            return status, payload, ids
+        request_id, trace_id = ModelService._request_identity(headers)
         span = self.tracer.span(
             "router.request",
             trace_id=trace_id,
@@ -298,31 +346,13 @@ class Router:
             # The worker adopts a 32-hex X-Request-Id as its trace id,
             # so forwarding our trace id joins both processes' spans
             # into one trace.
-            upstream_headers = {
-                "X-Request-Id": span.trace_id,
-                "Content-Type": headers.get(
-                    "content-type", "application/json"
-                ),
-            }
-            try:
-                status, payload, worker = await self._route(
-                    method, path, bare_path, upstream_headers, body
-                )
-            except UpstreamError as exc:
-                status, payload, worker = 503, error_payload(exc), "none"
-                self.supervisor.poll()
-            except ServiceError as exc:
-                # A malformed query to a router-owned endpoint: the
-                # shared parsers name it exactly as a worker would.
-                status, payload, worker = (
-                    exc.http_status, error_payload(exc), "router",
-                )
+            upstream_headers["X-Request-Id"] = span.trace_id
+            status, payload, worker, _ids = await self._answer(
+                method, path, bare_path, upstream_headers, body
+            )
             span.set_attribute("status", status)
             span.set_attribute("worker", worker)
-        latency = time.perf_counter() - start
-        outcome = "ok" if status < 500 else "error"
-        self._requests.inc(worker=worker, outcome=outcome)
-        self._latency.observe(latency)
+        latency = self._account(worker, status, start)
         log_event(
             _log,
             "router.access",
@@ -339,6 +369,33 @@ class Router:
             "X-Trace-Id": span.trace_id,
         }
 
+    def _account(self, worker: str, status: int, start: float) -> float:
+        """Count one routed request; returns its latency in seconds."""
+        latency = time.perf_counter() - start
+        outcome = "ok" if status < 500 else "error"
+        self._requests.inc(worker=worker, outcome=outcome)
+        self._latency.observe(latency)
+        return latency
+
+    async def _answer(
+        self,
+        method: str,
+        path: str,
+        bare_path: str,
+        headers: Dict[str, str],
+        body: bytes,
+    ) -> Tuple[int, object, str, Dict[str, str]]:
+        """:meth:`_route`, with its failures answered as payloads."""
+        try:
+            return await self._route(method, path, bare_path, headers, body)
+        except UpstreamError as exc:
+            self.supervisor.poll()
+            return 503, error_payload(exc), "none", {}
+        except ServiceError as exc:
+            # A malformed query to a router-owned endpoint: the
+            # shared parsers name it exactly as a worker would.
+            return exc.http_status, error_payload(exc), "router", {}
+
     async def _route(
         self,
         method: str,
@@ -346,20 +403,28 @@ class Router:
         bare_path: str,
         headers: Dict[str, str],
         body: bytes,
-    ) -> Tuple[int, object, str]:
-        """(status, payload, worker_label) for one routed request."""
+    ) -> Tuple[int, object, str, Dict[str, str]]:
+        """(status, payload, worker_label, worker_ids) for one request.
+
+        A worker's answer is relayed as the bytes it sent, with the id
+        headers it sent; router-owned endpoints carry no worker ids.
+        """
         if bare_path == "/healthz":
-            return self._healthz() + ("router",)
+            return self._healthz() + ("router", {})
         if bare_path == "/metrics":
-            return await self._metrics(path, headers) + ("router",)
+            return await self._metrics(path, headers) + ("router", {})
         if bare_path == "/v1/traces":
-            return await self._scatter_traces(path, headers) + ("router",)
+            return await self._scatter_traces(path, headers) + (
+                "router", {},
+            )
         if bare_path == "/v1/profile":
-            return await self._scatter_profile(path, headers) + ("router",)
+            return await self._scatter_profile(path, headers) + (
+                "router", {},
+            )
         if bare_path == "/v1/events":
             # Only router-local streams reach this far; worker-owned
             # streams are spliced raw in ``_handle_connection``.
-            return self._local_events(method, path) + ("router",)
+            return self._local_events(method, path) + ("router", {})
         if bare_path.startswith("/v1/jobs/"):
             return await self._scatter_job(method, path, headers, body)
         workers = self._alive_workers()
@@ -391,9 +456,8 @@ class Router:
                 if attempt + 1 < len(ranked):
                     self._requests.inc(worker=worker, outcome="retried")
                 continue
-            return status, _decode_payload(
-                response_headers, response_body
-            ), worker
+            payload, ids = _relay(response_headers, response_body)
+            return status, payload, worker, ids
         raise last_error or UpstreamError("no live workers")
 
     def _healthz(self) -> Tuple[int, object]:
@@ -467,12 +531,12 @@ class Router:
         path: str,
         headers: Dict[str, str],
         body: bytes,
-    ) -> Tuple[int, object, str]:
+    ) -> Tuple[int, object, str, Dict[str, str]]:
         """``/v1/jobs/{id}``: ids are worker-local, ask everyone."""
         workers = self._alive_workers()
         if not workers:
             raise UpstreamError("no live workers")
-        fallback: Optional[Tuple[int, object, str]] = None
+        fallback: Optional[Tuple[int, object, str, Dict[str, str]]] = None
         for worker in workers:
             try:
                 status, response_headers, response_body = (
@@ -483,10 +547,10 @@ class Router:
             except UpstreamError:
                 self.supervisor.poll()
                 continue
-            payload = _decode_payload(response_headers, response_body)
+            payload, ids = _relay(response_headers, response_body)
             if status != 404:
-                return status, payload, worker
-            fallback = (status, payload, worker)
+                return status, payload, worker, ids
+            fallback = (status, payload, worker, ids)
         if fallback is None:
             raise UpstreamError("no worker answered the job lookup")
         return fallback

@@ -27,6 +27,7 @@ __all__ = [
     "serve_until",
     "write_stream_response",
     "TextPayload",
+    "EncodedBody",
 ]
 
 #: Hard cap on request bodies (1 MiB is orders beyond any valid query).
@@ -69,6 +70,19 @@ class TextPayload(str):
     """
 
     content_type = "text/plain; charset=utf-8"
+
+
+class EncodedBody(bytes):
+    """A response body already encoded, with its own content type.
+
+    The router relays a worker's answer as one: the bytes the worker
+    sent ship verbatim, never decoded and encoded again.
+    """
+
+    def __new__(cls, body: bytes, content_type: str) -> "EncodedBody":
+        encoded = super().__new__(cls, body)
+        encoded.content_type = content_type
+        return encoded
 
 
 class _ProtocolError(Exception):
@@ -136,11 +150,13 @@ def _encode_response(
 ) -> bytes:
     """Serialize one response; ``str`` payloads ship as plain text.
 
-    The only text payload today is the Prometheus exposition
-    (``GET /metrics?format=prom``), which scrapers expect under the
-    0.0.4 text content type, not JSON.
+    A bare ``str`` is the Prometheus exposition (``GET
+    /metrics?format=prom``), which scrapers expect under the 0.0.4 text
+    content type, not JSON.  An :class:`EncodedBody` ships as is.
     """
-    if isinstance(payload, str):
+    if isinstance(payload, EncodedBody):
+        body, content_type = payload, payload.content_type
+    elif isinstance(payload, str):
         body = payload.encode("utf-8")
         content_type = getattr(payload, "content_type", PROM_CONTENT_TYPE)
     else:

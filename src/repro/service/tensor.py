@@ -21,8 +21,9 @@ Two layers, both optional (``serve --tensor-dir``):
   cost stops mattering once tensors answer in microseconds: the
   per-request overhead (span, access log, header assembly) dominates.
   The fast path applies only to keep-alive ``POST`` requests on the
-  three model endpoints that carry **no** ``X-Request-Id`` header --
-  sending one is the documented opt-in to per-request tracing and
+  three model endpoints that carry **no** ``X-Request-Id`` header
+  (:func:`fast_path_eligible`, which the cluster router applies too)
+  -- sending one is the documented opt-in to per-request tracing and
   response id headers.  Fast-path responses therefore omit
   ``X-Request-Id``/``X-Trace-Id`` and skip the per-request access log;
   metrics and SLO accounting are preserved exactly via a deferred
@@ -55,7 +56,12 @@ from .schemas import (
     request_payload,
 )
 
-__all__ = ["TensorServing", "TransportFastPath", "FAST_PATH_ROUTES"]
+__all__ = [
+    "TensorServing",
+    "TransportFastPath",
+    "FAST_PATH_ROUTES",
+    "fast_path_eligible",
+]
 
 #: Endpoints the transport byte cache may answer.
 FAST_PATH_ROUTES = {
@@ -63,6 +69,27 @@ FAST_PATH_ROUTES = {
     "/v1/sweep": "sweep",
     "/v1/optimize": "optimize",
 }
+
+
+def fast_path_eligible(
+    method: str, path: str, headers: Dict[str, str]
+) -> bool:
+    """Whether the byte cache may answer this request.
+
+    ``POST`` on a model endpoint, keep-alive, and no ``X-Request-Id``
+    header (``headers`` keyed lower-case, as the transport parses
+    them).  Supplying a request id is the opt-in to tracing, id echo
+    headers and per-request logs, all of which need the full pipeline.
+    The router asks the same question, so an untraced request crosses
+    the fleet untraced too.
+    """
+    return (
+        method == "POST"
+        and path in FAST_PATH_ROUTES
+        and "x-request-id" not in headers
+        and headers.get("connection", "keep-alive").lower() != "close"
+    )
+
 
 #: Sentinel distinguishing "never built" from "built: not answerable".
 _UNKNOWN = object()
@@ -336,16 +363,9 @@ class TransportFastPath:
     ) -> Optional[bytes]:
         """The complete response for this request, or None (slow path).
 
-        Eligibility: ``POST`` on a model endpoint, keep-alive, and no
-        ``X-Request-Id`` header -- supplying a request id is the
-        opt-in to tracing, id echo headers, and per-request logs, all
-        of which require the full pipeline.
+        Only requests :func:`fast_path_eligible` admits are answered.
         """
-        if method != "POST" or path not in FAST_PATH_ROUTES:
-            return None
-        if "x-request-id" in headers:
-            return None
-        if headers.get("connection", "keep-alive").lower() == "close":
+        if not fast_path_eligible(method, path, headers):
             return None
         started = time.perf_counter()
         key = (path, body)

@@ -4,7 +4,8 @@ Boots a real 2-worker cluster (spawned worker processes + the asyncio
 router in a background thread) once per module and drives it with raw
 keep-alive sockets, exactly like an external client.  Chaos tests get
 their own short-lived cluster so killing workers cannot leak into the
-shared harness.
+shared harness.  A second, materialized fleet is compared byte for
+byte with a single-process server over the same tensor store.
 """
 
 import asyncio
@@ -18,24 +19,30 @@ import pytest
 from repro.cluster import ClusterConfig, Router, WorkerSupervisor
 from repro.cluster.hashring import rendezvous_owner, shard_key
 from repro.obs.metrics import MetricsRegistry, validate_prometheus
+from repro.obs.trace import phase_totals
+from repro.perf.tensorstore import build_tensor_store, materialize_spec
 from repro.service.app import ModelService, ServiceConfig
+from repro.service.http import serve_until
 
 SPEEDUP_BODY = json.dumps(
     {"workload": "mmm", "f": 0.99, "design": "GTX480"}
 ).encode()
 
 
-def _request(port, method, path, body=b"", keep=False, sock=None):
-    """One raw HTTP/1.1 round trip; returns (status, headers, body, sock)."""
-    conn = sock or socket.create_connection(("127.0.0.1", port), timeout=30)
-    connection = "keep-alive" if keep else "close"
-    request = (
-        f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        f"Content-Type: application/json\r\n"
-        f"Connection: {connection}\r\n\r\n"
-    ).encode() + body
-    conn.sendall(request)
+def _exchange(conn, method, path, body=b"", headers=()):
+    """Send one request on ``conn``; returns (head, headers, body).
+
+    ``head`` is the raw status line and header block, for byte-level
+    comparisons of whole responses.
+    """
+    extra = "".join(f"{name}: {value}\r\n" for name, value in headers)
+    conn.sendall(
+        (
+            f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"Content-Type: application/json\r\n{extra}\r\n"
+        ).encode() + body
+    )
     data = b""
     while b"\r\n\r\n" not in data:
         chunk = conn.recv(65536)
@@ -43,15 +50,24 @@ def _request(port, method, path, body=b"", keep=False, sock=None):
             raise ConnectionError("server closed mid-response")
         data += chunk
     head, _, rest = data.partition(b"\r\n\r\n")
-    lines = head.decode().split("\r\n")
-    status = int(lines[0].split()[1])
-    headers = {}
-    for line in lines[1:]:
+    parsed = {}
+    for line in head.decode().split("\r\n")[1:]:
         name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", 0))
+        parsed[name.strip().lower()] = value.strip()
+    length = int(parsed.get("content-length", 0))
     while len(rest) < length:
         rest += conn.recv(65536)
+    return head, parsed, rest
+
+
+def _request(port, method, path, body=b"", keep=False, sock=None):
+    """One raw HTTP/1.1 round trip; returns (status, headers, body, sock)."""
+    conn = sock or socket.create_connection(("127.0.0.1", port), timeout=30)
+    connection = "keep-alive" if keep else "close"
+    head, headers, rest = _exchange(
+        conn, method, path, body, [("Connection", connection)]
+    )
+    status = int(head.split()[1])
     if not keep:
         conn.close()
         conn = None
@@ -60,40 +76,21 @@ def _request(port, method, path, body=b"", keep=False, sock=None):
 
 def _request_with_headers(port, method, path, body, extra_headers):
     conn = socket.create_connection(("127.0.0.1", port), timeout=30)
-    header_lines = "".join(
-        f"{name}: {value}\r\n" for name, value in extra_headers.items()
+    head, headers, rest = _exchange(
+        conn, method, path, body,
+        [*extra_headers.items(), ("Connection", "close")],
     )
-    request = (
-        f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        f"Content-Type: application/json\r\n{header_lines}"
-        f"Connection: close\r\n\r\n"
-    ).encode() + body
-    conn.sendall(request)
-    data = b""
-    while True:
-        chunk = conn.recv(65536)
-        if not chunk:
-            break
-        data += chunk
     conn.close()
-    head, _, rest = data.partition(b"\r\n\r\n")
-    lines = head.decode().split("\r\n")
-    status = int(lines[0].split()[1])
-    headers = {}
-    for line in lines[1:]:
-        name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    return status, headers, rest
+    return int(head.split()[1]), headers, rest
 
 
 class _Cluster:
     """A live cluster: worker processes + router loop in a thread."""
 
-    def __init__(self, workers=2, respawn_backoff_s=0.5):
+    def __init__(self, workers=2, respawn_backoff_s=0.5, service=None):
         self.config = ClusterConfig(
             workers=workers,
-            service=ServiceConfig(batch_window_ms=0.5, workers=1),
+            service=service or ServiceConfig(batch_window_ms=0.5, workers=1),
             host="127.0.0.1",
             port=0,
             respawn_backoff_s=respawn_backoff_s,
@@ -292,6 +289,198 @@ class TestTracePropagation:
         )
 
 
+#: A small materialized grid (the one ``test_service_tensor`` serves):
+#: 0.45 is absent, so it exercises interpolation and fallback.
+F_GRID = (0.0, 0.4, 0.5, 0.9, 0.99, 0.999, 1.0)
+
+
+class _SingleProcess:
+    """One ``service.http`` server on an ephemeral port, in a thread."""
+
+    def __init__(self, config):
+        self.config = config
+        self.port = None
+        self._ready = threading.Event()
+        self._loop = None
+        self._stop = None
+        self._thread = None
+
+    def start(self):
+        self._thread = threading.Thread(
+            target=lambda: asyncio.run(self._main()), daemon=True
+        )
+        self._thread.start()
+        assert self._ready.wait(60), "server did not start"
+        return self
+
+    async def _main(self):
+        self._loop = asyncio.get_running_loop()
+        self._stop = asyncio.Event()
+        sock = socket.create_server(("127.0.0.1", 0))
+        self.port = sock.getsockname()[1]
+        ready = asyncio.Event()
+        serve = asyncio.ensure_future(
+            serve_until(
+                ModelService(self.config), self._stop, ready=ready,
+                sock=sock,
+            )
+        )
+        await ready.wait()
+        self._ready.set()
+        await serve
+
+    def stop(self):
+        self._loop.call_soon_threadsafe(self._stop.set)
+        self._thread.join(30)
+
+
+@pytest.fixture(scope="module")
+def materialized(tmp_path_factory):
+    """A 2-worker fleet and a single-process server over one store."""
+    tensor_dir = tmp_path_factory.mktemp("fleet-tensors")
+    build_tensor_store(
+        tensor_dir, spec=materialize_spec(f_grid=F_GRID), executor="serial"
+    )
+    config = ServiceConfig(
+        batch_window_ms=0.5, workers=1, tensor_dir=str(tensor_dir)
+    )
+    fleet = _Cluster(workers=2, service=config).start()
+    try:
+        single = _SingleProcess(config).start()
+        try:
+            yield fleet, single
+        finally:
+            single.stop()
+    finally:
+        fleet.stop()
+
+
+def _router_spans():
+    return phase_totals().get("router.request", {}).get("calls", 0)
+
+
+def _owner(fleet, path, body):
+    return rendezvous_owner(
+        shard_key(path, body), fleet.config.worker_names()
+    )
+
+
+class TestMaterializedFleet:
+    """Through the router, a materialized fleet answers as one process
+    over the same store does: an untraced keep-alive POST reaches the
+    owning worker's byte cache and comes back as that worker's bytes."""
+
+    #: Byte-cache answers: on-grid hits on every model endpoint and one
+    #: harmonic interpolation, owned by both workers between them.
+    FAST = (
+        ("/v1/speedup", {"workload": "mmm", "f": 0.99, "design": "ASIC",
+                         "node_nm": 22}),
+        ("/v1/speedup", {"workload": "mmm", "f": 0.9, "design": "GTX285",
+                         "node_nm": 22}),
+        ("/v1/sweep", {"workload": "mmm", "f": 0.5, "design": "GTX285"}),
+        ("/v1/optimize", {"workload": "mmm", "f": 0.5, "node_nm": 22}),
+        ("/v1/speedup", {"workload": "mmm", "f": 0.45, "design": "ASIC",
+                         "node_nm": 22}),
+    )
+    #: Full-pipeline answers with their statuses: an off-grid aggregate
+    #: (live compute) and a body that fails validation.
+    SLOW = (
+        ("/v1/optimize", {"workload": "mmm", "f": 0.45, "node_nm": 22},
+         b"200"),
+        ("/v1/speedup", {"workload": "mmm", "f": 2.0, "design": "ASIC"},
+         b"400"),
+    )
+
+    def test_untraced_answers_equal_a_single_process_server(
+        self, materialized
+    ):
+        fleet, single = materialized
+        owners = {
+            _owner(fleet, path, json.dumps(body).encode())
+            for path, body in self.FAST
+        }
+        assert owners == set(fleet.config.worker_names())
+        routed_spans = _router_spans()
+        conns = [
+            socket.create_connection(("127.0.0.1", port), timeout=30)
+            for port in (fleet.port, single.port)
+        ]
+        try:
+            for path, body in self.FAST:
+                raw = json.dumps(body).encode()
+                routed, direct = (
+                    _exchange(conn, "POST", path, raw) for conn in conns
+                )
+                assert direct[0].startswith(b"HTTP/1.1 200 "), direct
+                # The whole response, head included: no id headers.
+                assert (routed[0], routed[2]) == (direct[0], direct[2])
+            for path, body, status in self.SLOW:
+                raw = json.dumps(body).encode()
+                routed, direct = (
+                    _exchange(conn, "POST", path, raw) for conn in conns
+                )
+                assert routed[0].split()[1] == direct[0].split()[1] == status
+                assert (
+                    routed[1]["content-type"] == direct[1]["content-type"]
+                )
+                assert routed[2] == direct[2]
+                for headers in (routed[1], direct[1]):
+                    assert "x-request-id" in headers
+                    assert "x-trace-id" in headers
+        finally:
+            for conn in conns:
+                conn.close()
+        assert _router_spans() == routed_spans
+        status, _, body, _ = _request(fleet.port, "GET", "/metrics")
+        assert status == 200
+        workers = json.loads(body)["workers"]
+        assert sorted(workers) == fleet.config.worker_names()
+        for section in workers.values():
+            assert section["tensorstore"]["fastpath"]["entries"] > 0
+
+    @pytest.mark.parametrize("request_id", ["fa" * 16, "req-42"])
+    def test_traced_request_takes_the_full_pipeline(
+        self, materialized, request_id
+    ):
+        fleet, _single = materialized
+        path, body = self.FAST[0]
+        raw = json.dumps(body).encode()
+        conn = socket.create_connection(("127.0.0.1", fleet.port), timeout=30)
+        try:
+            head, headers, _ = _exchange(
+                conn, "POST", path, raw, [("X-Request-Id", request_id)]
+            )
+        finally:
+            conn.close()
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert headers["x-request-id"] == request_id
+        trace_id = headers["x-trace-id"]
+        assert "router.request" in [
+            span["name"] for span in fleet.router.tracer.spans(trace_id)
+        ]
+        owner_port = fleet.supervisor.ports()[_owner(fleet, path, raw)]
+        status, _, traces, _ = _request(
+            owner_port, "GET", f"/v1/traces?trace_id={trace_id}"
+        )
+        assert status == 200
+        assert "http.request" in [
+            span["name"] for span in json.loads(traces)["spans"]
+        ]
+
+    def test_untraced_close_gets_the_router_ids(self, materialized):
+        fleet, _single = materialized
+        path, body = self.FAST[0]
+        status, headers, _, _ = _request(
+            fleet.port, "POST", path, json.dumps(body).encode()
+        )
+        assert status == 200
+        assert headers["x-request-id"]
+        assert "router.request" in [
+            span["name"]
+            for span in fleet.router.tracer.spans(headers["x-trace-id"])
+        ]
+
+
 class TestWorkerDeath:
     """Satellite 3: kill a serving worker and watch the seams hold."""
 
@@ -392,7 +581,12 @@ class TestWorkerDeath:
         finally:
             harness.stop()
 
-    def test_all_workers_dead_is_503_unavailable(self):
+    @pytest.mark.parametrize(
+        "keep", [False, True], ids=["close", "keep-alive"]
+    )
+    def test_all_workers_dead_is_503_unavailable(self, keep):
+        """Untraced keep-alive POSTs skip the router's span, not its
+        failure semantics."""
         harness = _Cluster(workers=1, respawn_backoff_s=30.0).start()
         try:
             original_poll = harness.supervisor.poll
@@ -404,11 +598,16 @@ class TestWorkerDeath:
                 )
                 assert status == 503
                 assert json.loads(body)["status"] == "unavailable"
-                status, _, body, _ = _request(
-                    harness.port, "POST", "/v1/speedup", SPEEDUP_BODY
+                status, _, body, conn = _request(
+                    harness.port, "POST", "/v1/speedup", SPEEDUP_BODY,
+                    keep=keep,
                 )
+                if conn is not None:
+                    conn.close()
                 assert status == 503
-                assert json.loads(body)["error"] == "UpstreamError"
+                payload = json.loads(body)
+                assert payload["error"] == "UpstreamError"
+                assert "\n" not in payload["message"]
             finally:
                 harness.supervisor.poll = original_poll
         finally:
