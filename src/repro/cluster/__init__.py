@@ -12,8 +12,9 @@ Two halves:
   spawns N worker processes, each running the existing
   :class:`~repro.service.app.ModelService` with its own micro-batch
   coalescer, LRU response cache, and tensor map, and a front-end
-  router that rendezvous-hashes every request onto the worker owning
-  its key (:mod:`~repro.cluster.hashring`).  Because the shard key is
+  router -- a handler on the same :mod:`repro.service.http` loop --
+  that rendezvous-hashes each request onto the worker owning its key
+  (:mod:`~repro.cluster.hashring`).  Because the shard key is
   the coalescing key (chip/design, f, r_max -- never the node), the
   batcher and both caches keep their locality under sharding instead
   of fragmenting N ways.

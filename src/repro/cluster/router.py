@@ -1,13 +1,15 @@
-"""Asyncio front-end proxying keep-alive HTTP/1.1 onto the worker fleet.
+"""Front end proxying keep-alive HTTP/1.1 onto the worker fleet.
 
-The router is deliberately thin: it terminates client connections,
-computes each request's shard key (:func:`~repro.cluster.hashring
-.shard_key`), forwards the request to the rendezvous owner over a
-pooled keep-alive upstream connection, and relays the response.  All
-model work happens in workers.  The router parses a request body only
-for its shard key, and never decodes an answer it relays: the client
-gets the worker's body bytes under the worker's content type.  Only
-the merged views below decode worker JSON.
+The router is a handler on the :mod:`repro.service.http` loop, like
+:class:`~repro.service.app.ModelService`: the loop terminates client
+connections and frames every message, the router routes.  It computes
+each request's shard key (:func:`~repro.cluster.hashring.shard_key`),
+forwards the request to the rendezvous owner over a pooled keep-alive
+upstream connection, and relays the response.  All model work happens
+in workers.  The router parses a request body only for its shard key,
+and never decodes an answer it relays: the client gets the worker's
+body bytes under the worker's content type.  Only the merged views
+below decode worker JSON.
 
 Cross-worker concerns it *does* own:
 
@@ -29,9 +31,10 @@ Cross-worker concerns it *does* own:
   worker, merged into one folded view whose stacks carry a leading
   ``worker:wN`` frame (the flamegraph keeps per-worker attribution).
 * **`/v1/events`** -- job event streams live on the worker that owns
-  the job; the router finds the owner and splices its response --
-  chunked SSE tail included -- through byte for byte.  The router's
-  own ``cluster`` stream (worker respawns) is served locally.
+  the job; the router finds the owner and the loop splices its
+  response -- chunked SSE tail included -- through byte for byte.
+  The router's own ``cluster`` stream (worker respawns) is served
+  locally.
 * **Traces** -- the router honours the tracing opt-in exactly as a
   worker does (:func:`~repro.service.tensor.fast_path_eligible`).  An
   untraced keep-alive model POST crosses with no router span, no id
@@ -54,7 +57,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, quote
 
 from ..errors import MethodNotAllowedError, NotFoundError, ServiceError
@@ -67,12 +70,13 @@ from ..service.app import ModelService
 from ..service.events import EventStreamResponse, events_payload
 from ..service.http import (
     EncodedBody,
+    RawStream,
     TextPayload,
-    _encode_response,
     _ProtocolError,
-    _read_request,
+    encode_request,
+    read_response,
+    serve_until,
     small_reads,
-    write_stream_response,
 )
 from ..service.schemas import (
     error_payload,
@@ -99,44 +103,6 @@ CONNECT_TIMEOUT_S = 5.0
 
 class UpstreamError(Exception):
     """A worker could not be reached or died mid-response."""
-
-
-async def _read_upstream_response(
-    reader: asyncio.StreamReader,
-) -> Tuple[int, Dict[str, str], bytes]:
-    """One HTTP/1.1 response off an upstream stream."""
-    status_line = await reader.readline()
-    if not status_line:
-        raise UpstreamError("upstream closed before responding")
-    parts = status_line.decode("latin-1").strip().split(" ", 2)
-    if len(parts) < 2:
-        raise UpstreamError(f"malformed status line {status_line!r}")
-    try:
-        status = int(parts[1])
-    except ValueError:
-        raise UpstreamError(f"malformed status {parts[1]!r}")
-    headers: Dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, sep, value = line.decode("latin-1").partition(":")
-        if sep:
-            headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0"))
-    body = await reader.readexactly(length) if length else b""
-    return status, headers, body
-
-
-def _encode_upstream_request(
-    method: str, path: str, headers: Dict[str, str], body: bytes
-) -> bytes:
-    lines = [f"{method} {path} HTTP/1.1", "Host: worker"]
-    for name, value in headers.items():
-        lines.append(f"{name}: {value}")
-    lines.append(f"Content-Length: {len(body)}")
-    lines.append("Connection: keep-alive")
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
 
 
 #: Identity headers a worker's full pipeline answers with.
@@ -173,6 +139,9 @@ def _decode_payload(headers: Dict[str, str], body: bytes):
 
 class Router:
     """Shard-aware reverse proxy over a :class:`WorkerSupervisor`."""
+
+    #: No byte cache: every request crosses :meth:`handle_request`.
+    fastpath = None
 
     def __init__(
         self,
@@ -262,35 +231,44 @@ class Router:
         port = self.supervisor.ports().get(worker)
         if port is None:
             raise UpstreamError(f"worker {worker} has no port")
-        request_bytes = _encode_upstream_request(method, path, headers, body)
+        request = encode_request(
+            method, path, {"Host": "worker", **headers}, body
+        )
         pooled = self._checkout(worker, port)
         if pooled is not None:
-            reader, writer = pooled
             try:
-                writer.write(request_bytes)
-                await writer.drain()
-                response = await _read_upstream_response(reader)
-                self._checkin(worker, port, (reader, writer))
-                return response
+                return await self._exchange(worker, port, pooled, request)
             except (
                 UpstreamError,
                 ConnectionError,
                 asyncio.IncompleteReadError,
             ):
-                writer.close()
-                # fall through to a fresh connection
-        reader, writer = await self._connect(port)
+                pass  # fall through to a fresh connection
+        conn = await self._connect(port)
         try:
-            writer.write(request_bytes)
-            await writer.drain()
-            response = await _read_upstream_response(reader)
+            return await self._exchange(worker, port, conn, request)
         except (ConnectionError, asyncio.IncompleteReadError) as exc:
-            writer.close()
             raise UpstreamError(f"worker {worker} died mid-request: {exc}")
-        except UpstreamError:
+
+    async def _exchange(
+        self, worker: str, port: int, conn, request: bytes
+    ) -> Tuple[int, Dict[str, str], bytes]:
+        """Send ``request`` on ``conn`` and read the answer; the
+        connection is pooled after a whole answer, closed otherwise."""
+        reader, writer = conn
+        try:
+            writer.write(request)
+            await writer.drain()
+            response = await read_response(reader)
+            if response is None:
+                raise UpstreamError("upstream closed before responding")
+        except _ProtocolError as exc:
+            writer.close()
+            raise UpstreamError(f"worker {worker} sent bad HTTP: {exc}")
+        except BaseException:
             writer.close()
             raise
-        self._checkin(worker, port, (reader, writer))
+        self._checkin(worker, port, conn)
         return response
 
     def _alive_workers(self) -> List[str]:
@@ -422,9 +400,7 @@ class Router:
                 "router", {},
             )
         if bare_path == "/v1/events":
-            # Only router-local streams reach this far; worker-owned
-            # streams are spliced raw in ``_handle_connection``.
-            return self._local_events(method, path) + ("router", {})
+            return await self._events(method, path, headers)
         if bare_path.startswith("/v1/jobs/"):
             return await self._scatter_job(method, path, headers, body)
         workers = self._alive_workers()
@@ -692,29 +668,6 @@ class Router:
             "merged": doc,
         }
 
-    def _local_events(
-        self, method: str, path: str
-    ) -> Tuple[int, object]:
-        """``GET /v1/events`` against the router's own bus.
-
-        The worker endpoint's contract and query parsers, for streams
-        the router itself publishes -- today the always-open
-        ``cluster`` stream of worker respawns.
-        """
-        if method != "GET":
-            raise MethodNotAllowedError("use GET for /v1/events")
-        query = parse_qs(path.partition("?")[2])
-        stream, cursor, follow = parse_events_query(query)
-        if not self.events.known(stream):
-            raise NotFoundError(f"no event stream {stream!r} on the router")
-        if follow:
-            return 200, EventStreamResponse(
-                self.events, stream, cursor=cursor
-            )
-        return 200, events_payload(
-            self.events, stream, cursor=cursor, limit=parse_limit(query)
-        )
-
     async def _find_stream_owner(self, stream: str) -> Optional[str]:
         """The worker that knows ``stream``, or ``None``.
 
@@ -736,132 +689,60 @@ class Router:
                 return worker
         return None
 
-    async def _proxy_events(
-        self,
-        writer: asyncio.StreamWriter,
-        path: str,
-        stream: str,
-    ) -> None:
-        """Splice a worker-owned ``/v1/events`` response to the client.
+    async def _events(
+        self, method: str, path: str, headers: Dict[str, str]
+    ) -> Tuple[int, object, str, Dict[str, str]]:
+        """``GET /v1/events``: the router's streams here, workers' spliced.
 
-        The owning worker shapes the response (JSON batch or chunked
-        SSE tail); the router relays its bytes verbatim on a fresh
-        ``Connection: close`` upstream so a long tail never pins a
+        The router's own streams (today the always-open ``cluster``
+        stream of worker respawns) are served with the worker
+        endpoint's contract and query parsers.  For any other stream
+        the owning worker shapes the response (JSON batch or chunked
+        SSE tail) and the loop relays its bytes verbatim (a
+        :class:`~repro.service.http.RawStream`) from a fresh
+        ``Connection: close`` upstream, so a long tail never pins a
         pooled connection.  A worker dying mid-tail simply ends the
         relay -- the client reconnects with its last cursor and the
         durable replay path fills the gap.
         """
+        if method != "GET":
+            raise MethodNotAllowedError("use GET for /v1/events")
+        query = parse_qs(path.partition("?")[2])
+        stream = query_stream(query)
+        if not stream or self.events.known(stream):
+            stream, cursor, follow = parse_events_query(query)
+            if follow:
+                events = EventStreamResponse(
+                    self.events, stream, cursor=cursor
+                )
+            else:
+                events = events_payload(
+                    self.events, stream, cursor=cursor,
+                    limit=parse_limit(query),
+                )
+            return 200, events, "router", {}
         owner = await self._find_stream_owner(stream)
         if owner is None:
-            missing = NotFoundError(
-                f"no event stream {stream!r} on any worker"
+            raise NotFoundError(f"no event stream {stream!r} on any worker")
+        port = self.supervisor.ports().get(owner)
+        if port is None:
+            raise UpstreamError(f"worker {owner} has no port")
+        reader, writer = await self._connect(port)
+        # No drain: a worker gone by now ends the relay at once, as
+        # one dying mid-tail does.
+        writer.write(
+            encode_request(
+                "GET", path, {"Host": "worker", **headers}, keep_alive=False
             )
-            writer.write(
-                _encode_response(
-                    404, error_payload(missing), keep_alive=False
-                )
-            )
-            await writer.drain()
-            return
-        try:
-            port = self.supervisor.ports().get(owner)
-            if port is None:
-                raise UpstreamError(f"worker {owner} has no port")
-            upstream_reader, upstream_writer = await self._connect(port)
-        except UpstreamError as exc:
-            self.supervisor.poll()
-            writer.write(
-                _encode_response(503, error_payload(exc), keep_alive=False)
-            )
-            await writer.drain()
-            return
-        request_bytes = (
-            f"GET {path} HTTP/1.1\r\n"
-            f"Host: worker\r\n"
-            f"Content-Length: 0\r\n"
-            f"Connection: close\r\n\r\n"
-        ).encode("latin-1")
+        )
         self._requests.inc(worker=owner, outcome="streamed")
         log_event(
             _log, "router.events_proxy", worker=owner, stream=stream
         )
-        try:
-            upstream_writer.write(request_bytes)
-            await upstream_writer.drain()
-            while True:
-                chunk = await upstream_reader.read(65536)
-                if not chunk:
-                    return
-                writer.write(chunk)
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            upstream_writer.close()
+        return 200, RawStream(reader, writer), owner, {}
 
     # ------------------------------------------------------------------
-    # server loop
-
-    async def _handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        small_reads(writer)
-        try:
-            while True:
-                try:
-                    request = await _read_request(reader)
-                except _ProtocolError as exc:
-                    writer.write(
-                        _encode_response(
-                            exc.status, error_payload(exc), keep_alive=False
-                        )
-                    )
-                    await writer.drain()
-                    return
-                except asyncio.IncompleteReadError:
-                    return
-                if request is None:
-                    return
-                method, path, headers, body = request
-                bare_path = path.partition("?")[0]
-                if bare_path == "/v1/events" and method == "GET":
-                    stream = query_stream(parse_qs(path.partition("?")[2]))
-                    if stream and not self.events.known(stream):
-                        # Worker-owned stream: splice the owner's raw
-                        # response (possibly an unbounded SSE tail)
-                        # instead of buffering it through _route.
-                        await self._proxy_events(writer, path, stream)
-                        return
-                status, payload, response_headers = (
-                    await self.handle_request(method, path, body, headers)
-                )
-                if isinstance(payload, EventStreamResponse):
-                    await write_stream_response(
-                        writer, status, payload, response_headers
-                    )
-                    return
-                keep_alive = (
-                    headers.get("connection", "keep-alive").lower()
-                    != "close"
-                )
-                writer.write(
-                    _encode_response(
-                        status, payload, keep_alive, response_headers
-                    )
-                )
-                await writer.drain()
-                if not keep_alive:
-                    return
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+    # lifecycle: a handler on the service.http loop, plus the watchdog
 
     async def serve_until(
         self,
@@ -871,73 +752,44 @@ class Router:
         ready: Optional["asyncio.Event"] = None,
     ) -> None:
         """Serve and watch the fleet until ``stop`` is set."""
-        connections: Set["asyncio.Task"] = set()
-
-        async def _tracked(
-            reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-        ) -> None:
-            task = asyncio.current_task()
-            connections.add(task)
-            try:
-                await self._handle_connection(reader, writer)
-            finally:
-                connections.discard(task)
-
-        server = await asyncio.start_server(
-            _tracked,
-            self.config.host if host is None else host,
-            self.config.port if port is None else port,
-        )
-        bound = server.sockets[0].getsockname()
-        self.bound_port = bound[1]
-        log_event(
-            _log,
-            "router.listening",
-            host=bound[0],
-            port=bound[1],
-            workers=self.config.workers,
-            routing=self.config.routing,
-        )
-        if ready is not None:
-            ready.set()
-
-        async def _watchdog() -> None:
-            while not stop.is_set():
-                respawned = await asyncio.get_running_loop().run_in_executor(
-                    None, self.supervisor.poll
-                )
-                for worker in respawned:
-                    self._requests.inc(worker=worker, outcome="respawned")
-                    # Fleet watchers see the respawn the moment the
-                    # watchdog does, not on their next /metrics poll.
-                    self.events.publish(
-                        "cluster",
-                        "worker.respawn",
-                        data={"worker": worker},
-                    )
-                try:
-                    await asyncio.wait_for(
-                        stop.wait(), timeout=POLL_INTERVAL_S
-                    )
-                except asyncio.TimeoutError:
-                    pass
-
-        watchdog = asyncio.ensure_future(_watchdog())
+        watchdog = asyncio.ensure_future(self._watchdog(stop))
         try:
-            await stop.wait()
+            await serve_until(self, stop, host, port, ready)
         finally:
             watchdog.cancel()
-            server.close()
-            await server.wait_closed()
-            if connections:
-                _, still_open = await asyncio.wait(
-                    connections,
-                    timeout=self.config.service.drain_timeout_s,
+
+    def listening(self, host: str, port: int) -> None:
+        """Loop hook: the listener is bound."""
+        self.bound_port = port
+        log_event(
+            _log, "router.listening", host=host, port=port,
+            workers=self.config.workers, routing=self.config.routing,
+        )
+
+    def close(self) -> None:
+        """Loop hook after the drain: close the upstream pools."""
+        for pool in self._pools.values():
+            for _reader, pooled_writer in pool:
+                pooled_writer.close()
+        self._pools.clear()
+        log_event(_log, "router.shutdown")
+
+    async def _watchdog(self, stop: "asyncio.Event") -> None:
+        """Poll worker liveness (respawning the dead) until ``stop``."""
+        while not stop.is_set():
+            respawned = await asyncio.get_running_loop().run_in_executor(
+                None, self.supervisor.poll
+            )
+            for worker in respawned:
+                self._requests.inc(worker=worker, outcome="respawned")
+                # Fleet watchers see the respawn the moment the
+                # watchdog does, not on their next /metrics poll.
+                self.events.publish(
+                    "cluster",
+                    "worker.respawn",
+                    data={"worker": worker},
                 )
-                for task in still_open:
-                    task.cancel()
-            for pool in self._pools.values():
-                for _reader, pooled_writer in pool:
-                    pooled_writer.close()
-            self._pools.clear()
-            log_event(_log, "router.shutdown")
+            try:
+                await asyncio.wait_for(stop.wait(), timeout=POLL_INTERVAL_S)
+            except asyncio.TimeoutError:
+                pass

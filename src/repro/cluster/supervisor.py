@@ -10,7 +10,9 @@ Port discovery is race-free: each worker binds its listening socket
 *before* reporting, sending the bound port back over a
 ``multiprocessing.Pipe``, and the already-bound socket is handed to
 :func:`~repro.service.http.serve_until`.  By the time the supervisor
-knows a port, connections to it succeed.
+knows a port, connections to it succeed.  Workers and the router stop
+through the transport's one SIGTERM/SIGINT entry point,
+:func:`~repro.service.http.run_until_signal`.
 
 Worker death is detected by :meth:`WorkerSupervisor.poll` (the router
 calls it on a timer) and answered with respawn-with-backoff: the
@@ -24,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import multiprocessing.connection
-import signal
 import socket
 import time
 from dataclasses import dataclass, field
@@ -35,6 +36,7 @@ from ..obs.logging import configure_logging, get_logger, log_event
 from ..obs.metrics import MetricsRegistry
 from ..obs.metrics import get_registry as _global_registry
 from ..service.app import ModelService, ServiceConfig
+from ..service.http import run_until_signal, serve_until
 
 __all__ = ["ClusterConfig", "WorkerSupervisor", "run_cluster_server"]
 
@@ -75,6 +77,11 @@ class ClusterConfig:
         """The envelope stamp: enough to tell two setups apart."""
         return {"workers": self.workers, "routing": self.routing}
 
+    @property
+    def drain_timeout_s(self) -> float:
+        """The router drains client connections as long as a worker."""
+        return self.service.drain_timeout_s
+
 
 def _worker_main(
     name: str,
@@ -82,10 +89,6 @@ def _worker_main(
     conn: "multiprocessing.connection.Connection",
 ) -> None:
     """Spawn target: bind, report the port, serve until SIGTERM."""
-    import asyncio
-
-    from ..service.http import serve_until
-
     configure_logging(config.log_level)
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -102,22 +105,9 @@ def _worker_main(
     port = listener.getsockname()[1]
     conn.send({"worker": name, "port": port})
     conn.close()
-
-    async def _main() -> None:
-        service = ModelService(config)
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):
-                pass
-        await serve_until(service, stop, sock=listener)
-
-    try:
-        asyncio.run(_main())
-    except KeyboardInterrupt:
-        pass
+    run_until_signal(
+        lambda stop: serve_until(ModelService(config), stop, sock=listener)
+    )
 
 
 class _WorkerSlot:
@@ -314,28 +304,12 @@ def run_cluster_server(config: ClusterConfig) -> None:
     until SIGTERM/SIGINT; workers are drained (their own graceful
     shutdown path) before the router exits.
     """
-    import asyncio
-
     from .router import Router
 
     configure_logging(config.service.log_level)
     supervisor = WorkerSupervisor(config)
     supervisor.start()
-    router = Router(config, supervisor)
-
-    async def _main() -> None:
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):
-                pass
-        await router.serve_until(stop)
-
     try:
-        asyncio.run(_main())
-    except KeyboardInterrupt:
-        pass
+        run_until_signal(Router(config, supervisor).serve_until)
     finally:
         supervisor.stop()

@@ -87,6 +87,7 @@ from .schemas import (
 
 __all__ = ["ServiceConfig", "ModelService"]
 
+_log = get_logger("service")
 _access_log = get_logger("service.access")
 
 #: Client request ids that can double as W3C-shaped trace ids.
@@ -262,6 +263,15 @@ class ModelService:
         )
         self._sampler_held = self.sampler is not None
 
+    def listening(self, host: str, port: int) -> None:
+        """Transport hook: log the bound address with the serving knobs."""
+        log_event(
+            _log, "listening", host=host, port=port,
+            batch_window_ms=self.config.batch_window_ms,
+            max_inflight=self.config.max_inflight,
+            trace_file=self.config.trace_file,
+        )
+
     def close(self) -> None:
         """Drain jobs, flush the campaign store, release the worker
         threads and the profiler reference (idempotent)."""
@@ -271,6 +281,7 @@ class ModelService:
         if self._sampler_held:
             self._sampler_held = False
             release_sampler()
+        log_event(_log, "shutdown")
 
     # -- entry point -------------------------------------------------------
 

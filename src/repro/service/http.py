@@ -1,12 +1,20 @@
-"""Stdlib-asyncio HTTP/1.1 transport for :class:`ModelService`.
+"""Stdlib-asyncio HTTP/1.1: the one module that reads and writes HTTP.
 
-No web framework: requests are parsed straight off the asyncio stream
-(request line, headers, ``Content-Length`` body) and answered with
-JSON.  The subset implemented is exactly what the API needs --
-``GET``/``POST``, keep-alive, ``Connection: close`` -- plus defensive
-limits (header and body size caps) so a malformed client cannot wedge
-the loop.  Everything model-shaped lives in
-:mod:`repro.service.app`; this module only moves bytes.
+No web framework: messages are parsed straight off the asyncio stream
+(start line, headers, ``Content-Length`` body).  The subset is what
+the API needs -- ``GET``/``POST``, keep-alive, ``Connection: close``,
+chunked SSE tails -- plus limits so a malformed client cannot wedge
+the loop: a header line or block over 16 KiB gets 400, a body over
+1 MiB gets 413, and ``Content-Length`` must be ASCII digits.
+
+One connection loop serves a *handler*: a
+:class:`~repro.service.app.ModelService` or the fleet's
+:class:`~repro.cluster.router.Router`.  A handler has a ``config``
+(``host``, ``port``, ``drain_timeout_s``), ``handle_request(method,
+path, body, headers)`` -> ``(status, payload, headers)``, a
+``fastpath`` byte cache or None, and the hooks ``listening(host,
+port)`` and ``close()``.  The router talks to its workers through
+:func:`encode_request` and :func:`read_response`.
 """
 
 from __future__ import annotations
@@ -15,19 +23,28 @@ import asyncio
 import json
 import signal
 import socket
-from typing import Dict, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Awaitable, Callable, Dict, List, NamedTuple, Optional,
+    Set, Tuple,
+)
 
 from ..obs.logging import configure_logging, get_logger, log_event
-from .app import ModelService, ServiceConfig
 from .events import EventStreamResponse
+
+if TYPE_CHECKING:
+    from .app import ServiceConfig
 
 __all__ = [
     "start_server",
     "run_server",
+    "run_until_signal",
     "serve_until",
+    "encode_request",
+    "read_response",
     "write_stream_response",
     "TextPayload",
     "EncodedBody",
+    "RawStream",
 ]
 
 #: Hard cap on request bodies (1 MiB is orders beyond any valid query).
@@ -85,6 +102,18 @@ class EncodedBody(bytes):
         return encoded
 
 
+class RawStream(NamedTuple):
+    """A whole response relayed verbatim from another connection.
+
+    The loop copies ``reader`` to the client until EOF, then closes
+    both connections (``writer`` is the other's), also when the client
+    leaves first.  The router splices worker event streams as one.
+    """
+
+    reader: asyncio.StreamReader
+    writer: asyncio.StreamWriter
+
+
 class _ProtocolError(Exception):
     """Malformed HTTP from the client; answered then disconnected."""
 
@@ -93,30 +122,38 @@ class _ProtocolError(Exception):
         self.status = status
 
 
-async def _read_request(
-    reader: asyncio.StreamReader,
-) -> Optional[Tuple[str, str, dict, bytes]]:
-    """One request off the wire: (method, path, headers, body).
+def _is_digits(text: str) -> bool:
+    """RFC 9110 ``1*DIGIT``; ``int`` also takes ``+3``, ``1_0``, ``²``."""
+    return text.isascii() and text.isdigit()
 
-    Returns None on a clean EOF between requests (keep-alive close).
+
+async def _read_message(
+    reader: asyncio.StreamReader, kind: str, max_body: Optional[int]
+) -> Optional[Tuple[List[str], Dict[str, str], bytes]]:
+    """One message: (start-line fields, headers, body).
+
+    ``kind`` names the start line in errors (``request`` or
+    ``status``); ``max_body`` caps ``Content-Length`` (None reads any
+    length).  Returns None on a clean EOF before the start line.
     """
+    # readline raises ValueError for a line past the stream's limit.
     try:
-        request_line = await reader.readline()
+        line = await reader.readline()
     except (asyncio.LimitOverrunError, ValueError):
-        raise _ProtocolError(400, "request line too long")
-    if not request_line:
+        raise _ProtocolError(400, f"{kind} line too long")
+    if not line:
         return None
-    try:
-        method, path, _version = (
-            request_line.decode("latin-1").strip().split(" ", 2)
-        )
-    except ValueError:
-        raise _ProtocolError(400, "malformed request line")
+    fields = line.decode("latin-1").strip().split(" ", 2)
+    if len(fields) != 3:
+        raise _ProtocolError(400, f"malformed {kind} line")
 
     headers = {}
     header_bytes = 0
     while True:
-        line = await reader.readline()
+        try:
+            line = await reader.readline()
+        except (asyncio.LimitOverrunError, ValueError):
+            raise _ProtocolError(400, "header block too large")
         header_bytes += len(line)
         if header_bytes > MAX_HEADER_BYTES:
             raise _ProtocolError(400, "header block too large")
@@ -128,18 +165,52 @@ async def _read_request(
         headers[name.strip().lower()] = value.strip()
 
     length_text = headers.get("content-length", "0")
-    try:
-        length = int(length_text)
-    except ValueError:
+    if not _is_digits(length_text):
         raise _ProtocolError(400, f"bad Content-Length {length_text!r}")
-    if length < 0:
-        raise _ProtocolError(400, f"bad Content-Length {length}")
-    if length > MAX_BODY_BYTES:
+    length = int(length_text)
+    if max_body is not None and length > max_body:
         raise _ProtocolError(
-            413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            413, f"body of {length} bytes exceeds {max_body}"
         )
     body = await reader.readexactly(length) if length else b""
+    return fields, headers, body
+
+
+async def _read_request(
+    reader: asyncio.StreamReader,
+) -> Optional[Tuple[str, str, dict, bytes]]:
+    """One request off the wire: (method, path, headers, body).
+
+    Returns None on a clean EOF between requests (keep-alive close).
+    """
+    message = await _read_message(reader, "request", MAX_BODY_BYTES)
+    if message is None:
+        return None
+    (method, path, _version), headers, body = message
     return method, path, headers, body
+
+
+async def read_response(
+    reader: asyncio.StreamReader,
+) -> Optional[Tuple[int, Dict[str, str], bytes]]:
+    """One response off the wire: (status, headers, body), or None if
+    the peer closed first.  No body cap: a worker's answer may exceed
+    the client cap (a full ``/v1/traces`` ring is over 1 MiB).
+    """
+    message = await _read_message(reader, "status", None)
+    if message is None:
+        return None
+    (_version, status, _reason), headers, body = message
+    if not _is_digits(status):
+        raise _ProtocolError(400, f"malformed status {status!r}")
+    return int(status), headers, body
+
+
+def _head(start_line: str, headers: Dict[str, object]) -> bytes:
+    """A message head: start line, one line per header, blank line."""
+    lines = [start_line]
+    lines.extend(f"{name}: {value}" for name, value in headers.items())
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
 
 def _encode_response(
@@ -162,17 +233,24 @@ def _encode_response(
     else:
         body = json.dumps(payload).encode("utf-8")
         content_type = "application/json"
+    headers = {
+        "Content-Type": content_type,
+        "Content-Length": len(body),
+        "Connection": "keep-alive" if keep_alive else "close",
+    }
+    headers.update(extra_headers or {})
     reason = _REASONS.get(status, "Unknown")
-    lines = [
-        f"HTTP/1.1 {status} {reason}",
-        f"Content-Type: {content_type}",
-        f"Content-Length: {len(body)}",
-        f"Connection: {'keep-alive' if keep_alive else 'close'}",
-    ]
-    for name, value in (extra_headers or {}).items():
-        lines.append(f"{name}: {value}")
-    head = "\r\n".join(lines) + "\r\n\r\n"
-    return head.encode("latin-1") + body
+    return _head(f"HTTP/1.1 {status} {reason}", headers) + body
+
+
+def encode_request(
+    method: str, path: str, headers: Dict[str, str], body: bytes = b"",
+    keep_alive: bool = True,
+) -> bytes:
+    """Serialize one request, adding ``Content-Length``/``Connection``."""
+    connection = "keep-alive" if keep_alive else "close"
+    head = {**headers, "Content-Length": len(body), "Connection": connection}
+    return _head(f"{method} {path} HTTP/1.1", head) + body
 
 
 async def write_stream_response(
@@ -190,17 +268,15 @@ async def write_stream_response(
     ``ConnectionResetError``/``BrokenPipeError`` from ``drain`` and
     propagates to the caller's connection handler.
     """
+    headers = {
+        "Content-Type": stream.content_type,
+        "Cache-Control": "no-cache",
+        "Transfer-Encoding": "chunked",
+        "Connection": "close",
+    }
+    headers.update(extra_headers or {})
     reason = _REASONS.get(status, "Unknown")
-    lines = [
-        f"HTTP/1.1 {status} {reason}",
-        f"Content-Type: {stream.content_type}",
-        "Cache-Control: no-cache",
-        "Transfer-Encoding: chunked",
-        "Connection: close",
-    ]
-    for name, value in (extra_headers or {}).items():
-        lines.append(f"{name}: {value}")
-    writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
+    writer.write(_head(f"HTTP/1.1 {status} {reason}", headers))
     await writer.drain()
     async for chunk in stream.frames():
         writer.write(
@@ -217,7 +293,7 @@ def small_reads(writer: asyncio.StreamWriter) -> None:
 
 
 async def _handle_connection(
-    service: ModelService,
+    handler,
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
 ) -> None:
@@ -241,11 +317,11 @@ async def _handle_connection(
             if request is None:
                 return  # clean keep-alive close
             method, path, headers, body = request
-            if service.fastpath is not None:
+            if handler.fastpath is not None:
                 # Materialized byte cache: untraced keep-alive POSTs
                 # on the model endpoints replay a pre-encoded response
                 # (no id headers, deferred accounting) in microseconds.
-                blob = service.fastpath.response_bytes(
+                blob = handler.fastpath.response_bytes(
                     method, path, headers, body
                 )
                 if blob is not None:
@@ -253,8 +329,20 @@ async def _handle_connection(
                     await writer.drain()
                     continue
             status, payload, response_headers = (
-                await service.handle_request(method, path, body, headers)
+                await handler.handle_request(method, path, body, headers)
             )
+            if isinstance(payload, RawStream):
+                # Spliced response: relayed verbatim until the other
+                # side closes, which ends this connection too.
+                try:
+                    while True:
+                        chunk = await payload.reader.read(READ_BYTES)
+                        if not chunk:
+                            return
+                        writer.write(chunk)
+                        await writer.drain()
+                finally:
+                    payload.writer.close()
             if isinstance(payload, EventStreamResponse):
                 # SSE tail: chunked frames until the stream ends or
                 # the client hangs up; either way the connection is
@@ -285,8 +373,37 @@ async def _handle_connection(
             pass
 
 
+async def _listen(
+    handler,
+    host: Optional[str],
+    port: Optional[int],
+    sock: Optional[socket.socket],
+    connections: Set["asyncio.Task"],
+) -> "asyncio.base_events.Server":
+    """Serve ``handler``, each open connection's task in ``connections``."""
+
+    async def _tracked(
+        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        task = asyncio.current_task()
+        connections.add(task)
+        try:
+            await _handle_connection(handler, reader, writer)
+        finally:
+            connections.discard(task)
+
+    if sock is not None:
+        return await asyncio.start_server(_tracked, sock=sock)
+    config = handler.config
+    return await asyncio.start_server(
+        _tracked,
+        config.host if host is None else host,
+        config.port if port is None else port,
+    )
+
+
 async def start_server(
-    service: ModelService,
+    service,
     host: Optional[str] = None,
     port: Optional[int] = None,
     sock: Optional[socket.socket] = None,
@@ -299,69 +416,34 @@ async def start_server(
     bind before reporting their port to the supervisor, so the router
     never races a worker that has not opened its listener yet.
     """
-    config = service.config
-    if sock is not None:
-        return await asyncio.start_server(
-            lambda r, w: _handle_connection(service, r, w), sock=sock
-        )
-    return await asyncio.start_server(
-        lambda r, w: _handle_connection(service, r, w),
-        config.host if host is None else host,
-        config.port if port is None else port,
-    )
+    return await _listen(service, host, port, sock, set())
 
 
 async def serve_until(
-    service: ModelService,
+    service,
     stop: "asyncio.Event",
     host: Optional[str] = None,
     port: Optional[int] = None,
     ready: Optional["asyncio.Event"] = None,
     sock: Optional[socket.socket] = None,
 ) -> None:
-    """Serve until ``stop`` is set, then shut down gracefully.
+    """Serve a handler until ``stop`` is set, then shut down gracefully.
 
     Graceful means: stop accepting new connections, give the
     connections already open up to ``config.drain_timeout_s`` to
-    finish their in-flight requests, then close the service -- which
-    drains running campaign jobs and flushes the campaign store --
-    before returning.  Connections still open after the drain budget
-    are cancelled rather than waited on forever.
+    finish their in-flight requests, then close the handler -- a
+    service drains running campaign jobs and flushes the campaign
+    store, the router closes its upstream pools -- before returning.
+    Connections still open after the drain budget are cancelled rather
+    than waited on forever.
 
     ``ready`` (if given) is set once the listening socket is bound;
     tests use it to connect before triggering ``stop``.
     """
-    config = service.config
     connections: Set["asyncio.Task"] = set()
-
-    async def _tracked(
-        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        connections.add(task)
-        try:
-            await _handle_connection(service, reader, writer)
-        finally:
-            connections.discard(task)
-
-    if sock is not None:
-        server = await asyncio.start_server(_tracked, sock=sock)
-    else:
-        server = await asyncio.start_server(
-            _tracked,
-            config.host if host is None else host,
-            config.port if port is None else port,
-        )
+    server = await _listen(service, host, port, sock, connections)
     bound = server.sockets[0].getsockname()
-    log_event(
-        _log,
-        "listening",
-        host=bound[0],
-        port=bound[1],
-        batch_window_ms=config.batch_window_ms,
-        max_inflight=config.max_inflight,
-        trace_file=config.trace_file,
-    )
+    service.listening(bound[0], bound[1])
     if ready is not None:
         ready.set()
     try:
@@ -372,15 +454,41 @@ async def serve_until(
         await server.wait_closed()
         if connections:
             _, still_open = await asyncio.wait(
-                connections, timeout=config.drain_timeout_s
+                connections, timeout=service.config.drain_timeout_s
             )
             for task in still_open:
                 task.cancel()
         service.close()
-        log_event(_log, "shutdown")
 
 
-def run_server(config: Optional[ServiceConfig] = None) -> None:
+def run_until_signal(
+    serve: Callable[["asyncio.Event"], Awaitable[None]]
+) -> None:
+    """Run ``serve(stop)`` on a new event loop; SIGTERM/SIGINT set ``stop``.
+
+    The one signal entry point of ``serve``, of each fleet worker and
+    of the router.  Platforms without loop signal handlers fall back
+    to ``KeyboardInterrupt``, which cancels ``serve`` into its
+    shutdown path.
+    """
+
+    async def _main() -> None:
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.add_signal_handler(signum, stop.set)
+            except (NotImplementedError, RuntimeError):
+                pass  # the KeyboardInterrupt fallback below
+        await serve(stop)
+
+    try:
+        asyncio.run(_main())
+    except KeyboardInterrupt:
+        pass
+
+
+def run_server(config: Optional["ServiceConfig"] = None) -> None:
     """Blocking entry point used by ``repro-hetsim serve``.
 
     Configures the structured JSON log (level from ``--log-level`` /
@@ -388,23 +496,10 @@ def run_server(config: Optional[ServiceConfig] = None) -> None:
     in-flight requests and flushes the campaign store before exiting
     (see :func:`serve_until`).
     """
+    # Imported here: the service's byte cache encodes through this
+    # module, so the app imports it first.
+    from .app import ModelService, ServiceConfig
+
     config = config or ServiceConfig()
     configure_logging(config.log_level)
-
-    async def _main() -> None:
-        service = ModelService(config)
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):
-                # Platforms without loop signal support fall back to
-                # the KeyboardInterrupt path below.
-                pass
-        await serve_until(service, stop)
-
-    try:
-        asyncio.run(_main())
-    except KeyboardInterrupt:
-        log_event(_log, "shutdown")
+    run_until_signal(lambda stop: serve_until(ModelService(config), stop))

@@ -45,6 +45,7 @@ from ..core.constraints import BoundSet
 from ..core.optimizer import DesignPoint
 from ..errors import ReproError, TensorStoreError
 from ..perf.tensorstore import TensorStore
+from .http import _encode_response
 from .schemas import (
     OptimizeRequest,
     SpeedupRequest,
@@ -422,7 +423,7 @@ class TransportFastPath:
         if answered is None:
             return None
         payload, outcome = answered
-        return _encode_fast_response(payload), outcome
+        return _encode_response(200, payload, keep_alive=True), outcome
 
     # -- deferred accounting -----------------------------------------------
 
@@ -451,20 +452,3 @@ class TransportFastPath:
         with self._lock:
             entries = len(self._responses)
         return {"entries": entries, "pending": len(self._pending)}
-
-
-def _encode_fast_response(payload: Dict[str, Any]) -> bytes:
-    """Encode one 200 exactly as the transport would, minus id headers.
-
-    Byte-compatible with ``repro.service.http._encode_response`` for a
-    keep-alive JSON 200 with no extra headers; fast-path responses
-    deliberately omit ``X-Request-Id``/``X-Trace-Id``.
-    """
-    body = json.dumps(payload).encode("utf-8")
-    head = (
-        "HTTP/1.1 200 OK\r\n"
-        "Content-Type: application/json\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        "Connection: keep-alive\r\n\r\n"
-    )
-    return head.encode("latin-1") + body

@@ -192,6 +192,29 @@ class TestRouting:
         assert status == 400
         assert json.loads(body)["error"]
 
+    def test_malformed_request_gets_the_worker_400(self, cluster):
+        """Router and worker frame requests on one transport: a
+        malformed request gets the same 400, byte for byte, from
+        either."""
+        answers = []
+        for port in (cluster.port, cluster.supervisor.ports()["w1"]):
+            conn = socket.create_connection(("127.0.0.1", port), timeout=30)
+            conn.sendall(
+                b"GET /healthz HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n"
+            )
+            data = b""
+            while True:
+                chunk = conn.recv(65536)
+                if not chunk:
+                    break
+                data += chunk
+            conn.close()
+            answers.append(data)
+        routed, direct = answers
+        assert routed.startswith(b"HTTP/1.1 400 ")
+        assert routed == direct
+        assert b'"ProtocolError"' in routed
+
     def test_healthz_reports_topology_and_fleet(self, cluster):
         status, _, body, _ = _request(cluster.port, "GET", "/healthz")
         assert status == 200
@@ -204,6 +227,57 @@ class TestRouting:
         workers = payload["cluster"]["workers"]
         assert sorted(workers) == ["w1", "w2"]
         assert all(entry["alive"] for entry in workers.values())
+
+
+class _OneWorker:
+    """The supervisor surface the router reads, for one fake worker."""
+
+    def __init__(self, port):
+        self.port = port
+
+    def ports(self):
+        return {"w1": self.port}
+
+    def alive(self):
+        return {"w1": True}
+
+    def poll(self):
+        return []
+
+
+class TestUpstreamFraming:
+    @pytest.mark.parametrize("length", [b"abc", b"+3", b"1_0"])
+    def test_malformed_worker_length_is_a_503(self, length):
+        """The router reads worker answers with the client rule:
+        ``Content-Length`` is ASCII digits, else an honest 503."""
+
+        async def bad_worker(reader, writer):
+            await reader.readuntil(b"\r\n\r\n")
+            writer.write(
+                b"HTTP/1.1 200 OK\r\nContent-Length: " + length
+                + b"\r\n\r\n0123456789"
+            )
+            await writer.drain()
+            writer.close()
+
+        async def main():
+            worker = await asyncio.start_server(bad_worker, "127.0.0.1", 0)
+            router = Router(
+                ClusterConfig(workers=1, host="127.0.0.1", port=0),
+                _OneWorker(worker.sockets[0].getsockname()[1]),
+                registry=MetricsRegistry(),
+            )
+            try:
+                return await router.handle_request(
+                    "GET", "/v1/slo", b"", {"connection": "close"}
+                )
+            finally:
+                worker.close()
+                await worker.wait_closed()
+
+        status, payload, _ = asyncio.run(main())
+        assert status == 503
+        assert payload["error"] == "UpstreamError"
 
 
 class TestMetrics:

@@ -174,11 +174,30 @@ class TestWire:
         # The second response is /metrics and saw the first request.
         assert second[2]["requests"]["/healthz"]["200"] == 1
 
-    def test_malformed_request_line_400(self):
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"NONSENSE\r\n\r\n",
+            # A header line past asyncio's 64 KiB stream limit.
+            b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * (70 << 10)
+            + b"\r\n\r\n",
+            # Content-Length is 1*DIGIT, though int() takes +3 and 1_0.
+            b"POST /v1/speedup HTTP/1.1\r\nContent-Length: +3\r\n\r\n{}\n",
+            b"POST /v1/speedup HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n"
+            b"{}        ",
+            b"POST /v1/speedup HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+            b"POST /v1/speedup HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+        ],
+        ids=[
+            "request-line", "header-line-70k", "length-plus",
+            "length-underscore", "length-negative", "length-alpha",
+        ],
+    )
+    def test_malformed_request_line_400(self, raw):
         async def main():
             service, server, port = await _serve()
             try:
-                return await _roundtrip(port, b"NONSENSE\r\n\r\n")
+                return await _roundtrip(port, raw)
             finally:
                 await _shutdown(service, server)
 

@@ -13,6 +13,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from repro.service.app import ModelService, ServiceConfig
 from repro.service.http import serve_until
 
@@ -122,8 +124,19 @@ class TestServeUntil:
 
 
 class TestSignalPath:
-    def test_sigterm_exits_cleanly_end_to_end(self, tmp_path):
-        """A real `repro-hetsim serve` process drains on SIGTERM."""
+    @pytest.mark.parametrize(
+        "args,listening,shutdown",
+        [
+            ([], "listening", "shutdown"),
+            (["--workers", "2"], "router.listening", "router.shutdown"),
+        ],
+        ids=["serve", "serve-workers-2"],
+    )
+    def test_sigterm_exits_cleanly_end_to_end(
+        self, tmp_path, args, listening, shutdown
+    ):
+        """A real `repro-hetsim serve` process drains on SIGTERM; a
+        fleet's router also stops every worker before it exits."""
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         env["PYTHONPATH"] = os.path.abspath(src) + (
@@ -133,7 +146,7 @@ class TestSignalPath:
         )
         proc = subprocess.Popen(
             [
-                sys.executable, "-m", "repro.cli", "serve",
+                sys.executable, "-m", "repro.cli", "serve", *args,
                 "--port", "0",
                 "--store-dir", str(tmp_path / "store"),
                 "--drain-timeout-s", "1",
@@ -144,22 +157,35 @@ class TestSignalPath:
             text=True,
         )
         try:
-            # Wait for the structured "listening" line, then SIGTERM.
+            # Wait for the structured listening line, then SIGTERM.
             deadline = time.monotonic() + 30
-            first = proc.stdout.readline()
+            head = []
+            for line in proc.stdout:
+                head.append(line)
+                if json.loads(line)["event"] == listening:
+                    break
             assert time.monotonic() < deadline
-            assert json.loads(first)["event"] == "listening"
+            assert head and json.loads(head[-1])["event"] == listening
+            # Only a fleet's workers start up before the listening line.
+            assert {json.loads(line)["event"] for line in head[:-1]} <= {
+                "worker.started", "listening",
+            }
             proc.send_signal(signal.SIGTERM)
             out, _ = proc.communicate(timeout=30)
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.communicate()
-        events = [
-            json.loads(line)["event"]
-            for line in out.splitlines()
+        records = [
+            json.loads(line)
+            for line in head + out.splitlines()
             if line.strip().startswith("{")
         ]
+        events = [record["event"] for record in records]
         assert "draining" in events
-        assert "shutdown" in events
+        assert shutdown in events
         assert proc.returncode == 0
+        for record in records:
+            if record["event"] == "worker.started":
+                with pytest.raises(ProcessLookupError):
+                    os.kill(record["pid"], 0)
