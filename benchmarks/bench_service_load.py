@@ -84,7 +84,7 @@ def _record(payload: dict) -> None:
 CLIENTS = 16
 #: The request mix: every roadmap node for three design families, three
 #: endpoints.  54 unique requests; each client walks a rotated view so
-#: compatible requests land in the same coalescing window.
+#: compatible requests can land in the same event-loop tick.
 NODES = (40, 32, 22, 16, 11)
 DESIGNS = ("ASIC", "GTX480", "SymCMP")
 WORKLOAD, F = "mmm", 0.99
@@ -195,8 +195,8 @@ async def _run_materialized_phase(
     Returns ``(phase summary, tensorstore counters)``.
     """
     service = ModelService(
-        ServiceConfig(batch_window_ms=2.0, max_inflight=16,
-                      queue_depth=512, tensor_dir=tensor_dir)
+        ServiceConfig(max_inflight=16, queue_depth=512,
+                      tensor_dir=tensor_dir)
     )
     assert service.fastpath is not None, "tensor store failed to load"
     server = await start_server(service, port=0)
@@ -247,8 +247,7 @@ async def _run_cluster_phase(
     """Cold + warm sweeps through the router over ``workers`` workers."""
     config = ClusterConfig(
         workers=workers,
-        service=ServiceConfig(batch_window_ms=2.0, max_inflight=16,
-                              queue_depth=512),
+        service=ServiceConfig(max_inflight=16, queue_depth=512),
         host="127.0.0.1",
         port=0,
     )
@@ -299,10 +298,7 @@ async def _run_cluster_phase(
 
 
 async def _run_load() -> dict:
-    service = ModelService(
-        ServiceConfig(batch_window_ms=2.0, max_inflight=16,
-                      queue_depth=512)
-    )
+    service = ModelService(ServiceConfig(max_inflight=16, queue_depth=512))
     server = await start_server(service, port=0)
     port = server.sockets[0].getsockname()[1]
     mix = _request_mix()
@@ -361,7 +357,6 @@ async def _run_load() -> dict:
         },
         "cache": final["cache"],
         "config": {
-            "batch_window_ms": service.config.batch_window_ms,
             "max_inflight": service.config.max_inflight,
         },
         "machine": {

@@ -112,7 +112,7 @@ def drive(port, supervisor):
 def main():
     config = ClusterConfig(
         workers=2,
-        service=ServiceConfig(batch_window_ms=0.5, workers=1),
+        service=ServiceConfig(),
         host="127.0.0.1",
         port=0,
         respawn_backoff_s=0.1,

@@ -60,9 +60,7 @@ def show(tracker, label):
 
 
 async def main():
-    service = ModelService(
-        ServiceConfig(batch_window_ms=0.5, request_timeout_s=5.0)
-    )
+    service = ModelService(ServiceConfig(request_timeout_s=5.0))
     clock = ManualClock()
     tracker = SLOTracker(
         objectives=(OBJECTIVE,),

@@ -118,7 +118,6 @@ def drive(port):
 
 def main():
     config = ServiceConfig(
-        batch_window_ms=0.5,
         store_dir=tempfile.mkdtemp(prefix="watch-campaign-"),
     )
     service = ModelService(config)

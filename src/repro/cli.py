@@ -519,10 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8080,
                        help="bind port (default 8080; 0 = ephemeral)")
     serve.add_argument(
-        "--batch-window-ms", type=float, default=2.0,
-        help="micro-batching coalescing window in ms (default 2)",
-    )
-    serve.add_argument(
         "--max-inflight", type=int, default=8,
         help="maximum concurrently evaluating requests (default 8)",
     )
@@ -532,7 +528,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--timeout-s", type=float, default=10.0,
-        help="per-request evaluation deadline before 503 (default 10)",
+        help=(
+            "per-request deadline before 503, while a request awaits "
+            "its grid call; a running grid call is not cut (default 10)"
+        ),
     )
     serve.add_argument(
         "--cache-size", type=int, default=1024,
@@ -546,10 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--host/--port with N ModelService workers behind it "
             "(repro.cluster)"
         ),
-    )
-    serve.add_argument(
-        "--threads", type=int, default=2,
-        help="per-worker threads for NumPy grid evaluation (default 2)",
     )
     serve.add_argument(
         "--store-dir", default=None, metavar="DIR",
@@ -1471,12 +1466,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             service_config = ServiceConfig(
                 host=args.host,
                 port=args.port,
-                batch_window_ms=args.batch_window_ms,
                 max_inflight=args.max_inflight,
                 queue_depth=args.queue_depth,
                 request_timeout_s=args.timeout_s,
                 cache_size=args.cache_size,
-                workers=args.threads,
                 store_dir=args.store_dir,
                 tensor_dir=args.tensor_dir,
                 drain_timeout_s=args.drain_timeout_s,

@@ -124,7 +124,9 @@ def feasible_r_values(
             f"{budget}: max_serial_r = {ceiling:.4g} < 1, bound by "
             f"{_binding_serial_bound(chip, budget)}"
         )
-    return [r for r in range(1, r_max + 1) if r <= ceiling]
+    # Integer r <= ceiling is r <= floor(ceiling): stop there, so the
+    # list costs O(ceiling) however large the caller's r_max.
+    return list(range(1, int(min(r_max, ceiling)) + 1))
 
 
 def evaluate_design(

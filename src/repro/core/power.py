@@ -108,7 +108,10 @@ def max_r_for_serial_power(
             f"power budget must be positive, got {power_budget}"
         )
     _check_alpha(alpha)
-    return power_budget ** (2.0 / alpha)
+    try:
+        return power_budget ** (2.0 / alpha)
+    except OverflowError:  # past the float range: no finite r is cut
+        return math.inf
 
 
 def max_r_for_serial_bandwidth(bandwidth_budget: float) -> float:
@@ -123,4 +126,7 @@ def max_r_for_serial_bandwidth(bandwidth_budget: float) -> float:
         raise ModelError(
             f"bandwidth budget must be positive, got {bandwidth_budget}"
         )
-    return bandwidth_budget**2
+    try:
+        return bandwidth_budget**2
+    except OverflowError:  # past the float range: no finite r is cut
+        return math.inf

@@ -30,11 +30,14 @@ runner.
 from __future__ import annotations
 
 import json
+import math
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..core.power import DEFAULT_ALPHA
+from ..devices.measurements import FFT_ANCHOR_SIZES, all_measurements
 from ..errors import ModelError
 from ..itrs.scenarios import (
     SCENARIO_OVERRIDES,
@@ -48,6 +51,7 @@ from .providers import provider_names
 __all__ = [
     "SUBSTRATES",
     "BEST_SUBSTRATE",
+    "substrates_for",
     "SegmentSpec",
     "ChipSpec",
     "DSEScenario",
@@ -66,9 +70,29 @@ SUBSTRATES = ("LX760", "GTX285", "GTX480", "R5870", "ASIC")
 BEST_SUBSTRATE = "best"
 
 
+def substrates_for(
+    workload: str, fft_size: Optional[int] = None
+) -> Tuple[str, ...]:
+    """The substrates with a calibrated measurement for a workload
+    (R5870 is measured on mmm only, GTX480 not on bs)."""
+    measured = all_measurements()
+    return tuple(
+        device for device in SUBSTRATES
+        if (device, workload, fft_size) in measured
+    )
+
+
 def _check(condition: bool, message: str) -> None:
     if not condition:
         raise ModelError(message)
+
+
+def _finite(value: Any) -> bool:
+    """A real number (not a bool) that converts to a finite float."""
+    return (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max  # false for NaN, ±inf, 10**400
+    )
 
 
 @dataclass(frozen=True)
@@ -77,7 +101,7 @@ class SegmentSpec:
 
     Attributes:
         name: kernel label (free-form, non-empty).
-        weight: positive share of the parallel time.
+        weight: positive, finite share of the parallel time.
         device: substrate name from :data:`SUBSTRATES`, or ``"best"``
             to map the kernel to the highest-``mu`` substrate for the
             scenario's workload.
@@ -94,10 +118,8 @@ class SegmentSpec:
             f"got {self.name!r}",
         )
         _check(
-            isinstance(self.weight, (int, float))
-            and not isinstance(self.weight, bool)
-            and self.weight > 0,
-            f"segment 'weight' must be a positive number, "
+            _finite(self.weight) and self.weight > 0,
+            f"segment 'weight' must be a positive finite number, "
             f"got {self.weight!r}",
         )
         _check(
@@ -145,6 +167,17 @@ class ChipSpec:
             _check(
                 len(self.segments) >= 1,
                 "multi chip needs at least one entry in 'segments'",
+            )
+            # Each share w/total feeds a square root and a division in
+            # the fabric split, so it must be a normal float.
+            weights = [float(seg.weight) for seg in self.segments]
+            total = sum(weights)
+            _check(
+                math.isfinite(total)
+                and all(w / total >= sys.float_info.min for w in weights),
+                f"segment 'weight' values must have a finite total and "
+                f"no share of it below {sys.float_info.min!r}, "
+                f"got {weights!r}",
             )
 
     @property
@@ -211,11 +244,23 @@ class DSEScenario:
             f"'name' must be a non-empty string, got {self.name!r}",
         )
         _check(
+            isinstance(self.description, str),
+            f"'description' must be a string, got {self.description!r}",
+        )
+        _check(
             self.workload in _VALID_WORKLOADS,
             f"'workload' must be one of {list(_VALID_WORKLOADS)}, "
             f"got {self.workload!r}",
         )
-        if self.workload != "fft":
+        if self.workload == "fft":
+            _check(
+                isinstance(self.fft_size, int)
+                and not isinstance(self.fft_size, bool)
+                and self.fft_size in FFT_ANCHOR_SIZES,
+                f"'fft_size' must be one of {list(FFT_ANCHOR_SIZES)} "
+                f"for the fft workload, got {self.fft_size!r}",
+            )
+        else:
             _check(
                 self.fft_size is None,
                 f"'fft_size' only applies to the fft workload, "
@@ -225,30 +270,36 @@ class DSEScenario:
             value = getattr(self, knob)
             if value is not None:
                 _check(
-                    isinstance(value, (int, float))
-                    and not isinstance(value, bool)
-                    and value > 0,
-                    f"{knob!r} must be a positive number, "
+                    _finite(value) and value > 0,
+                    f"{knob!r} must be a positive finite number, "
                     f"got {value!r}",
                 )
         _check(
-            isinstance(self.area_factor, (int, float))
-            and not isinstance(self.area_factor, bool)
-            and self.area_factor > 0,
-            f"'area_factor' must be a positive number, "
+            _finite(self.area_factor) and self.area_factor > 0,
+            f"'area_factor' must be a positive finite number, "
             f"got {self.area_factor!r}",
         )
         _check(
-            isinstance(self.alpha, (int, float))
-            and not isinstance(self.alpha, bool)
-            and self.alpha >= 1.0,
-            f"'alpha' must be a number >= 1, got {self.alpha!r}",
+            _finite(self.alpha) and self.alpha >= 1.0,
+            f"'alpha' must be a finite number >= 1, got {self.alpha!r}",
         )
         _check(
             self.provider in provider_names(),
             f"'provider' must be one of {provider_names()}, "
             f"got {self.provider!r}",
         )
+        measured = substrates_for(self.workload, self.fft_size)
+        for chip in self.chips:
+            named = (
+                [("chip", chip.device)] if chip.kind == "single"
+                else [("segment", seg.device) for seg in chip.segments]
+            )
+            for owner, device in named:
+                _check(
+                    device == BEST_SUBSTRATE or device in measured,
+                    f"{owner} 'device' {device!r} has no {self.workload} "
+                    f"measurement; measured: {list(measured)}",
+                )
         _check(
             len(self.f_values) >= 1,
             "'f_values' must name at least one parallel fraction",
@@ -368,7 +419,10 @@ def _chip_from_payload(entry: Any) -> ChipSpec:
                     f"unknown segment field(s) {seg_unknown}; "
                     f"allowed: ['device', 'name', 'weight']"
                 )
-            parsed.append(SegmentSpec(**dict(seg)))
+            try:
+                parsed.append(SegmentSpec(**dict(seg)))
+            except TypeError as exc:
+                raise ModelError(f"bad segment: {exc}") from None
         fields["segments"] = tuple(parsed)
     try:
         return ChipSpec(**fields)
@@ -452,7 +506,7 @@ def scenario_summary(
     chips = (
         [chip.label for chip in scenario.chips]
         if scenario.chips
-        else list(SUBSTRATES)
+        else list(substrates_for(scenario.workload, scenario.fft_size))
     )
     return {
         "name": scenario.name,

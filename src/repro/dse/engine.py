@@ -45,10 +45,10 @@ from ..perf.batch import GridRows, bound_grid
 from ..projection.engine import node_budget
 from .dsl import (
     BEST_SUBSTRATE,
-    SUBSTRATES,
     ChipSpec,
     DSEScenario,
     SegmentSpec,
+    substrates_for,
 )
 from .front import DSEPoint, pareto_front
 from .providers import DSEProvider, get_provider
@@ -128,8 +128,9 @@ def _best_substrate(
     workload: str, fft_size: Optional[int], bce: BCE
 ) -> str:
     """The highest-``mu`` substrate for a workload (ties: list order)."""
-    best_name, best_mu = SUBSTRATES[0], -math.inf
-    for device in SUBSTRATES:
+    measured = substrates_for(workload, fft_size)
+    best_name, best_mu = measured[0], -math.inf
+    for device in measured:
         mu = _substrate_ucore(device, workload, fft_size, bce).mu
         if mu > best_mu:
             best_name, best_mu = device, mu
@@ -174,13 +175,6 @@ def resolve_chip(
     return MultiUCoreChip(segments), exempt
 
 
-def _default_chip_specs() -> Tuple[ChipSpec, ...]:
-    """Scenario with no chips: the paper's five single-U-core designs."""
-    return tuple(
-        ChipSpec(kind="single", device=device) for device in SUBSTRATES
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class DSEConfig:
     """One fully resolved point of the exploration space.
@@ -218,7 +212,12 @@ def expand_configs(
     """
     provider = get_provider(scenario.provider)
     itrs_scenario = scenario.to_scenario()
-    chip_specs = scenario.chips or _default_chip_specs()
+    # No chips: the paper's single-U-core designs, one per substrate
+    # measured on the workload.
+    chip_specs = scenario.chips or tuple(
+        ChipSpec(kind="single", device=device)
+        for device in substrates_for(scenario.workload, scenario.fft_size)
+    )
     configs: List[DSEConfig] = []
     for chip_idx, chip_spec in enumerate(chip_specs):
         chip, exempt = resolve_chip(

@@ -1,17 +1,17 @@
-"""Trace-context propagation across the three execution substrates.
+"""Trace-context propagation across the three execution hand-offs.
 
 A trace context is the pair ``(trace_id, span_id)`` naming the span
-that is "current" at a point of execution.  The repo runs model code
-on three different substrates, and each needs its own propagation
-mechanism:
+that is "current" at a point of execution.  Model code changes hands
+in three ways, and each needs its own propagation mechanism:
 
 * **asyncio tasks** -- a :class:`contextvars.ContextVar` follows the
   task automatically (each task snapshots the context at creation),
   so concurrent requests never observe each other's span.
-* **dispatcher worker threads** -- ``loop.run_in_executor`` does *not*
-  copy contextvars into the pool thread, so the caller serialises the
-  context into a plain-dict *carrier* (:func:`inject`) and the worker
-  parents its span on the :func:`extract` result.
+* **the micro-batcher's shared flush** -- one grid call serves many
+  callers' traces, so each caller serialises its context into a
+  plain-dict *carrier* (:func:`inject`) when it enqueues, and the
+  flush parents its span on the first traced caller's
+  :func:`extract` result and links the other trace ids.
 * **campaign process pools** -- a child process shares nothing, so
   no context crosses: the worker ships only the wall-clock instant it
   started the task, and the parent builds that task's

@@ -402,8 +402,7 @@ class MetricsRegistry:
     Asking for an existing name returns the existing instrument
     (asking with a *different* instrument type raises -- that is
     always a bug).  Everything is thread-safe; the registry is shared
-    by the event loop, dispatcher threads, job threads and the
-    campaign runner.
+    by the event loop, job threads and the campaign runner.
     """
 
     def __init__(self):

@@ -226,9 +226,9 @@ class Span:
 class Tracer:
     """Creates spans and owns their export (ring buffer + JSONL file).
 
-    Thread-safe: spans finish on the event loop, on dispatcher worker
-    threads, and on the campaign runner's settle path; the buffer and
-    the file handle are guarded by one lock.
+    Thread-safe: spans finish on the event loop, on campaign job and
+    pool threads, and on the campaign runner's settle path; the buffer
+    and the file handle are guarded by one lock.
     """
 
     def __init__(

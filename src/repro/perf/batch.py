@@ -357,12 +357,15 @@ def _evaluate_grid(
     f: float,
     rows: GridRows,
     r_vals: Sequence[float],
+    ceilings: Optional[np.ndarray] = None,
 ):
     """Bounds, feasibility and speedup over the (row, r) grid.
 
     Returns the bound arrays, the effective ``n``, the feasibility
     mask -- ``serial_feasible`` (``1 <= r <= max_serial_r``) and
     ``evaluate_design``'s resource checks -- and the speedup.
+    ``ceilings`` passes in each row's serial ceiling when the caller
+    already has it.
 
     The caller must hold ``np.errstate(divide="ignore",
     invalid="ignore")``: infeasible lanes legitimately produce inf/NaN
@@ -370,7 +373,8 @@ def _evaluate_grid(
     """
     check_fraction(f)
     r, n_area, n_power, n_bandwidth, n = _n_grid(chip, rows, r_vals)
-    ceilings = _serial_ceilings(chip, rows)
+    if ceilings is None:
+        ceilings = _serial_ceilings(chip, rows)
     mask = (r >= 1) & (r <= ceilings[:, None])
     if chip.model_id != "dynamic":
         # evaluate_design: `if n < r ... return None`
@@ -465,21 +469,31 @@ def optimize_batch(
     would raise :class:`~repro.errors.InfeasibleDesignError` (no
     feasible serial core, or no candidate with usable resources) yield
     ``None`` instead, so one infeasible node does not abort a roadmap.
+    The grid stops at the largest serial ceiling among the budgets, so
+    an ``r_max`` past it costs no more than the ceiling itself.
     """
     budgets = list(budgets)
     if not budgets:
         return []
+    rows = GridRows.from_budgets(budgets)
+    ceilings = None
     if r_values is None:
         _check_r_max(r_max)
-        candidates: Sequence[float] = list(range(1, r_max + 1))
+        ceilings = _serial_ceilings(chip, rows)
+        # A column past every row's ceiling is masked in every row and
+        # never wins, so the grid stops at the largest ceiling (fmax
+        # skips NaN): the same answers, at a cost bounded by the
+        # budgets instead of by the caller's r_max.
+        top = float(np.fmax.reduce(ceilings, initial=1.0))
+        candidates: Sequence[float] = list(
+            range(1, int(min(r_max, top)) + 1)
+        )
     else:
         candidates = list(r_values)
         if not candidates:
             return [None] * len(budgets)
     with np.errstate(divide="ignore", invalid="ignore"):
-        arrays = _evaluate_grid(
-            chip, f, GridRows.from_budgets(budgets), candidates
-        )
+        arrays = _evaluate_grid(chip, f, rows, candidates, ceilings)
         best_j = _best_lanes(arrays)
     mask = arrays[4]
     results: List[Optional[DesignPoint]] = []

@@ -13,18 +13,19 @@ turns the batched projection engine into a request/response service:
   Prometheus text, from one per-instance metrics registry.
 
 The layer's core is the **micro-batching dispatcher**
-(:class:`MicroBatcher`): concurrent in-flight requests for the same
-(chip, f) are coalesced within a small time window and evaluated as a
-single NumPy grid call, then de-multiplexed to their callers -- the
-same shape as inference-server request batching.  Layered around it:
-an LRU response cache keyed on the frozen request dataclasses
+(:class:`MicroBatcher`): evaluations for the same (chip, f, r_max)
+that reach it in one event-loop tick -- typically one sweep's five
+nodes -- are coalesced and evaluated as a single NumPy grid call on
+the next tick, inline on the loop, then de-multiplexed to their
+callers, without a timer or a thread.  Layered around it: an LRU
+response cache keyed on the frozen request dataclasses
 (:class:`ResponseCache`), a semaphore admission limiter with
 per-request timeouts and 429/503 shedding, and structured JSON access
 logs (logger ``repro.service.access``).
 
 Start a server from the CLI::
 
-    repro-hetsim serve --port 8080 --batch-window-ms 2 --max-inflight 8
+    repro-hetsim serve --port 8080 --max-inflight 8
 
 or in-process::
 

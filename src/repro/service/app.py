@@ -11,7 +11,9 @@
    answered immediately and never reaches the dispatcher.
 4. **Admit** -- a semaphore caps concurrent evaluations; when the
    wait queue is full the request is shed with 429, and an admitted
-   request that exceeds the evaluation deadline gets 503.
+   request still awaiting its grid call at the deadline gets 503 (a
+   grid call runs inline on the loop and is not interrupted; the
+   batched engine bounds it by the budgets' serial ceiling).
 5. **Evaluate** -- budgets resolve through the memoized
    :func:`~repro.projection.engine.node_budget` and the r-sweep runs
    through the :class:`~repro.service.batching.MicroBatcher`, so
@@ -32,7 +34,6 @@ import json
 import logging
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs
@@ -104,19 +105,15 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 8080
-    #: Width of the micro-batching coalescing window.  0 still
-    #: coalesces requests arriving in the same event-loop tick.
-    batch_window_ms: float = 2.0
     #: Maximum concurrently evaluating requests.
     max_inflight: int = 8
     #: Requests allowed to wait for a slot before 429 shedding.
     queue_depth: int = 64
-    #: Per-request evaluation deadline (seconds) before 503.
+    #: Per-request deadline (seconds) before 503, checked while the
+    #: request awaits its grid call; a running grid call is not cut.
     request_timeout_s: float = 10.0
     #: LRU response-cache capacity (entries).
     cache_size: int = 1024
-    #: Worker threads evaluating NumPy grid calls off the event loop.
-    workers: int = 2
     #: Root of the campaign result store backing ``POST /v1/jobs``;
     #: None keeps job results in an ephemeral temporary directory.
     store_dir: Optional[str] = None
@@ -152,7 +149,7 @@ class ModelService:
 
     One instance per server; use it from a single event loop (the
     admission semaphore binds to the first loop that awaits it).
-    Call :meth:`close` when done to release the worker threads.
+    Call :meth:`close` when done to drain jobs and mark it unready.
     """
 
     def __init__(self, config: Optional[ServiceConfig] = None):
@@ -204,15 +201,8 @@ class ModelService:
         if self.config.trace_file is not None:
             self.tracer.set_export_path(self.config.trace_file)
         self.cache = ResponseCache(maxsize=self.config.cache_size)
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.workers,
-            thread_name_prefix="repro-service",
-        )
-        self.batcher = MicroBatcher(
-            window_s=self.config.batch_window_ms / 1000.0,
-            executor=self._executor,
-            registry=self.registry,
-        )
+        self.batcher = MicroBatcher(registry=self.registry)
+        self._closed = False
         self._semaphore = asyncio.Semaphore(self.config.max_inflight)
         self._waiting = 0
         #: Per-instance SLO accounting; its repro_slo_* gauges render
@@ -267,17 +257,16 @@ class ModelService:
         """Transport hook: log the bound address with the serving knobs."""
         log_event(
             _log, "listening", host=host, port=port,
-            batch_window_ms=self.config.batch_window_ms,
             max_inflight=self.config.max_inflight,
             trace_file=self.config.trace_file,
         )
 
     def close(self) -> None:
-        """Drain jobs, flush the campaign store, release the worker
-        threads and the profiler reference (idempotent)."""
+        """Drain jobs, flush the campaign store, release the profiler
+        reference and report unready from then on (idempotent)."""
+        self._closed = True
         self._drain_fastpath()
         self.jobs.close(drain_timeout_s=self.config.drain_timeout_s)
-        self._executor.shutdown(wait=False)
         if self._sampler_held:
             self._sampler_held = False
             release_sampler()
@@ -540,16 +529,14 @@ class ModelService:
         """Liveness *and* readiness: can this instance actually serve?
 
         ``store`` checks the campaign store is open and its root is
-        reachable; ``dispatcher`` checks the evaluation thread pool is
-        still accepting work.  Any failed check degrades the answer to
-        503 so load balancers stop routing here while the process is
-        shutting down (or its disk has gone away).
+        reachable; ``dispatcher`` checks the service has not been
+        closed.  Any failed check degrades the answer to 503 so load
+        balancers stop routing here while the process is shutting
+        down (or its disk has gone away).
         """
         checks = {
             "store": self.jobs.is_open() and self.jobs.store_ok(),
-            "dispatcher": not getattr(
-                self._executor, "_shutdown", False
-            ),
+            "dispatcher": not self._closed,
         }
         healthy = all(checks.values())
         payload = {

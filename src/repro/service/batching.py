@@ -8,16 +8,19 @@ budget's row of that grid is computed independently (elementwise ops
 broadcast per-row), so stacking unrelated requests into one call
 returns bit-identical results to evaluating them one at a time.
 
-The dispatcher exploits this: the first in-flight request for a
-(chip, f, r_max) key opens a *batch window* (``--batch-window-ms``);
-every further request for the same key that arrives inside the window
-appends its budget to the pending batch; when the window closes the
-whole batch is evaluated by **one** ``optimize_batch`` call on a
-worker thread and the per-budget results are de-multiplexed back to
-their callers' futures.  A roadmap sweep is itself a natural batch --
-its five node budgets share one key and always coalesce -- and
-concurrent users querying the same design at different nodes merge
-the same way.
+The dispatcher exploits this: the first request for a (chip, f,
+r_max) key in an event-loop tick schedules a flush with
+``loop.call_soon``; every further request for the same key enqueued
+in that tick appends its budget to the pending batch; on the next
+tick the flush evaluates the whole batch with **one**
+``optimize_batch`` call, inline on the loop, and de-multiplexes the
+per-budget results back to their callers' futures.  What shares a
+tick is one request's fan-out: a roadmap sweep's five node budgets
+share one key and always coalesce.  Requests arriving on separate
+connections are mostly read in separate ticks and do not.  Nothing
+waits on a timer or a thread; ``optimize_batch`` stops its grid at
+the budgets' largest serial ceiling, so no ``r_max`` makes a flush
+hold the loop longer than that ceiling's grid.
 
 Chips are keyed by identity (``id``): the standard design lists are
 memoized, so equal queries share one chip object, while two distinct
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core.chip import ChipModel
 from ..core.constraints import Budget
@@ -48,8 +51,9 @@ class _Item:
     """One queued evaluation: its budget, future, and trace hooks.
 
     ``carrier`` snapshots the caller's trace context at enqueue time
-    (the flush runs in a different task and thread); ``wait_span``
-    times the caller's coalesce-to-demux wait inside its own trace.
+    (the flush parents its span on the first traced caller and links
+    the rest); ``wait_span`` times the caller's coalesce-to-demux wait
+    inside its own trace.
     """
 
     budget: Budget
@@ -60,7 +64,7 @@ class _Item:
 
 @dataclass
 class _Batch:
-    """One open batch window: a chip/f pair plus queued budgets."""
+    """One pending flush: a chip/f pair plus queued budgets."""
 
     chip: ChipModel
     f: float
@@ -77,14 +81,7 @@ class MicroBatcher:
     ``repro_service_max_batch_items``.
     """
 
-    def __init__(
-        self,
-        window_s: float = 0.002,
-        executor=None,
-        registry: Optional[MetricsRegistry] = None,
-    ):
-        self.window_s = window_s
-        self._executor = executor
+    def __init__(self, registry: Optional[MetricsRegistry] = None):
         self._pending: Dict[tuple, _Batch] = {}
         r = registry if registry is not None else MetricsRegistry()
         self._dispatches = r.counter(
@@ -101,7 +98,7 @@ class MicroBatcher:
         )
 
     def pending_keys(self) -> List[tuple]:
-        """Keys with an open batch window (diagnostics/tests)."""
+        """Keys with a flush scheduled (diagnostics/tests)."""
         return list(self._pending)
 
     async def evaluate(
@@ -115,14 +112,14 @@ class MicroBatcher:
 
         Equivalent to ``optimize_batch(chip, f, [budget], r_max)[0]``
         -- including the ``None``-for-infeasible convention -- except
-        concurrent callers share one grid evaluation.
+        callers enqueued in the same loop tick share one grid
+        evaluation.
 
         Tracing: each caller gets a ``batch.wait`` span inside its own
         trace (enqueue to demux); the flush itself runs as one
-        ``batch.dispatch`` span parented on the caller that *opened*
-        the window, with every coalesced trace id recorded in its
-        ``links`` attribute -- one grid call, many traces, all
-        cross-referenced.
+        ``batch.dispatch`` span parented on the first traced caller,
+        with every coalesced trace id recorded in its ``links``
+        attribute -- one grid call, many traces, all cross-referenced.
         """
         loop = asyncio.get_running_loop()
         future: "asyncio.Future" = loop.create_future()
@@ -137,7 +134,7 @@ class MicroBatcher:
         if batch is None:
             batch = _Batch(chip=chip, f=f, r_max=r_max)
             self._pending[key] = batch
-            loop.create_task(self._flush_after(key, batch))
+            loop.call_soon(self._flush, key, batch)
         batch.items.append(
             _Item(
                 budget=budget,
@@ -162,9 +159,9 @@ class MicroBatcher:
     def _dispatch_span(self, batch: _Batch) -> Optional[Span]:
         """The ``batch.dispatch`` span for one flush, if anyone traced.
 
-        Parented on the window opener's context (the first traced
-        item); the other coalesced callers' trace ids go into the
-        ``links`` attribute so their traces point at this span too.
+        Parented on the first traced item's context; the other
+        coalesced callers' trace ids go into the ``links`` attribute
+        so their traces point at this span too.
         """
         traced = [i.carrier for i in batch.items if i.carrier]
         if not traced:
@@ -187,49 +184,25 @@ class MicroBatcher:
             span.set_attribute("links", links)
         return span
 
-    @staticmethod
-    def _eval_in_thread(
-        carrier: Optional[Dict[str, str]],
-        chip: ChipModel,
-        f: float,
-        budgets: List[Budget],
-        r_max: int,
-    ) -> List[Optional[DesignPoint]]:
-        """Run the grid call on a pool thread as one span.
+    def _flush(self, key: tuple, batch: _Batch) -> None:
+        """Evaluate one batch with one grid call and resolve its futures.
 
-        ``run_in_executor`` does not carry contextvars into the pool
-        thread, so the dispatch span's context crosses as an explicit
-        carrier -- this is what parents the grid-eval span
-        (``perf.optimize_batch``) under ``batch.dispatch``.
+        Runs as a ``call_soon`` callback, one tick after the batch
+        opened, so every same-key call enqueued in between rides along.
         """
-        with get_tracer().span(
-            "perf.optimize_batch",
-            parent=extract(carrier),
-            attributes={"chip": chip.label, "batch_size": len(budgets)},
-        ):
-            return optimize_batch(chip, f, budgets, r_max)
-
-    async def _flush_after(self, key: tuple, batch: _Batch) -> None:
-        await asyncio.sleep(self.window_s)
-        self._pending.pop(key, None)
+        del self._pending[key]
         budgets = [item.budget for item in batch.items]
-        loop = asyncio.get_running_loop()
         span = self._dispatch_span(batch)
-        carrier = inject(span.context) if span is not None else None
         try:
-            if self._executor is None:
-                points = self._eval_in_thread(
-                    carrier, batch.chip, batch.f, budgets, batch.r_max
-                )
-            else:
-                points = await loop.run_in_executor(
-                    self._executor,
-                    self._eval_in_thread,
-                    carrier,
-                    batch.chip,
-                    batch.f,
-                    budgets,
-                    batch.r_max,
+            with get_tracer().span(
+                "perf.optimize_batch",
+                parent=span.context if span is not None else None,
+                attributes={
+                    "chip": batch.chip.label, "batch_size": len(budgets),
+                },
+            ):
+                points = optimize_batch(
+                    batch.chip, batch.f, budgets, batch.r_max
                 )
         except Exception as exc:
             if span is not None:

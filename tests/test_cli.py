@@ -74,18 +74,15 @@ class TestParser:
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1"
         assert args.port == 8080
-        assert args.batch_window_ms == 2.0
         assert args.max_inflight == 8
         assert args.queue_depth == 64
         assert args.timeout_s == 10.0
 
     def test_serve_flags(self):
         args = build_parser().parse_args(
-            ["serve", "--port", "9999", "--batch-window-ms", "5",
-             "--max-inflight", "2"]
+            ["serve", "--port", "9999", "--max-inflight", "2"]
         )
         assert args.port == 9999
-        assert args.batch_window_ms == 5.0
         assert args.max_inflight == 2
 
     def test_version_flag(self, capsys):

@@ -53,7 +53,7 @@ class _Cluster:
     def __init__(self, workers=2, respawn_backoff_s=0.5):
         self.config = ClusterConfig(
             workers=workers,
-            service=ServiceConfig(batch_window_ms=0.5, workers=1),
+            service=ServiceConfig(),
             host="127.0.0.1",
             port=0,
             respawn_backoff_s=respawn_backoff_s,

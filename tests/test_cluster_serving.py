@@ -90,7 +90,7 @@ class _Cluster:
     def __init__(self, workers=2, respawn_backoff_s=0.5, service=None):
         self.config = ClusterConfig(
             workers=workers,
-            service=service or ServiceConfig(batch_window_ms=0.5, workers=1),
+            service=service or ServiceConfig(),
             host="127.0.0.1",
             port=0,
             respawn_backoff_s=respawn_backoff_s,
@@ -159,7 +159,7 @@ class TestRouting:
         routed = json.loads(body)
 
         async def _direct():
-            service = ModelService(ServiceConfig(batch_window_ms=0.5))
+            service = ModelService(ServiceConfig())
             try:
                 return await service.handle_request(
                     "POST", "/v1/speedup", SPEEDUP_BODY
@@ -415,9 +415,7 @@ def materialized(tmp_path_factory):
     build_tensor_store(
         tensor_dir, spec=materialize_spec(f_grid=F_GRID), executor="serial"
     )
-    config = ServiceConfig(
-        batch_window_ms=0.5, workers=1, tensor_dir=str(tensor_dir)
-    )
+    config = ServiceConfig(tensor_dir=str(tensor_dir))
     fleet = _Cluster(workers=2, service=config).start()
     try:
         single = _SingleProcess(config).start()

@@ -1,6 +1,7 @@
 """Unit tests for repro.core.optimizer (the r-sweep)."""
 
 import math
+import time
 
 import pytest
 
@@ -68,6 +69,15 @@ class TestFeasibleR:
         assert feasible_r_values(sym_chip, roomy_budget, r_max=4) == [
             1, 2, 3, 4,
         ]
+
+    def test_r_max_past_the_ceiling_stops_at_the_ceiling(self, sym_chip):
+        # Area 100 binds at r <= 100: a 10**8 r_max lists 1..100 at
+        # once, where walking every candidate takes seconds.
+        budget = Budget(area=100.0, power=1e9)
+        start = time.perf_counter()
+        values = feasible_r_values(sym_chip, budget, r_max=10**8)
+        assert time.perf_counter() - start < 1.0
+        assert values == list(range(1, 101))
 
     def test_default_r_max_constant(self):
         assert DEFAULT_R_MAX == 16

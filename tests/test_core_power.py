@@ -109,3 +109,11 @@ class TestSerialBounds:
     def test_rejects_nonpositive_budget(self, func):
         with pytest.raises(ModelError):
             func(0.0)
+
+    @pytest.mark.parametrize("func", [
+        max_r_for_serial_power, max_r_for_serial_bandwidth,
+    ])
+    def test_bound_past_the_float_range_is_unbounded(self, func):
+        # 1e308 ** (2/1.75) and 1e308 ** 2 overflow a float: no finite
+        # r is excluded, so the bound is inf, not an OverflowError.
+        assert func(1e308) == math.inf

@@ -74,6 +74,51 @@ class TestScenarioValidation:
             ({"name": "x", "provider": "magic"}, "'provider'"),
             ({"name": "x", "f_values": []}, "'f_values'"),
             ({"name": "x", "f_values": [1.5]}, "'f_values'"),
+            ({"name": "x", "alpha": float("inf")}, "'alpha'"),
+            ({"name": "x", "area_factor": float("inf")}, "'area_factor'"),
+            (
+                {"name": "x", "bandwidth_gbps_at_start": float("inf")},
+                "'bandwidth_gbps_at_start'",
+            ),
+            ({"name": "x", "power_budget_w": float("inf")}, "'power_budget_w'"),
+            ({"name": "x", "description": ["a"]}, "'description'"),
+            ({"name": "x", "workload": "fft"}, "'fft_size'"),
+            ({"name": "x", "workload": "fft", "fft_size": 100}, "'fft_size'"),
+            (
+                {"name": "x", "workload": "fft", "fft_size": 1024.0},
+                "'fft_size'",
+            ),
+            (
+                {"name": "x", "chips": [{"kind": "multi", "segments": [
+                    {"name": "k", "weight": float("inf")},
+                ]}]},
+                "'weight'",
+            ),
+            (
+                {"name": "x", "chips": [{"kind": "multi", "segments": [
+                    {"name": "a", "weight": 1e308},
+                    {"name": "b", "weight": 1e308},
+                ]}]},
+                "'weight'",
+            ),
+            (
+                {"name": "x", "chips": [{"kind": "multi", "segments": [
+                    {"name": "a", "weight": 5e-324},
+                    {"name": "b", "weight": 1},
+                ]}]},
+                "'weight'",
+            ),
+            (
+                {"name": "x", "chips": [{"kind": "multi", "segments": [
+                    {"weight": 1},
+                ]}]},
+                "'name'",
+            ),
+            (
+                {"name": "x", "workload": "bs",
+                 "chips": [{"kind": "single", "device": "GTX480"}]},
+                "'device'",
+            ),
         ],
     )
     def test_errors_name_the_offending_field(self, payload, field):

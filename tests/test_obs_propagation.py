@@ -1,8 +1,8 @@
 """Trace propagation across the three execution substrates.
 
 One trace id must survive every hand-off the stack performs: the
-asyncio handler (contextvars), the dispatcher's worker thread
-(explicit carrier through ``run_in_executor``), and the campaign
+asyncio handler (contextvars), the dispatcher's flush callback
+(parented on the first traced caller's carrier), and the campaign
 runner's process pool (parent-side spans backdated to the submit
 instant, workers shipping only wall-clock starts home).  These tests
 pin the parent/child linkage at each seam and that concurrent
@@ -42,7 +42,7 @@ def _run(coro):
 
 
 def _service(**overrides):
-    defaults = dict(batch_window_ms=0.5, request_timeout_s=5.0)
+    defaults = dict(request_timeout_s=5.0)
     defaults.update(overrides)
     return ModelService(ServiceConfig(**defaults))
 
@@ -87,7 +87,7 @@ class TestAsyncioHandler:
         nodes = [45, 32, 22, 16, 11]
 
         async def main():
-            service = _service(batch_window_ms=5.0)
+            service = _service()
             try:
                 return await asyncio.gather(
                     *(
@@ -132,11 +132,11 @@ class TestAsyncioHandler:
 
 class TestDispatcherThread:
     def test_grid_eval_nests_under_batch_dispatch(self):
-        """handler -> coalesce -> thread-pool grid eval is one trace.
+        """handler -> coalesce -> grid eval is one trace.
 
-        The dispatch runs on an executor thread, which does not
-        inherit contextvars -- the linkage below only holds because
-        the batcher carries the context across explicitly.
+        The dispatch runs in a loop callback shared by every coalesced
+        caller -- the linkage below only holds because the batcher
+        parents it on the carrier of the first traced caller.
         """
         get_tracer().clear()
 
@@ -169,7 +169,7 @@ class TestDispatcherThread:
         nodes = [32, 22, 16]
 
         async def main():
-            service = _service(batch_window_ms=10.0)
+            service = _service()
             try:
                 responses = await asyncio.gather(
                     *(

@@ -26,7 +26,7 @@ from repro.core.chip import (
 )
 from repro.core.constraints import Budget
 from repro.core.multicore import MultiUCoreChip, WorkloadSegment
-from repro.core.optimizer import optimize, sweep_designs
+from repro.core.optimizer import DEFAULT_R_MAX, optimize, sweep_designs
 from repro.core.ucore import UCore
 from repro.errors import InfeasibleDesignError, ModelError
 from repro.itrs.scenarios import get_scenario, scenario_names
@@ -60,11 +60,11 @@ def _all_chips():
     ]
 
 
-def _scalar_optimize(chip, f, budget):
+def _scalar_optimize(chip, f, budget, r_max=DEFAULT_R_MAX):
     """Scalar optimize with infeasibility mapped to None (batch's
     convention)."""
     try:
-        return optimize(chip, f, budget)
+        return optimize(chip, f, budget, r_max)
     except InfeasibleDesignError:
         return None
 
@@ -129,6 +129,41 @@ class TestOptimizeBatchMatchesScalar:
 
     def test_empty_budget_list(self):
         assert optimize_batch(SymmetricCMP(), 0.5, []) == []
+
+    @pytest.mark.parametrize("f", (0.5, 0.999))
+    def test_r_max_past_every_ceiling_matches_the_full_grid(self, f):
+        """The grid stops at the largest serial ceiling (149.6 at
+        double-power's 11 nm); the answers equal an explicit
+        ``r = 1..400`` grid, which is not capped, and the scalar
+        path's, for any larger ``r_max``."""
+        scenario = get_scenario("double-power")
+        for design in standard_designs("mmm", None):
+            budgets = [
+                node_budget(
+                    node, "mmm", None, scenario,
+                    bandwidth_exempt=design.bandwidth_exempt,
+                )
+                for node in scenario.roadmap.nodes
+            ] + [Budget(area=100.0, power=0.5)]  # no r fits: None
+            full = optimize_batch(
+                design.chip, f, budgets,
+                r_values=[float(r) for r in range(1, 401)],
+            )
+            assert full[-1] is None
+            for r_max in (400, 10**12):
+                assert optimize_batch(
+                    design.chip, f, budgets, r_max
+                ) == full
+            assert [
+                _scalar_optimize(design.chip, f, b, 10**6)
+                for b in budgets
+            ] == full
+
+    def test_every_row_infeasible_with_a_huge_r_max(self):
+        budgets = [Budget(area=100.0, power=0.5), Budget(area=0.5, power=9.0)]
+        assert optimize_batch(SymmetricCMP(), 0.9, budgets, 10**12) == [
+            None, None,
+        ]
 
     def test_explicit_r_values(self, basic_budget):
         chip = AsymmetricOffloadCMP()

@@ -26,7 +26,7 @@ def _run(coro):
 
 
 def _service(**overrides):
-    defaults = dict(batch_window_ms=0.5, request_timeout_s=5.0)
+    defaults = dict(request_timeout_s=5.0)
     defaults.update(overrides)
     return ModelService(ServiceConfig(**defaults))
 
@@ -280,6 +280,39 @@ class TestOverloadAndTimeout:
         assert metrics["timeouts"] == 1
         assert metrics["requests"]["/v1/speedup"]["503"] == 1
 
+    def test_huge_r_max_grid_stops_at_the_serial_ceiling(self):
+        """Unstubbed: the grid runs inline on the loop and ``r_max``
+        has no upper bound, so the work must be bounded by the budgets.
+        A ``10**12`` sweep answers within a second, alongside a
+        ``/healthz``, with the cells of an ``r_max`` just past
+        double-power's largest serial ceiling (149.6 at 11 nm)."""
+        body = {
+            "workload": "mmm", "f": 0.99, "design": "SymCMP",
+            "scenario": "double-power",
+        }
+
+        async def main():
+            service = _service()
+            loop = asyncio.get_running_loop()
+            try:
+                start = loop.time()
+                huge, health = await asyncio.gather(
+                    _post(service, "/v1/sweep", {**body, "r_max": 10**12}),
+                    service.handle("GET", "/healthz"),
+                )
+                elapsed = loop.time() - start
+                capped = await _post(
+                    service, "/v1/sweep", {**body, "r_max": 150}
+                )
+                return huge, health, capped, elapsed
+            finally:
+                service.close()
+
+        (status, huge), (health, _), (_, capped), elapsed = _run(main())
+        assert (status, health) == (200, 200)
+        assert huge["cells"] == capped["cells"]
+        assert elapsed < 1.0
+
 
 class TestResponseCache:
     def test_cache_hit_short_circuits_dispatcher(self):
@@ -437,7 +470,7 @@ class TestBatchingAcrossRequests:
         nodes = [40, 32, 22, 16, 11]
 
         async def main():
-            service = _service(batch_window_ms=5.0)
+            service = _service()
             results = await asyncio.gather(
                 *(
                     _post(

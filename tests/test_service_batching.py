@@ -23,10 +23,10 @@ def _mmm_designs():
     return {d.short_label: d for d in standard_designs("mmm")}
 
 
-def _batcher(window_s):
+def _batcher():
     """A batcher counting into a registry the test can read."""
     registry = MetricsRegistry()
-    return MicroBatcher(window_s=window_s, registry=registry), registry
+    return MicroBatcher(registry=registry), registry
 
 
 def _count(registry, name="repro_service_batch_dispatches_total"):
@@ -49,7 +49,7 @@ class TestCoalescing:
         budgets = _roadmap_budgets(design)
 
         async def main():
-            batcher, registry = _batcher(0.005)
+            batcher, registry = _batcher()
             points = await asyncio.gather(
                 *(
                     batcher.evaluate(design.chip, 0.99, b)
@@ -71,7 +71,7 @@ class TestCoalescing:
         budgets = _roadmap_budgets(design)
 
         async def main():
-            batcher, registry = _batcher(0.0)
+            batcher, registry = _batcher()
             await asyncio.gather(
                 *(
                     batcher.evaluate(design.chip, 0.99, b)
@@ -87,7 +87,7 @@ class TestCoalescing:
         budget = _roadmap_budgets(design)[0]
 
         async def main():
-            batcher, registry = _batcher(0.005)
+            batcher, registry = _batcher()
             await asyncio.gather(
                 batcher.evaluate(design.chip, 0.9, budget),
                 batcher.evaluate(design.chip, 0.99, budget),
@@ -102,7 +102,7 @@ class TestCoalescing:
         budget = node_budget(BASELINE.roadmap.nodes[0], "mmm", None)
 
         async def main():
-            batcher, registry = _batcher(0.005)
+            batcher, registry = _batcher()
             points = await asyncio.gather(
                 batcher.evaluate(asic.chip, 0.99, budget),
                 batcher.evaluate(sym.chip, 0.99, budget),
@@ -119,7 +119,7 @@ class TestCoalescing:
         budget = _roadmap_budgets(design)[0]
 
         async def main():
-            batcher, registry = _batcher(0.001)
+            batcher, registry = _batcher()
             first = await batcher.evaluate(design.chip, 0.99, budget)
             second = await batcher.evaluate(design.chip, 0.99, budget)
             return registry, first, second
@@ -140,7 +140,7 @@ class TestDemux:
         ]
 
         async def main():
-            batcher = MicroBatcher(window_s=0.005)
+            batcher = MicroBatcher()
             return await asyncio.gather(
                 *(
                     batcher.evaluate(d.chip, 0.999, b)
@@ -158,7 +158,7 @@ class TestDemux:
         tight = Budget(area=0.5, power=0.25, bandwidth=0.5)
 
         async def main():
-            batcher = MicroBatcher(window_s=0.0)
+            batcher = MicroBatcher()
             return await batcher.evaluate(design.chip, 0.99, tight)
 
         assert asyncio.run(main()) is None
@@ -170,7 +170,7 @@ class TestErrors:
         budget = _roadmap_budgets(design)[0]
 
         async def main():
-            batcher, registry = _batcher(0.005)
+            batcher, registry = _batcher()
             results = await asyncio.gather(
                 batcher.evaluate(design.chip, -1.0, budget),
                 batcher.evaluate(design.chip, -1.0, budget),
@@ -187,7 +187,7 @@ class TestErrors:
         budget = _roadmap_budgets(design)[0]
 
         async def main():
-            batcher = MicroBatcher(window_s=0.0)
+            batcher = MicroBatcher()
             await batcher.evaluate(design.chip, 0.99, budget)
             return batcher.pending_keys()
 
@@ -203,7 +203,7 @@ class TestMetricsAccounting:
         registry = MetricsRegistry()
 
         async def main():
-            batcher = MicroBatcher(window_s=0.005, registry=registry)
+            batcher = MicroBatcher(registry=registry)
             await asyncio.gather(
                 *(
                     batcher.evaluate(design.chip, 0.99, b)

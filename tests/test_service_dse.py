@@ -71,6 +71,49 @@ class TestParseDse:
             ({"mode": "halving", "rungs": [4, 2]}, "rungs"),
             ({"r_max": 0}, "r_max"),
             ({"unknown_knob": 1}, "unknown_knob"),
+            ({"scenario": {"name": "x", "alpha": float("inf")}}, "alpha"),
+            (
+                {"scenario": {"name": "x", "area_factor": float("inf")}},
+                "area_factor",
+            ),
+            (
+                {"scenario": {
+                    "name": "x", "bandwidth_gbps_at_start": float("inf"),
+                }},
+                "bandwidth_gbps_at_start",
+            ),
+            (
+                {"scenario": {"name": "x", "power_budget_w": float("inf")}},
+                "power_budget_w",
+            ),
+            (
+                {"scenario": {"name": "x", "description": ["a"]}},
+                "description",
+            ),
+            ({"scenario": {"name": "x", "workload": "fft"}}, "fft_size"),
+            (
+                {"scenario": {
+                    "name": "x", "workload": "fft", "fft_size": 100,
+                }},
+                "fft_size",
+            ),
+            (
+                {"scenario": {"name": "x", "chips": [{
+                    "kind": "multi",
+                    "segments": [{"name": "k", "weight": float("inf")}],
+                }]}},
+                "weight",
+            ),
+            (
+                {"scenario": {"name": "x", "chips": [{
+                    "kind": "multi",
+                    "segments": [
+                        {"name": "a", "weight": 1e308},
+                        {"name": "b", "weight": 1e308},
+                    ],
+                }]}},
+                "weight",
+            ),
         ],
     )
     def test_eager_400_names_the_offending_field(

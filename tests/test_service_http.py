@@ -17,7 +17,7 @@ from repro.service.http import start_server
 
 async def _serve():
     """An ephemeral-port server; returns (service, server, port)."""
-    service = ModelService(ServiceConfig(batch_window_ms=0.5))
+    service = ModelService(ServiceConfig())
     server = await start_server(service, port=0)
     port = server.sockets[0].getsockname()[1]
     return service, server, port

@@ -18,7 +18,7 @@ def _run(coro):
 
 
 def _service(**overrides):
-    defaults = dict(batch_window_ms=0.5, request_timeout_s=5.0)
+    defaults = dict(request_timeout_s=5.0)
     defaults.update(overrides)
     return ModelService(ServiceConfig(**defaults))
 
@@ -151,6 +151,7 @@ class TestHealthzReadiness:
         assert status == 503
         assert payload["status"] == "degraded"
         assert payload["checks"]["store"] is False
+        assert payload["checks"]["dispatcher"] is False
 
 
 class TestPrometheusEndpoint:

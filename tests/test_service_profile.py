@@ -22,7 +22,7 @@ def _run(coro):
 
 
 def _service(**overrides):
-    defaults = dict(batch_window_ms=0.5, request_timeout_s=5.0)
+    defaults = dict(request_timeout_s=5.0)
     defaults.update(overrides)
     return ModelService(ServiceConfig(**defaults))
 

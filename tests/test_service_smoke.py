@@ -27,7 +27,7 @@ def test_concurrent_burst_batches_and_caches():
     nodes = [40, 32, 22, 16, 11]
 
     async def main():
-        service = ModelService(ServiceConfig(batch_window_ms=2.0))
+        service = ModelService(ServiceConfig())
         # Burst: 5 distinct requests sharing one (chip, f) key.
         first = await asyncio.gather(
             *(

@@ -61,7 +61,7 @@ def _tensor_counts(service):
 
 
 def _live_config(**overrides):
-    defaults = dict(batch_window_ms=0.5, request_timeout_s=5.0)
+    defaults = dict(request_timeout_s=5.0)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
 
