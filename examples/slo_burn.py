@@ -60,7 +60,7 @@ def show(tracker, label):
 
 
 async def main():
-    service = ModelService(ServiceConfig(request_timeout_s=5.0))
+    service = ModelService(ServiceConfig())
     clock = ManualClock()
     tracker = SLOTracker(
         objectives=(OBJECTIVE,),

@@ -527,13 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="requests allowed to wait before 429 shedding (default 64)",
     )
     serve.add_argument(
-        "--timeout-s", type=float, default=10.0,
-        help=(
-            "per-request deadline before 503, while a request awaits "
-            "its grid call; a running grid call is not cut (default 10)"
-        ),
-    )
-    serve.add_argument(
         "--cache-size", type=int, default=1024,
         help="LRU response-cache capacity in entries (default 1024)",
     )
@@ -574,7 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "append every finished span as one JSON line to PATH "
             "(the in-memory buffer behind GET /v1/traces stays on "
-            "either way)"
+            "either way); a keep-alive model POST without X-Request-Id "
+            "that answers 2xx records no span"
         ),
     )
     serve.add_argument(
@@ -1468,7 +1462,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 port=args.port,
                 max_inflight=args.max_inflight,
                 queue_depth=args.queue_depth,
-                request_timeout_s=args.timeout_s,
                 cache_size=args.cache_size,
                 store_dir=args.store_dir,
                 tensor_dir=args.tensor_dir,

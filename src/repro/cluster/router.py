@@ -40,11 +40,11 @@ Cross-worker concerns it *does* own:
   untraced keep-alive model POST crosses with no router span, no id
   forwarded and no access line, so the owning worker can answer it
   from its byte cache; it carries whatever ids the worker answered
-  with.  Every other request gets the root ``router.request`` span,
-  whose trace id is forwarded as ``X-Request-Id`` upstream; the
-  worker's identity rule adopts a 32-hex request id as its trace id,
-  so one request is one trace across both processes with zero new
-  protocol.
+  with (none on a 2xx, the worker's own on an error).  Every other
+  request gets the root ``router.request`` span, whose trace id is
+  forwarded as ``X-Request-Id`` upstream; the worker's identity rule
+  adopts a 32-hex request id as its trace id, so one request is one
+  trace across both processes with zero new protocol.
 * **Failure semantics** -- a dead upstream mid-request is retried on
   the next-ranked worker for idempotent GETs; an in-flight POST gets
   an honest one-line 503 (the model cannot know whether the worker
@@ -294,9 +294,9 @@ class Router:
         cache may answer (:func:`~repro.service.tensor.fast_path_eligible`)
         crosses with no router span, no id forwarded upstream and no
         access line, and keeps the ids the worker answered with --
-        none from the byte cache, the worker's own from its full
-        pipeline.  Every other request opens the root
-        ``router.request`` span and carries the router's ids.
+        none on a 2xx, the worker's own on an error.  Every other
+        request opens the root ``router.request`` span and carries
+        the router's ids.
         """
         start = time.perf_counter()
         headers = headers or {}

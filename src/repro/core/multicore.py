@@ -32,6 +32,7 @@ DSE test suite asserts.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -43,7 +44,20 @@ from .hill_marty import PerfLaw, check_resources
 from .power import pollack_perf
 from .ucore import UCore
 
-__all__ = ["WorkloadSegment", "MultiUCoreChip"]
+__all__ = ["WorkloadSegment", "MultiUCoreChip", "normal_weight_shares"]
+
+
+def normal_weight_shares(weights: Sequence[float]) -> bool:
+    """Whether positive ``weights`` split cleanly into shares.
+
+    Each share ``w / total`` feeds a square root and a division in the
+    fabric split, so the total must be finite and every share a normal
+    float (at least ``sys.float_info.min``).
+    """
+    total = sum(weights)
+    return math.isfinite(total) and all(
+        w / total >= sys.float_info.min for w in weights
+    )
 
 
 @dataclass(frozen=True)
@@ -91,8 +105,14 @@ class MultiUCoreChip(ChipModel):
                 "multi-ucore chip needs at least one workload segment"
             )
         self.segments: Tuple[WorkloadSegment, ...] = tuple(segments)
-        total = sum(seg.weight for seg in self.segments)
-        self._g = tuple(seg.weight / total for seg in self.segments)
+        weights = [seg.weight for seg in self.segments]
+        if not normal_weight_shares(weights):
+            raise ModelError(
+                f"segment weights must have a finite total and no share "
+                f"of it below {sys.float_info.min!r}, got {weights!r}"
+            )
+        total = sum(weights)
+        self._g = tuple(w / total for w in weights)
         shape = [
             math.sqrt(g / seg.ucore.mu)
             for g, seg in zip(self._g, self.segments)

@@ -30,12 +30,12 @@ runner.
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from ..core.multicore import normal_weight_shares
 from ..core.power import DEFAULT_ALPHA
 from ..devices.measurements import FFT_ANCHOR_SIZES, all_measurements
 from ..errors import ModelError
@@ -168,13 +168,9 @@ class ChipSpec:
                 len(self.segments) >= 1,
                 "multi chip needs at least one entry in 'segments'",
             )
-            # Each share w/total feeds a square root and a division in
-            # the fabric split, so it must be a normal float.
             weights = [float(seg.weight) for seg in self.segments]
-            total = sum(weights)
             _check(
-                math.isfinite(total)
-                and all(w / total >= sys.float_info.min for w in weights),
+                normal_weight_shares(weights),
                 f"segment 'weight' values must have a finite total and "
                 f"no share of it below {sys.float_info.min!r}, "
                 f"got {weights!r}",

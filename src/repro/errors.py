@@ -113,6 +113,10 @@ class TooManyRequestsError(ServiceError):
 
 
 class ServiceTimeoutError(ServiceError):
-    """The request exceeded the per-request evaluation deadline."""
+    """A request exceeded a deadline (503).
+
+    Kept in the public hierarchy; the service itself sets no deadline
+    (evaluation runs on its event loop, bounded by the grid).
+    """
 
     http_status = 503

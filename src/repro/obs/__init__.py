@@ -12,12 +12,12 @@ cost.  Three coordinated pieces:
   and campaign process pools (parent-side task spans); exported to an in-process
   ring buffer (``GET /v1/traces``) and optionally to a JSONL file.
   The span is the one timing primitive: each is opened by the call
-  that owns a loop (a request, a projection, a sensitivity run, a DSE
-  sweep, a campaign task), and every finished span also records its
-  duration in the ``repro_phase_seconds`` summary (read back per name
-  by :func:`phase_totals`, which the ``BENCH_*.json`` writers embed)
-  and, while sampling, tags the profiler's stacks with ``phase:``
-  (off event-loop threads).
+  that owns a loop (a traced request, a projection, a sensitivity
+  run, a DSE sweep, a campaign task), and every finished span also
+  records its duration in the ``repro_phase_seconds`` summary (read
+  back per name by :func:`phase_totals`, which the ``BENCH_*.json``
+  writers embed) and, while sampling, tags the profiler's stacks with
+  ``phase:`` (off event-loop threads).
 * **Metrics** (:mod:`repro.obs.metrics`) -- one process-wide
   :class:`MetricsRegistry` of counters, gauges and bounded-window
   histograms that the service, the perf cache and the campaign store

@@ -18,6 +18,9 @@ Instruments are get-or-create by name, so independent components (two
 :class:`~repro.campaign.store.ResultStore` instances, say) share one
 counter family and their increments simply add.  Label sets follow the
 Prometheus model: one instrument, many ``(label=value, ...)`` series.
+An instrument validates and sorts a label set once, the first time a
+write names it, and looks the series key up from then on; label values
+must therefore come from a bounded set (a route, never a raw path).
 
 Histograms keep a bounded window of recent observations (a
 serving-horizon estimate, right for long-lived processes) plus
@@ -130,6 +133,22 @@ class _Instrument:
         self.name = name
         self.help = help
         self._lock = threading.Lock()
+        #: The caller's label items -> validated, sorted series key.
+        self._bound: Dict[tuple, Tuple[Tuple[str, str], ...]] = {}
+
+    def _bind(self, labels: Dict[str, str]) -> Tuple[Tuple[str, str], ...]:
+        """The series key of a written label set, validated once.
+
+        Keyed on the items as the caller passed them, so a repeated
+        label set costs one dict lookup instead of a validation and a
+        sort; only writes bind, so the map stays bounded by the
+        instrument's own series.
+        """
+        items = tuple(labels.items())
+        key = self._bound.get(items)
+        if key is None:
+            key = self._bound[items] = _label_key(labels)
+        return key
 
     def _series(self) -> List[Tuple[Tuple[Tuple[str, str], ...], float]]:
         raise NotImplementedError
@@ -174,7 +193,7 @@ class Counter(_Instrument):
             raise ValueError(
                 f"counter {self.name} cannot decrease (got {amount})"
             )
-        key = _label_key(labels)
+        key = self._bind(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
@@ -211,12 +230,12 @@ class Gauge(_Instrument):
         self.callback = callback
 
     def set(self, value: float, **labels: str) -> None:
-        key = _label_key(labels)
+        key = self._bind(labels)
         with self._lock:
             self._values[key] = float(value)
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
-        key = _label_key(labels)
+        key = self._bind(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
@@ -274,7 +293,7 @@ class Histogram(_Instrument):
         trace_id: Optional[str] = None,
         **labels: str,
     ) -> None:
-        key = _label_key(labels)
+        key = self._bind(labels)
         with self._lock:
             window = self._windows.get(key)
             if window is None:

@@ -19,10 +19,17 @@ event-loop thread, where a span stays open across awaits.  There is
 no other timing primitive.
 
 Grain: a span is opened by the call that owns a loop -- one per
-request, batch dispatch, projection, sensitivity run, DSE sweep or
-campaign task -- never inside the loop.  A span with no enclosing span
+traced request, batch dispatch, projection, sensitivity run, DSE sweep
+or campaign task -- never inside the loop.  A span with no enclosing span
 starts its own trace, so an untraced sweep or sensitivity run records
-exactly one span.
+exactly one span.  Serving is opt-in instead: a request's spans
+(``http.request`` and, inside it, ``tensor.lookup``, ``batch.wait``,
+``batch.dispatch`` and ``perf.optimize_batch``) open only for a request
+that sends ``X-Request-Id`` or is not a keep-alive model ``POST``
+(:func:`repro.service.tensor.fast_path_eligible`); an untraced request
+that fails records one backdated ``http.request`` span, and one that
+succeeds records none.  A trace file therefore holds the traced
+requests, the errors and the loop owners, not every request.
 
 The module-level tracer (:func:`get_tracer`) is what the service, the
 campaign runner and the model's loop owners share; tests build private

@@ -19,9 +19,10 @@ nodes -- are coalesced and evaluated as a single NumPy grid call on
 the next tick, inline on the loop, then de-multiplexed to their
 callers, without a timer or a thread.  Layered around it: an LRU
 response cache keyed on the frozen request dataclasses
-(:class:`ResponseCache`), a semaphore admission limiter with
-per-request timeouts and 429/503 shedding, and structured JSON access
-logs (logger ``repro.service.access``).
+(:class:`ResponseCache`), a semaphore admission limiter with 429
+shedding, and structured JSON access logs (logger
+``repro.service.access``) for traced requests -- all but a keep-alive
+model ``POST`` without ``X-Request-Id`` -- and for every error.
 
 Start a server from the CLI::
 

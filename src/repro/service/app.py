@@ -10,17 +10,23 @@
 3. **Cache** -- an LRU keyed on the request dataclass; a hit is
    answered immediately and never reaches the dispatcher.
 4. **Admit** -- a semaphore caps concurrent evaluations; when the
-   wait queue is full the request is shed with 429, and an admitted
-   request still awaiting its grid call at the deadline gets 503 (a
-   grid call runs inline on the loop and is not interrupted; the
-   batched engine bounds it by the budgets' serial ceiling).
+   wait queue is full the request is shed with 429.  There is no
+   deadline: a grid call runs inline on the loop, and the batched
+   engine bounds it by the budgets' serial ceiling.
 5. **Evaluate** -- budgets resolve through the memoized
    :func:`~repro.projection.engine.node_budget` and the r-sweep runs
    through the :class:`~repro.service.batching.MicroBatcher`, so
    concurrent compatible requests share one NumPy grid call.
-6. **Account** -- per-request structured JSON access logs, plus one
-   record per finished request into the instance's metrics registry
-   and SLO tracker, behind both ``GET /metrics`` forms.
+6. **Account** -- one record per finished request into the instance's
+   metrics registry (labelled by route, never by raw path) and SLO
+   tracker, behind both ``GET /metrics`` forms.  Tracing is opt-in by
+   the rule every serving tier shares
+   (:func:`~repro.service.tensor.fast_path_eligible`): a keep-alive
+   model ``POST`` without ``X-Request-Id`` that answers 2xx records
+   nothing else -- no span, no id, no access line -- exactly as a
+   byte-cache replay.  Every other request gets its ids, a root
+   ``http.request`` span and a structured JSON access line; an
+   untraced request that fails gets them too, built when it ends.
 
 The class is deliberately transport-free (``handle(method, path,
 body) -> (status, payload)``) so tests drive the full lifecycle
@@ -34,19 +40,20 @@ import json
 import logging
 import re
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs
 
 from .._version import __version__
 from ..campaign.jobs import JobManager
-from ..obs.context import new_span_id
+from ..obs.context import current_context, new_span_id
 from ..obs.logging import get_logger, log_event
 from ..obs.metrics import MetricsRegistry, get_registry, render_merged
 from ..obs.prof import DEFAULT_HZ, acquire_sampler, release_sampler
 from ..obs.slo import SLObjective, SLOTracker
 from ..obs.stream import EventBus
-from ..obs.trace import get_tracer
+from ..obs.trace import Span, get_tracer
 from ..core.optimizer import optimize
 from ..devices.bce import DEFAULT_BCE
 from ..errors import (
@@ -57,7 +64,6 @@ from ..errors import (
     NotFoundError,
     ReproError,
     ServiceError,
-    ServiceTimeoutError,
     TooManyRequestsError,
 )
 from ..itrs.scenarios import get_scenario
@@ -68,7 +74,7 @@ from .batching import MicroBatcher
 from .events import EventStreamResponse, events_payload
 from .metrics import metrics_payload
 from .respcache import ResponseCache
-from .tensor import TensorServing, TransportFastPath
+from .tensor import TensorServing, TransportFastPath, fast_path_eligible
 from .schemas import (
     OptimizeRequest,
     SpeedupRequest,
@@ -109,9 +115,6 @@ class ServiceConfig:
     max_inflight: int = 8
     #: Requests allowed to wait for a slot before 429 shedding.
     queue_depth: int = 64
-    #: Per-request deadline (seconds) before 503, checked while the
-    #: request awaits its grid call; a running grid call is not cut.
-    request_timeout_s: float = 10.0
     #: LRU response-cache capacity (entries).
     cache_size: int = 1024
     #: Root of the campaign result store backing ``POST /v1/jobs``;
@@ -123,7 +126,9 @@ class ServiceConfig:
     #: running jobs after SIGTERM/SIGINT before exiting anyway.
     drain_timeout_s: float = 5.0
     #: Append every finished span as one JSON line to this file
-    #: (``serve --trace-file``); None keeps spans in memory only.
+    #: (``serve --trace-file``); None keeps spans in memory only.  It
+    #: records what is traced anyway (see
+    #: :meth:`ModelService.handle_request`) and opts no request in.
     trace_file: Optional[str] = None
     #: Log level for the structured JSON logs (``--log-level`` /
     #: ``REPRO_LOG_LEVEL``); None resolves through the environment.
@@ -173,10 +178,6 @@ class ModelService:
         self._shed = r.counter(
             "repro_service_shed_total",
             "Requests shed with 429 at the admission queue",
-        )
-        self._timeouts = r.counter(
-            "repro_service_timeouts_total",
-            "Requests that exceeded the evaluation deadline (503)",
         )
         self._inflight = r.gauge(
             "repro_service_inflight",
@@ -303,50 +304,47 @@ class ModelService:
         raises for request-level failures -- every error becomes a
         ``{"error", "message"}`` payload with the matching status.
 
-        Each request runs inside a root span: the trace id honours a
-        client-supplied ``X-Request-Id`` when it is already a 32-hex
-        trace id, else a fresh trace is started and the request id
-        (generated if absent) rides along as a span attribute and a
-        response header.
+        A request the byte cache could answer
+        (:func:`~repro.service.tensor.fast_path_eligible`: a keep-alive
+        model ``POST`` without ``X-Request-Id``) is untraced: answered
+        2xx, it records its metrics and SLO event only and carries no
+        response headers.  Every other request runs inside a root
+        ``http.request`` span: the trace id honours a client-supplied
+        ``X-Request-Id`` when it is already a 32-hex trace id, else a
+        fresh trace is started and the request id (generated if
+        absent) rides along as a span attribute and a response header.
+        An untraced request that fails gets the same ids, access line
+        and root span, built when it ends and backdated to its start.
         """
         start = time.perf_counter()
         headers = headers or {}
-        request_id, trace_id = self._request_identity(headers)
+        traced = not fast_path_eligible(method, path, headers)
         path, _, query_text = path.partition("?")
         query = parse_qs(query_text) if query_text else {}
-        cache_state: Optional[bool] = None
-        span = self.tracer.span(
-            "http.request",
-            trace_id=trace_id,
-            attributes={
-                "method": method,
-                "path": path,
-                "request_id": request_id,
-            },
-        )
-        with span:
-            try:
-                status, payload, cache_state = await self._dispatch(
+        if traced:
+            span, request_id = self._request_span(method, path, headers)
+            with span:
+                status, payload, cache_state = await self._answer(
                     method, path, body, query, request_id
                 )
-            except ServiceError as exc:
-                status, payload = exc.http_status, error_payload(exc)
-            except InfeasibleDesignError as exc:
-                # Parsed fine, but the budgets admit no design: 422,
-                # with the model's binding-bound message passed through.
-                status, payload = 422, error_payload(exc)
-            except ReproError as exc:
-                # Any other intentional model error is a client error.
-                status, payload = 400, error_payload(exc)
-            span.set_attribute("status", status)
-            if cache_state is not None:
-                span.set_attribute(
-                    "cache", "hit" if cache_state else "miss"
-                )
+                _annotate(span, status, cache_state)
+        else:
+            status, payload, cache_state = await self._answer(
+                method, path, body, query, None
+            )
         latency = time.perf_counter() - start
         # Deferred fast-path accounting drains first so its (older)
         # capture timestamps reach the SLO tracker before this event's.
         self._drain_fastpath()
+        if not traced:
+            if status < 400:
+                self.account(path, status, latency, cache_state)
+                return status, payload, {}
+            # An error stays resolvable through GET /v1/traces.
+            span, request_id = self._request_span(method, path, headers)
+            span.backdate(time.time() - latency, start)
+            _annotate(span, status, cache_state)
+            span.finish()
         self.account(path, status, latency, cache_state, span.trace_id)
         self._log_access(
             method, path, status, latency, cache_state,
@@ -369,16 +367,35 @@ class ModelService:
     ) -> None:
         """Record one finished request: count, latency, cache, SLO.
 
-        ``trace_id`` rides along as the latency sample's exemplar, so
-        the slowest request in the window stays resolvable to its
-        trace; ``now`` is the fast path's capture time (see
-        :meth:`SLOTracker.record`).
+        The ``endpoint`` label is the request's route
+        (:func:`_route_label`), so a client cannot add series by
+        choosing paths.  ``trace_id`` rides along as the latency
+        sample's exemplar, so the slowest traced request in the window
+        stays resolvable to its trace; ``now`` is the fast path's
+        capture time (see :meth:`SLOTracker.record`).
         """
-        self._requests.inc(endpoint=path, status=str(status))
-        self._latency.observe(latency, trace_id=trace_id, endpoint=path)
+        endpoint = _route_label(path)
+        self._requests.inc(endpoint=endpoint, status=str(status))
+        self._latency.observe(latency, trace_id=trace_id, endpoint=endpoint)
         if cache_state is not None:
             self._cache_lookups.inc(result="hit" if cache_state else "miss")
-        self.slo.record(path, latency, error=status >= 500, now=now)
+        self.slo.record(endpoint, latency, error=status >= 500, now=now)
+
+    def _request_span(
+        self, method: str, path: str, headers: Dict[str, str]
+    ) -> Tuple[Span, str]:
+        """A request's root ``http.request`` span and its request id."""
+        request_id, trace_id = self._request_identity(headers)
+        span = self.tracer.span(
+            "http.request",
+            trace_id=trace_id,
+            attributes={
+                "method": method,
+                "path": path,
+                "request_id": request_id,
+            },
+        )
+        return span, request_id
 
     @staticmethod
     def _request_identity(
@@ -398,14 +415,36 @@ class ModelService:
             return supplied, None
         return new_span_id(), None
 
+    async def _answer(
+        self,
+        method: str,
+        path: str,
+        body: bytes,
+        query: Dict[str, Any],
+        request_id: Optional[str],
+    ) -> Tuple[int, Any, Optional[bool]]:
+        """:meth:`_dispatch`, with request-level failures as payloads."""
+        try:
+            return await self._dispatch(method, path, body, query, request_id)
+        except ServiceError as exc:
+            return exc.http_status, error_payload(exc), None
+        except InfeasibleDesignError as exc:
+            # Parsed fine, but the budgets admit no design: 422, with
+            # the model's binding-bound message passed through.
+            return 422, error_payload(exc), None
+        except ReproError as exc:
+            # Any other intentional model error is a client error.
+            return 400, error_payload(exc), None
+
     async def _dispatch(
         self,
         method: str,
         path: str,
         body: bytes,
         query: Dict[str, Any],
-        request_id: str,
+        request_id: Optional[str],
     ) -> Tuple[int, Any, Optional[bool]]:
+        """Route one request (the routes are :data:`_ROUTES`)."""
         if path == "/healthz":
             self._require_method(method, "GET", path)
             self._drain_fastpath()
@@ -507,12 +546,17 @@ class ModelService:
         """
         if self.tensor is None:
             return None
-        with self.tracer.span(
-            "tensor.lookup", attributes={"endpoint": kind}
+        with (
+            nullcontext()
+            if current_context() is None  # an untraced request
+            else self.tracer.span(
+                "tensor.lookup", attributes={"endpoint": kind}
+            )
         ) as span:
             answered = getattr(self.tensor, f"{kind}_payload")(request)
             outcome = "fallback" if answered is None else answered[1]
-            span.set_attribute("outcome", outcome)
+            if span is not None:
+                span.set_attribute("outcome", outcome)
         self.tensor_outcomes.inc(outcome=outcome)
         if answered is None:
             return None
@@ -663,15 +707,7 @@ class ModelService:
             self._waiting -= 1
         self._inflight.inc()
         try:
-            return await asyncio.wait_for(
-                evaluator(request), self.config.request_timeout_s
-            )
-        except asyncio.TimeoutError:
-            self._timeouts.inc()
-            raise ServiceTimeoutError(
-                f"evaluation exceeded the "
-                f"{self.config.request_timeout_s:g}s deadline"
-            ) from None
+            return await evaluator(request)
         finally:
             self._inflight.dec()
             self._semaphore.release()
@@ -837,6 +873,38 @@ class ModelService:
 
 class _ProfilerDisabledError(ServiceError):
     http_status = 503
+
+
+#: Every path :meth:`ModelService._dispatch` routes exactly; job ids
+#: under ``/v1/jobs/`` share one label.
+_ROUTES = frozenset(
+    (
+        "/healthz", "/metrics", "/v1/slo", "/v1/traces", "/v1/profile",
+        "/v1/events", "/v1/jobs", "/v1/dse", "/v1/speedup", "/v1/sweep",
+        "/v1/optimize",
+    )
+)
+
+
+def _route_label(path: str) -> str:
+    """The ``endpoint`` metric label of a request path (no query).
+
+    A routed path is its own label, ``/v1/jobs/<id>`` is
+    ``/v1/jobs/{id}`` and anything else is ``other``: the label set
+    stays bounded whatever paths clients send.
+    """
+    if path in _ROUTES:
+        return path
+    if path.startswith("/v1/jobs/"):
+        return "/v1/jobs/{id}"
+    return "other"
+
+
+def _annotate(span: Span, status: int, cache_state: Optional[bool]) -> None:
+    """Stamp a request's outcome on its root span."""
+    span.set_attribute("status", status)
+    if cache_state is not None:
+        span.set_attribute("cache", "hit" if cache_state else "miss")
 
 
 def _decode_json(body: bytes) -> Any:

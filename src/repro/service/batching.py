@@ -32,6 +32,7 @@ to its chip, so the id cannot be recycled while the key is live.
 from __future__ import annotations
 
 import asyncio
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -96,6 +97,9 @@ class MicroBatcher:
             "repro_service_max_batch_items",
             "Largest micro-batch coalesced so far",
         )
+        #: The gauge's value, kept here: one batcher per registry, and
+        #: its flushes run on one loop.
+        self._largest = 0
 
     def pending_keys(self) -> List[tuple]:
         """Keys with a flush scheduled (diagnostics/tests)."""
@@ -115,11 +119,13 @@ class MicroBatcher:
         callers enqueued in the same loop tick share one grid
         evaluation.
 
-        Tracing: each caller gets a ``batch.wait`` span inside its own
-        trace (enqueue to demux); the flush itself runs as one
+        Tracing: each traced caller gets a ``batch.wait`` span inside
+        its own trace (enqueue to demux); the flush itself runs as one
         ``batch.dispatch`` span parented on the first traced caller,
         with every coalesced trace id recorded in its ``links``
         attribute -- one grid call, many traces, all cross-referenced.
+        A caller outside any span (an untraced request) records none,
+        and a flush with no traced caller opens no span at all.
         """
         loop = asyncio.get_running_loop()
         future: "asyncio.Future" = loop.create_future()
@@ -194,12 +200,17 @@ class MicroBatcher:
         budgets = [item.budget for item in batch.items]
         span = self._dispatch_span(batch)
         try:
-            with get_tracer().span(
-                "perf.optimize_batch",
-                parent=span.context if span is not None else None,
-                attributes={
-                    "chip": batch.chip.label, "batch_size": len(budgets),
-                },
+            with (
+                nullcontext()
+                if span is None
+                else get_tracer().span(
+                    "perf.optimize_batch",
+                    parent=span.context,
+                    attributes={
+                        "chip": batch.chip.label,
+                        "batch_size": len(budgets),
+                    },
+                )
             ):
                 points = optimize_batch(
                     batch.chip, batch.f, budgets, batch.r_max
@@ -214,10 +225,11 @@ class MicroBatcher:
         size = len(batch.items)
         self._dispatches.inc()
         self._items.inc(size)
-        if size > self._max_batch.value():  # flushes run on one loop
+        if size > self._largest:
+            self._largest = size
             self._max_batch.set(size)
         for item, point in zip(batch.items, points):
-            # A caller that timed out meanwhile has a cancelled future.
+            # A caller cancelled meanwhile has a done future.
             if not item.future.done():
                 item.future.set_result(point)
         if span is not None:

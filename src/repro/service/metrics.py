@@ -97,9 +97,6 @@ def metrics_payload(registry: MetricsRegistry) -> Dict[str, Any]:
             "efficiency": items / batches if batches else None,
         },
         "shed": int(registry.counter("repro_service_shed_total").value()),
-        "timeouts": int(
-            registry.counter("repro_service_timeouts_total").value()
-        ),
         "jobs": dict(
             _by_label(registry, "repro_service_jobs_total", "state")
         ),

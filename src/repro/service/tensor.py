@@ -22,9 +22,13 @@ Two layers, both optional (``serve --tensor-dir``):
   per-request overhead (span, access log, header assembly) dominates.
   The fast path applies only to keep-alive ``POST`` requests on the
   three model endpoints that carry **no** ``X-Request-Id`` header
-  (:func:`fast_path_eligible`, which the cluster router applies too)
-  -- sending one is the documented opt-in to per-request tracing and
-  response id headers.  Fast-path responses therefore omit
+  (:func:`fast_path_eligible`) -- sending one is the documented opt-in
+  to per-request tracing and response id headers.  It is the one
+  traced/untraced rule of every serving tier: the byte cache, the
+  cluster router and :meth:`~repro.service.app.ModelService.handle_request`
+  all ask it, so an untraced request records no span, id or access
+  line on whichever tier answers it (an error from the full pipeline
+  still gets all three).  Fast-path responses therefore omit
   ``X-Request-Id``/``X-Trace-Id`` and skip the per-request access log;
   metrics and SLO accounting are preserved exactly via a deferred
   queue drained on every slow-path request, every ``/metrics`` /
@@ -75,14 +79,15 @@ FAST_PATH_ROUTES = {
 def fast_path_eligible(
     method: str, path: str, headers: Dict[str, str]
 ) -> bool:
-    """Whether the byte cache may answer this request.
+    """Whether this request is untraced (so the byte cache may answer).
 
     ``POST`` on a model endpoint, keep-alive, and no ``X-Request-Id``
     header (``headers`` keyed lower-case, as the transport parses
     them).  Supplying a request id is the opt-in to tracing, id echo
-    headers and per-request logs, all of which need the full pipeline.
-    The router asks the same question, so an untraced request crosses
-    the fleet untraced too.
+    headers and per-request logs.  A pure function of the request:
+    the byte cache, the router and the service's full pipeline ask
+    the same question, so an untraced request crosses the fleet
+    untraced too.
     """
     return (
         method == "POST"

@@ -176,7 +176,8 @@ class TestRouting:
             cluster.port, "POST", "/v1/speedup", SPEEDUP_BODY, keep=True
         )
         assert status == 200
-        assert "x-request-id" in headers and "x-trace-id" in headers
+        # Untraced on every tier: no ids from the router or the worker.
+        assert "x-request-id" not in headers and "x-trace-id" not in headers
         status, _, second, conn = _request(
             cluster.port, "POST", "/v1/speedup", SPEEDUP_BODY,
             keep=True, sock=conn,
@@ -496,9 +497,12 @@ class TestMaterializedFleet:
                     routed[1]["content-type"] == direct[1]["content-type"]
                 )
                 assert routed[2] == direct[2]
+                # Only the error carries ids: an untraced 200 is
+                # answered without any, on both tiers.
+                traced = status != b"200"
                 for headers in (routed[1], direct[1]):
-                    assert "x-request-id" in headers
-                    assert "x-trace-id" in headers
+                    assert ("x-request-id" in headers) is traced
+                    assert ("x-trace-id" in headers) is traced
         finally:
             for conn in conns:
                 conn.close()

@@ -122,6 +122,22 @@ class TestMultiUCoreCollapse:
         with pytest.raises(ModelError, match="fabric"):
             chip.speedup(0.99, 4.0, 4.0)
 
+    @pytest.mark.parametrize(
+        "weights", [(5e-324, 1.0), (1e308, 1e308)],
+        ids=["share-underflows", "total-overflows"],
+    )
+    def test_weights_that_cannot_split_are_a_model_error(self, weights):
+        """The rule DSE scenario validation applies, in the model: a
+        finite total and every share a normal float (these weights
+        raised a bare ``ZeroDivisionError`` in the fabric split)."""
+        gpu = ucore_for("GTX480", "mmm")
+        segments = [
+            WorkloadSegment("hot", weights[0], _asic()),
+            WorkloadSegment("simd", weights[1], gpu),
+        ]
+        with pytest.raises(ModelError, match="weights"):
+            MultiUCoreChip(segments)
+
 
 class TestProviders:
     def test_registry(self):

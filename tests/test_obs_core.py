@@ -161,6 +161,36 @@ class TestInstruments:
         with pytest.raises(ValueError):
             c.inc(**{"bad-label": "x"})
 
+    def test_repeated_label_set_is_validated_once(self, monkeypatch):
+        from repro.obs import metrics
+
+        checked = []
+        validate = metrics._label_key
+        monkeypatch.setattr(
+            metrics, "_label_key",
+            lambda labels: checked.append(dict(labels)) or validate(labels),
+        )
+        c = Counter("bound_total")
+        h = Histogram("bound_seconds")
+        g = Gauge("bound_gauge")
+        for _ in range(3):
+            c.inc(endpoint="/a", status="200")
+            h.observe(0.5, endpoint="/a")
+            g.set(1, slo="x")
+        c.inc(status="200", endpoint="/a")  # same series, new order
+        assert checked == [
+            {"endpoint": "/a", "status": "200"},
+            {"endpoint": "/a"},
+            {"slo": "x"},
+            {"status": "200", "endpoint": "/a"},
+        ]
+        assert c.value(endpoint="/a", status="200") == 4
+        assert h.series_summary(endpoint="/a")["count"] == 3
+        # A rejected label set binds nothing and keeps raising.
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                c.inc(**{"bad-label": "x"})
+
 
 class TestPrometheusExposition:
     def _registry(self):

@@ -42,9 +42,7 @@ def _run(coro):
 
 
 def _service(**overrides):
-    defaults = dict(request_timeout_s=5.0)
-    defaults.update(overrides)
-    return ModelService(ServiceConfig(**defaults))
+    return ModelService(ServiceConfig(**overrides))
 
 
 def _speedup_body(node_nm=22, design="GTX285"):
@@ -52,6 +50,10 @@ def _speedup_body(node_nm=22, design="GTX285"):
         {"workload": "bs", "f": 0.9, "design": design,
          "node_nm": node_nm}
     ).encode()
+
+
+#: The opt-in to tracing: a model POST without it records no span.
+_TRACED = {"x-request-id": "req-1"}
 
 
 def _by_name(spans, name):
@@ -70,7 +72,7 @@ class TestAsyncioHandler:
             service = _service()
             try:
                 return await service.handle_request(
-                    "POST", "/v1/speedup", _speedup_body()
+                    "POST", "/v1/speedup", _speedup_body(), _TRACED
                 )
             finally:
                 service.close()
@@ -92,7 +94,8 @@ class TestAsyncioHandler:
                 return await asyncio.gather(
                     *(
                         service.handle_request(
-                            "POST", "/v1/speedup", _speedup_body(nm)
+                            "POST", "/v1/speedup", _speedup_body(nm),
+                            {"x-request-id": f"req-{nm}"},
                         )
                         for nm in nodes
                     )
@@ -144,7 +147,7 @@ class TestDispatcherThread:
             service = _service()
             try:
                 return await service.handle_request(
-                    "POST", "/v1/speedup", _speedup_body()
+                    "POST", "/v1/speedup", _speedup_body(), _TRACED
                 )
             finally:
                 service.close()
@@ -174,7 +177,8 @@ class TestDispatcherThread:
                 responses = await asyncio.gather(
                     *(
                         service.handle_request(
-                            "POST", "/v1/speedup", _speedup_body(nm)
+                            "POST", "/v1/speedup", _speedup_body(nm),
+                            {"x-request-id": f"req-{nm}"},
                         )
                         for nm in nodes
                     )

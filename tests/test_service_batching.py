@@ -66,22 +66,6 @@ class TestCoalescing:
         direct = optimize_batch(design.chip, 0.99, budgets)
         assert points == direct
 
-    def test_zero_window_still_coalesces_one_tick(self):
-        design = _mmm_designs()["ASIC"]
-        budgets = _roadmap_budgets(design)
-
-        async def main():
-            batcher, registry = _batcher()
-            await asyncio.gather(
-                *(
-                    batcher.evaluate(design.chip, 0.99, b)
-                    for b in budgets
-                )
-            )
-            return registry
-
-        assert _count(asyncio.run(main())) == 1
-
     def test_different_f_values_do_not_coalesce(self):
         design = _mmm_designs()["ASIC"]
         budget = _roadmap_budgets(design)[0]
@@ -114,7 +98,7 @@ class TestCoalescing:
         assert points[0].label == "ASIC"
         assert points[1].label == "SymCMP"
 
-    def test_requests_after_window_get_a_fresh_batch(self):
+    def test_requests_after_tick_get_a_fresh_batch(self):
         design = _mmm_designs()["ASIC"]
         budget = _roadmap_budgets(design)[0]
 

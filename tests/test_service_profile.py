@@ -22,9 +22,7 @@ def _run(coro):
 
 
 def _service(**overrides):
-    defaults = dict(request_timeout_s=5.0)
-    defaults.update(overrides)
-    return ModelService(ServiceConfig(**defaults))
+    return ModelService(ServiceConfig(**overrides))
 
 
 class TestProfileEndpoint:

@@ -61,9 +61,7 @@ def _tensor_counts(service):
 
 
 def _live_config(**overrides):
-    defaults = dict(request_timeout_s=5.0)
-    defaults.update(overrides)
-    return ServiceConfig(**defaults)
+    return ServiceConfig(**overrides)
 
 
 async def _collect(service, requests):
@@ -445,7 +443,6 @@ class TestMetricsSurface:
         "repro_service_requests_total",
         "repro_service_response_cache_total",
         "repro_service_shed_total",
-        "repro_service_timeouts_total",
         "repro_service_uptime_seconds",
         "repro_slo_burn_rate",
         "repro_slo_error_budget_remaining",
@@ -461,9 +458,11 @@ class TestMetricsSurface:
         async def main():
             service = ModelService(_live_config(tensor_dir=tensor_dir))
             try:
-                for path, body in self.REQUESTS:
-                    status, _ = await service.handle(
-                        "POST", path, json.dumps(body).encode()
+                for i, (path, body) in enumerate(self.REQUESTS):
+                    # Traced, so every endpoint keeps its exemplar.
+                    status, _, _ = await service.handle_request(
+                        "POST", path, json.dumps(body).encode(),
+                        {"x-request-id": f"surface-{i}"},
                     )
                     assert status in (200, 202), path
                 assert service.jobs.join(timeout=60)
@@ -534,7 +533,6 @@ class TestMetricsSurface:
                 ("dispatches", "items", "max_batch", "efficiency")
             ),
             "shed": None,
-            "timeouts": None,
             "jobs": {"queued": None, "succeeded": None},
             "dse": {"accepted": None, "rejected": None},
             "tensorstore": {
