@@ -17,11 +17,14 @@ up to ``retries`` times with exponential backoff
 its retries is reported as ``failed`` without aborting the rest of
 the campaign.
 
-Alongside the store, the runner maintains a *checkpoint manifest*
+Alongside the store, the runner writes a *checkpoint manifest*
 (``manifest-<spec_hash[:16]>.json`` at the store root): the spec, the
-model version, and the hash of every completed task.  The manifest is
-advisory -- resume correctness derives from the store itself -- but it
-makes a half-finished campaign inspectable without replaying it.
+model version, and the hash of every completed task.  It is written
+twice per run -- when the run starts (the tasks the store already
+held) and when it ends, interrupted or not -- so a half-finished
+campaign is inspectable without replaying it.  The manifest is
+advisory: the fsync'd store entry is each task's checkpoint and the
+only thing resume reads, and live progress is on the event stream.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -62,6 +65,7 @@ from .spec import (
     SensitivityTask,
     SuccessiveHalvingTask,
     canonical_json,
+    flat_asdict,
     task_hash,
 )
 from .store import ResultStore
@@ -123,7 +127,7 @@ def _figure_payload(task: FigureTask) -> Dict[str, Any]:
     winner = result.winner()
     return {
         "kind": "figure",
-        "task": asdict(task),
+        "task": flat_asdict(task),
         "nodes": result.node_labels(),
         "series": series,
         "winner": {
@@ -145,7 +149,7 @@ def _pareto_payload(task: ParetoTask) -> Dict[str, Any]:
     frontier = pareto_frontier(points)
     return {
         "kind": "pareto",
-        "task": asdict(task),
+        "task": flat_asdict(task),
         "candidates": len(points),
         "frontier": [
             {
@@ -179,7 +183,7 @@ def _sensitivity_payload(task: SensitivityTask) -> Dict[str, Any]:
     )
     payload: Dict[str, Any] = {
         "kind": "sensitivity",
-        "task": asdict(task),
+        "task": flat_asdict(task),
     }
     payload.update(summary.payload())
     return payload
@@ -265,9 +269,8 @@ def _manifest_renderer(
     indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
     ``completed`` sorts before every key of ``head``, so ``head`` is
-    encoded once and each checkpoint splices only the sorted list in
-    front of it.  (``indent`` forces the pure-Python encoder, which
-    re-encoding the whole spec on every settle paid for.)
+    encoded once per run and each write splices only the sorted list
+    in front of it (``indent`` forces the pure-Python encoder).
     """
     rest = json.dumps(head, indent=2, sort_keys=True)[1:]
 
@@ -493,9 +496,10 @@ class CampaignRunner:
     def run(self, spec: CampaignSpec) -> CampaignReport:
         """Drain ``spec``: resume from the store, execute the rest.
 
-        Completed tasks are persisted (and the manifest updated) as
-        they finish, so an interrupted run checkpoints everything that
-        completed before the interruption.
+        Completed tasks are persisted to the store as they finish, so
+        an interrupted run checkpoints everything that completed before
+        the interruption.  The manifest is written when the run starts
+        and once more when it ends, even when it ends by an exception.
 
         Tracing: the whole run is one ``campaign.run`` span -- joined
         to the submitting request's trace when the caller attached one
@@ -507,8 +511,8 @@ class CampaignRunner:
         tasks = spec.tasks()
         hashes = [task_hash(task) for task in tasks]
         spec_hash = spec.spec_hash()
-        # The manifest's fixed part, derived and encoded once: every
-        # settle rewrites the manifest.
+        # The manifest's fixed part, derived and encoded once for the
+        # run's two manifest writes.
         manifest_path = self._manifest_path(spec_hash)
         render = _manifest_renderer(
             {
@@ -621,7 +625,6 @@ class CampaignRunner:
                     # task span via the attached context.
                     self.store.put(outcome.hash, outcome.result)
                     completed.append(outcome.hash)
-                    checkpoint(completed)
             # Enrich after the span closed so the outcome carries the
             # final duration; the span is backdated to submit, making
             # duration_ms submit-to-settle wall time.
@@ -637,18 +640,23 @@ class CampaignRunner:
                 done += 1
                 self.progress(outcome, done, total)
 
-        if pending:
-            workers = min(self.workers, len(pending))
-            if self.executor == "cluster":
-                # Imported lazily: repro.cluster pulls in the serving
-                # stack, which imports this module back.
-                from ..cluster.executor import run_cluster_pending
+        try:
+            if pending:
+                workers = min(self.workers, len(pending))
+                if self.executor == "cluster":
+                    # Imported lazily: repro.cluster pulls in the
+                    # serving stack, which imports this module back.
+                    from ..cluster.executor import run_cluster_pending
 
-                run_cluster_pending(self, pending, _settle)
-            elif workers == 1 or self.executor == "serial":
-                self._run_serial(pending, _settle)
-            else:
-                self._run_pooled(pending, workers, _settle)
+                    run_cluster_pending(self, pending, _settle)
+                elif workers == 1 or self.executor == "serial":
+                    self._run_serial(pending, _settle)
+                else:
+                    self._run_pooled(pending, workers, _settle)
+        finally:
+            # The store entry is each task's checkpoint; the manifest
+            # records the run's outcome once, interrupted or not.
+            checkpoint(completed)
 
         return CampaignReport(
             spec=spec,

@@ -25,9 +25,11 @@ on ``hash()`` randomisation).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from ..errors import ModelError
@@ -46,6 +48,7 @@ __all__ = [
     "CampaignSpec",
     "task_hash",
     "canonical_json",
+    "flat_asdict",
     "sha256_text",
 ]
 
@@ -184,6 +187,18 @@ CampaignTask = Union[
 ]
 
 
+@lru_cache(maxsize=None)
+def _field_names(cls: type) -> Tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def flat_asdict(obj: Any) -> Dict[str, Any]:
+    """``dataclasses.asdict`` for a dataclass whose fields are scalars
+    or tuples of scalars (every task and request type): a dict of the
+    fields, without ``asdict``'s recursive deep copy."""
+    return {name: getattr(obj, name) for name in _field_names(type(obj))}
+
+
 def canonical_json(value: Any) -> str:
     """The canonical serialisation hashes and checksums are taken over.
 
@@ -202,7 +217,7 @@ def sha256_text(text: str) -> str:
 
 def task_hash(task: CampaignTask) -> str:
     """SHA-256 content hash of a task's canonical JSON form."""
-    return sha256_text(canonical_json(asdict(task)))
+    return sha256_text(canonical_json(flat_asdict(task)))
 
 
 def _validated(task: CampaignTask) -> CampaignTask:
@@ -252,6 +267,7 @@ def _validate_dse(
     # Imported lazily: repro.dse imports this module for the
     # canonical-JSON helper, so a top-level import would be a cycle.
     from ..dse.dsl import DSEScenario
+    from ..dse.engine import config_count
 
     if not task.scenario_json or not isinstance(task.scenario_json, str):
         raise ModelError(
@@ -286,14 +302,8 @@ def _validate_dse(
             )
     if task.r_max < 1:
         raise ModelError(f"'r_max' must be >= 1, got {task.r_max}")
-    n_chips = max(1, len(scenario.chips))
-    n_nodes = len(scenario.to_scenario().roadmap.nodes)
-    n_configs = (
-        n_chips
-        * n_nodes
-        * len(scenario.f_values)
-        * len(task.area_scale_grid)
-        * len(task.power_scale_grid)
+    n_configs = config_count(
+        scenario, task.area_scale_grid, task.power_scale_grid
     )
     if n_configs > MAX_DSE_CONFIGS:
         raise ModelError(
@@ -445,8 +455,8 @@ class CampaignSpec:
         return {
             "name": self.name,
             "figures": list(self.figures),
-            "pareto": [asdict(t) for t in self.pareto],
-            "sensitivity": [asdict(t) for t in self.sensitivity],
+            "pareto": [flat_asdict(t) for t in self.pareto],
+            "sensitivity": [flat_asdict(t) for t in self.sensitivity],
             "materialize": [
                 _materialize_payload(t) for t in self.materialize
             ],
@@ -517,11 +527,11 @@ class CampaignSpec:
 
 
 def _materialize_payload(task: MaterializeTask) -> Dict[str, Any]:
-    """``asdict`` with the grids as JSON-native lists."""
-    fields = asdict(task)
-    fields["f_grid"] = list(task.f_grid)
-    fields["r_grid"] = list(task.r_grid)
-    return fields
+    """:func:`flat_asdict` with the grids as JSON-native lists."""
+    payload = flat_asdict(task)
+    payload["f_grid"] = list(task.f_grid)
+    payload["r_grid"] = list(task.r_grid)
+    return payload
 
 
 def _grid_tuple(key: str, values: Any, integral: bool) -> Tuple:
@@ -551,13 +561,13 @@ def _grid_tuple(key: str, values: Any, integral: bool) -> Tuple:
 def _dse_payload(
     task: Union[ParetoFrontTask, SuccessiveHalvingTask]
 ) -> Dict[str, Any]:
-    """``asdict`` with the grids as JSON-native lists."""
-    fields = asdict(task)
-    fields["area_scale_grid"] = list(task.area_scale_grid)
-    fields["power_scale_grid"] = list(task.power_scale_grid)
+    """:func:`flat_asdict` with the grids as JSON-native lists."""
+    payload = flat_asdict(task)
+    payload["area_scale_grid"] = list(task.area_scale_grid)
+    payload["power_scale_grid"] = list(task.power_scale_grid)
     if isinstance(task, SuccessiveHalvingTask):
-        fields["rungs"] = list(task.rungs)
-    return fields
+        payload["rungs"] = list(task.rungs)
+    return payload
 
 
 def _dse_grids(fields: Dict[str, Any]) -> Dict[str, Any]:

@@ -10,15 +10,19 @@ scenarios into a production exploration pipeline:
 * :mod:`~repro.dse.providers` -- pluggable performance/constraint
   regimes (Table 1 baseline, Ginosar sqrt(m), Yavits
   temperature-limited Amdahl) behind one interface.
-* :mod:`~repro.dse.engine` -- config-space expansion and evaluation
-  through the existing r-sweep optimizer, one ``dse.exhaustive``
-  span per sweep.
+* :mod:`~repro.dse.engine` -- config-space expansion (a Pareto shard
+  builds only its own slice) and the exhaustive sweep: one grid-kernel
+  call (:func:`repro.perf.batch.optimize_batch`) per run of configs
+  sharing a chip and ``f``, held to the scalar per-config r-sweep;
+  one ``dse.exhaustive`` span per sweep.
 * :mod:`~repro.dse.front` -- the dominance-pruned
   (speedup, area, power) Pareto front, canonically ordered and
   shard-mergeable.
 * :mod:`~repro.dse.halving` -- successive halving with equivalence
-  classes and sound bound-based pruning: the exhaustive front at a
-  fraction of the full evaluations.
+  classes and sound bound-based pruning: the exhaustive front from a
+  fraction of the full evaluations.  Fewer evaluations no longer mean
+  less time: with the sweep on the kernel, halving is the slower
+  search on the spaces benchmarked.
 """
 
 from .dsl import (

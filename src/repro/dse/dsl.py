@@ -327,6 +327,15 @@ class DSEScenario:
             alpha=self.alpha,
         )
 
+    def chip_specs(self) -> Tuple[ChipSpec, ...]:
+        """The chips to explore: ``chips`` or, when none are given,
+        the paper's single-U-core designs, one per substrate measured
+        on the workload."""
+        return self.chips or tuple(
+            ChipSpec(kind="single", device=device)
+            for device in substrates_for(self.workload, self.fft_size)
+        )
+
     # ------------------------------------------------------- serialisation
     def payload(self) -> Dict[str, Any]:
         """A JSON-ready view (round-trips through :meth:`from_payload`)."""
@@ -499,11 +508,7 @@ def scenario_summary(
     scenario: DSEScenario, source: str = "builtin"
 ) -> Dict[str, Any]:
     """One row of ``dse list-scenarios`` output."""
-    chips = (
-        [chip.label for chip in scenario.chips]
-        if scenario.chips
-        else list(substrates_for(scenario.workload, scenario.fft_size))
-    )
+    chips = [chip.label for chip in scenario.chip_specs()]
     return {
         "name": scenario.name,
         "source": source,

@@ -2,26 +2,30 @@
 
 A :class:`DSEScenario` expands into a deterministic list of
 :class:`DSEConfig` -- the cartesian product of chips, parallel
-fractions, roadmap nodes, and area/power budget scales.  Each config
-is evaluated by the existing r-sweep optimizer
-(:func:`repro.core.optimizer.optimize`), wrapped -- when the
-scenario's provider is not the paper baseline -- in a
+fractions, roadmap nodes, and area/power budget scales; a Pareto
+shard expands only its own slice of that list.  When the scenario's
+provider is not the paper baseline, each chip is wrapped in a
 :class:`_ProviderChip` adapter that substitutes the provider's
 sequential law and effective-fabric mapping.  The ``table1`` provider
 is detected (`identity = True`) and skips the wrapper entirely, so
 its results are bit-identical to :mod:`repro.projection`.
 
-An exhaustive sweep runs under one ``dse.exhaustive`` span (config
-and infeasible counts as attributes), and campaign integration lives
-in :func:`execute_pareto_task` (sharded exhaustive sweep; its payload
-carries the shard's dominance-pruned front).
+:func:`exhaustive_sweep` evaluates each run of configs that share a
+chip and a parallel fraction with one grid-kernel call
+(:func:`repro.perf.batch.optimize_batch`) over the run's budgets, for
+every chip kind; :func:`evaluate_config`, one scalar r-sweep
+(:func:`repro.core.optimizer.optimize`) per config, is the reference
+it is tested against.  A sweep runs under one ``dse.exhaustive`` span
+(config and infeasible counts as attributes), and campaign
+integration lives in :func:`execute_pareto_task` (sharded exhaustive
+sweep; its payload carries the shard's dominance-pruned front).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby, islice, product
 from typing import (
     Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
@@ -41,7 +45,7 @@ from ..errors import InfeasibleDesignError, ModelError
 from ..obs.metrics import get_registry
 from ..obs.stream import emit as emit_event
 from ..obs.trace import get_tracer
-from ..perf.batch import GridRows, bound_grid
+from ..perf.batch import GridRows, bound_grid, optimize_batch
 from ..projection.engine import node_budget
 from .dsl import (
     BEST_SUBSTRATE,
@@ -56,6 +60,7 @@ from .providers import DSEProvider, get_provider
 __all__ = [
     "DSEConfig",
     "resolve_chip",
+    "config_count",
     "expand_configs",
     "evaluate_config",
     "exhaustive_sweep",
@@ -198,35 +203,54 @@ class DSEConfig:
     eval_budget: Budget  # provider-transformed
 
 
+def config_count(
+    scenario: DSEScenario,
+    area_scale_grid: Sequence[float] = (1.0,),
+    power_scale_grid: Sequence[float] = (1.0,),
+) -> int:
+    """``len(expand_configs(scenario, area_scale_grid,
+    power_scale_grid))``, counted without expanding."""
+    return (
+        len(scenario.chip_specs())
+        * len(scenario.f_values)
+        * len(scenario.to_scenario().roadmap.nodes)
+        * len(area_scale_grid)
+        * len(power_scale_grid)
+    )
+
+
 def expand_configs(
     scenario: DSEScenario,
     area_scale_grid: Sequence[float] = (1.0,),
     power_scale_grid: Sequence[float] = (1.0,),
     bce: BCE = DEFAULT_BCE,
+    shard: int = 0,
+    shards: int = 1,
 ) -> List[DSEConfig]:
-    """The deterministic config list for one scenario.
+    """The deterministic config list for one scenario, or one shard.
 
-    Order: chips (spec order), then ``f_values``, then roadmap nodes,
-    then the area grid, then the power grid -- stable across runs, so
-    shard assignment (``configs[shard::shards]``) is reproducible.
+    Order: chips (:meth:`~repro.dse.dsl.DSEScenario.chip_specs`), then
+    ``f_values``, then roadmap nodes, then the area grid, then the
+    power grid -- stable across runs, so shard assignment is
+    reproducible.  ``shard``/``shards`` select ``configs[shard::shards]``
+    of that list and build only those configs.  Each scaled budget and
+    its provider transform is built once per (bandwidth exemption,
+    node, area scale, power scale) and shared by every chip and ``f``.
     """
     provider = get_provider(scenario.provider)
     itrs_scenario = scenario.to_scenario()
-    # No chips: the paper's single-U-core designs, one per substrate
-    # measured on the workload.
-    chip_specs = scenario.chips or tuple(
-        ChipSpec(kind="single", device=device)
-        for device in substrates_for(scenario.workload, scenario.fft_size)
-    )
-    configs: List[DSEConfig] = []
-    for chip_idx, chip_spec in enumerate(chip_specs):
+    # One cell per (node, area scale, power scale) and bandwidth
+    # exemption: (node, scales, config-id suffix, budget, eval budget).
+    cells: Dict[bool, List[Tuple]] = {}
+    chips = []
+    for chip_idx, chip_spec in enumerate(scenario.chip_specs()):
         chip, exempt = resolve_chip(
             chip_spec, scenario.workload, scenario.fft_size, bce
         )
         if not provider.identity:
             chip = _ProviderChip(chip, provider)
-        label = chip.label
-        for f in scenario.f_values:
+        if exempt not in cells:
+            cells[exempt] = []
             for node in itrs_scenario.roadmap.nodes:
                 base = node_budget(
                     node,
@@ -239,27 +263,38 @@ def expand_configs(
                 for sa in area_scale_grid:
                     for sp in power_scale_grid:
                         budget = base.scaled(area=sa, power=sp)
-                        configs.append(
-                            DSEConfig(
-                                config_id=(
-                                    f"{label}#{chip_idx}|{node.label}"
-                                    f"|f={f!r}|a={sa!r}|p={sp!r}"
-                                ),
-                                scenario=scenario.name,
-                                provider=scenario.provider,
-                                chip=chip,
-                                chip_label=label,
-                                workload=scenario.workload,
-                                f=f,
-                                node=node.label,
-                                area_scale=float(sa),
-                                power_scale=float(sp),
-                                budget=budget,
-                                eval_budget=provider.transform_budget(
-                                    budget
-                                ),
-                            )
-                        )
+                        cells[exempt].append((
+                            node.label, float(sa), float(sp),
+                            f"a={sa!r}|p={sp!r}",
+                            budget, provider.transform_budget(budget),
+                        ))
+        label = chip.label
+        chips.append(((chip, label, f"{label}#{chip_idx}|"), cells[exempt]))
+    f_ids = [(f, f"|f={f!r}|") for f in scenario.f_values]
+    space = chain.from_iterable(
+        product([head], f_ids, chip_cells) for head, chip_cells in chips
+    )
+    configs: List[DSEConfig] = []
+    for (chip, label, prefix), (f, f_id), cell in islice(
+        space, shard, None, shards
+    ):
+        node, sa, sp, scale_id, budget, eval_budget = cell
+        configs.append(
+            DSEConfig(
+                config_id=prefix + node + f_id + scale_id,
+                scenario=scenario.name,
+                provider=scenario.provider,
+                chip=chip,
+                chip_label=label,
+                workload=scenario.workload,
+                f=f,
+                node=node,
+                area_scale=sa,
+                power_scale=sp,
+                budget=budget,
+                eval_budget=eval_budget,
+            )
+        )
     return configs
 
 
@@ -303,7 +338,11 @@ def evaluate_config(
     r_max: int = DEFAULT_R_MAX,
     r_values: Optional[Sequence[float]] = None,
 ) -> Optional[DSEPoint]:
-    """Full r-sweep for one config; ``None`` when infeasible."""
+    """Full scalar r-sweep for one config; ``None`` when infeasible.
+
+    The reference :func:`exhaustive_sweep` is held to, config by
+    config.
+    """
     try:
         design = optimize(
             config.chip, config.f, config.eval_budget,
@@ -320,18 +359,44 @@ def exhaustive_sweep(
     configs: Sequence[DSEConfig],
     r_max: int = DEFAULT_R_MAX,
 ) -> Tuple[List[DSEPoint], int]:
-    """Evaluate every config fully; returns (points, n_infeasible)."""
+    """Evaluate every config fully; returns (points, n_infeasible).
+
+    Each run of consecutive configs sharing ``(chip, f)`` is one
+    :func:`~repro.perf.batch.optimize_batch` call over the run's
+    provider-transformed budgets.  The points (in config order), the
+    infeasible count and any :class:`~repro.errors.ModelError` raised
+    are those of :func:`evaluate_config` per config, the scalar
+    reference.
+    """
     points: List[DSEPoint] = []
     infeasible = 0
+    counter = _configs_counter()
     with get_tracer().span(
         "dse.exhaustive", attributes={"dse.configs": len(configs)}
     ) as span:
-        for config in configs:
-            point = evaluate_config(config, r_max=r_max)
-            if point is None:
-                infeasible += 1
-            else:
-                points.append(point)
+        for (_, f), run in groupby(
+            configs, key=lambda config: (id(config.chip), config.f)
+        ):
+            block = list(run)
+            designs = optimize_batch(
+                block[0].chip,
+                f,
+                [config.eval_budget for config in block],
+                r_max=r_max,
+            )
+            feasible = [
+                _point_from_design(config, design)
+                for config, design in zip(block, designs)
+                if design is not None
+            ]
+            points.extend(feasible)
+            infeasible += len(block) - len(feasible)
+            if feasible:
+                counter.inc(len(feasible), outcome="ok")
+            if len(feasible) < len(block):
+                counter.inc(
+                    len(block) - len(feasible), outcome="infeasible"
+                )
         span.set_attribute("dse.infeasible", infeasible)
     return points, infeasible
 
@@ -398,21 +463,24 @@ def feasible_signatures(
 def execute_pareto_task(task: Any) -> Dict[str, Any]:
     """Campaign executor for :class:`ParetoFrontTask`.
 
-    Evaluates the task's shard of the config space exhaustively and
-    returns the shard's dominance-pruned front (merging shard fronts
-    recovers the global front; see :mod:`repro.dse.front`).
+    Expands and evaluates only the task's shard of the config space
+    and returns the shard's dominance-pruned front (merging shard
+    fronts recovers the global front; see :mod:`repro.dse.front`).
     """
     import json as _json
 
-    from dataclasses import asdict
+    from ..campaign.spec import flat_asdict
 
     scenario = DSEScenario.from_payload(
         _json.loads(task.scenario_json)
     )
-    configs = expand_configs(
-        scenario, task.area_scale_grid, task.power_scale_grid
+    shard_configs = expand_configs(
+        scenario,
+        task.area_scale_grid,
+        task.power_scale_grid,
+        shard=task.shard,
+        shards=task.shards,
     )
-    shard_configs = configs[task.shard :: task.shards]
     points, infeasible = exhaustive_sweep(
         shard_configs, r_max=task.r_max
     )
@@ -431,10 +499,12 @@ def execute_pareto_task(task: Any) -> Dict[str, Any]:
     )
     return {
         "kind": "dse-pareto",
-        "task": asdict(task),
+        "task": flat_asdict(task),
         "scenario": scenario.name,
         "provider": scenario.provider,
-        "n_configs": len(configs),
+        "n_configs": config_count(
+            scenario, task.area_scale_grid, task.power_scale_grid
+        ),
         "n_shard_configs": len(shard_configs),
         "n_evaluated": len(points),
         "n_infeasible": infeasible,

@@ -19,7 +19,7 @@ removes a global front member.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Sequence
 
 from ..errors import ModelError
@@ -61,7 +61,11 @@ class DSEPoint:
     limiter: str
 
     def payload(self) -> Dict[str, Any]:
-        return asdict(self)
+        # Lazy, like DSEScenario.canonical: importing repro.campaign
+        # loads its runner and jobs modules.
+        from ..campaign.spec import flat_asdict
+
+        return flat_asdict(self)
 
 
 def dominates(a: DSEPoint, b: DSEPoint) -> bool:

@@ -338,7 +338,7 @@ def execute_halving_task(task: Any) -> Dict[str, Any]:
     """Campaign executor for :class:`SuccessiveHalvingTask`."""
     import json as _json
 
-    from dataclasses import asdict
+    from ..campaign.spec import flat_asdict
 
     scenario = DSEScenario.from_payload(
         _json.loads(task.scenario_json)
@@ -360,7 +360,7 @@ def execute_halving_task(task: Any) -> Dict[str, Any]:
         )
     return {
         "kind": "dse-halving",
-        "task": asdict(task),
+        "task": flat_asdict(task),
         "scenario": scenario.name,
         "provider": scenario.provider,
         "n_configs": result.n_configs,

@@ -61,7 +61,6 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import asdict
 from pathlib import Path
 from typing import (
     Any,
@@ -217,6 +216,8 @@ def materialize_task_payload(task) -> Dict[str, Any]:
     :func:`~repro.perf.batch.optimize_batch` calls, at 1/len(r_grid)
     the cost.
     """
+    from ..campaign.spec import flat_asdict
+
     scenario = get_scenario(task.scenario)
     designs = standard_designs(task.workload, task.fft_size)
     matches = [d for d in designs if d.short_label == task.design]
@@ -279,7 +280,7 @@ def materialize_task_payload(task) -> Dict[str, Any]:
             planes.append(rows)
     return {
         "kind": "materialize",
-        "task": asdict(task),
+        "task": flat_asdict(task),
         "design": {
             "short_label": design.short_label,
             "label": design.label,

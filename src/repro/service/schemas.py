@@ -14,10 +14,10 @@ silently-defaulted answer to a misspelled query.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..campaign.spec import CampaignSpec
+from ..campaign.spec import CampaignSpec, flat_asdict
 from ..core.optimizer import DEFAULT_R_MAX, DesignPoint
 from ..errors import BadRequestError, ModelError
 from ..itrs.scenarios import scenario_names
@@ -476,7 +476,7 @@ def _json_number(value: float) -> Any:
 
 def request_payload(request: Any) -> Dict[str, Any]:
     """Echo a parsed request back to the client (canonicalised)."""
-    return asdict(request)
+    return flat_asdict(request)
 
 
 def error_payload(exc: Exception) -> Dict[str, Any]:

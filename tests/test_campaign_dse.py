@@ -106,6 +106,21 @@ class TestSpecValidation:
         with pytest.raises(ModelError, match="config space"):
             CampaignSpec(dse_pareto=(task,)).tasks()
 
+    def test_config_space_counts_the_default_substrates(self):
+        """A scenario without ``chips`` expands one chip per measured
+        substrate (5 on mmm), and the bound counts them: 5 chips x 4 f
+        x 5 nodes x 100 x 100 is 1,000,000 configs, not 200,000."""
+        grid = tuple(float(i + 1) for i in range(100))
+        task = ParetoFrontTask(
+            scenario_json=SCENARIO_JSON,
+            area_scale_grid=grid,
+            power_scale_grid=grid,
+        )
+        with pytest.raises(
+            ModelError, match="config space has 1000000 configs"
+        ):
+            CampaignSpec(dse_pareto=(task,)).tasks()
+
     def test_payload_roundtrip_preserves_hashes(self):
         rebuilt = CampaignSpec.from_payload(SPEC.payload())
         assert rebuilt == SPEC

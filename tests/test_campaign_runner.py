@@ -154,18 +154,19 @@ class TestInterruptAndResume:
         assert manifest["spec"] == SPEC.payload()
 
     def test_manifest_bytes_are_the_sorted_full_encoding(self, tmp_path):
-        """Every checkpoint writes exactly what encoding the whole
-        manifest with sorted keys would, for an empty, a partial and a
-        full completed set.  The runner encodes the rest once and
-        splices ``completed`` in front, which holds only while no
-        other key sorts before it."""
+        """The manifest is written when a run starts and once when it
+        ends, each time exactly what encoding the whole manifest with
+        sorted keys would, for an empty, a partial and a full
+        completed set.  The runner encodes the rest once and splices
+        ``completed`` in front, which holds only while no other key
+        sorts before it."""
         store = ResultStore(tmp_path)
         path = serial_runner(store).manifest_path(SPEC)
         written = []
         serial_runner(
             store, progress=lambda *_: written.append(path.read_text())
         ).run(SPEC)
-        manifest = json.loads(written[-1])
+        manifest = json.loads(path.read_text())
         head = {k: v for k, v in manifest.items() if k != "completed"}
         hashes = manifest["tasks"]
 
@@ -178,10 +179,10 @@ class TestInterruptAndResume:
         render = runner_mod._manifest_renderer(head)
         for completed in ([], hashes[2::-1], hashes):
             assert render(completed) == encoded(completed)
-        # Serial settles complete the tasks in spec order.
-        assert written == [
-            encoded(hashes[:done]) for done in range(1, len(hashes) + 1)
-        ]
+        # The start state holds while the tasks settle, the full set
+        # after the run.
+        assert written == [encoded([])] * len(hashes)
+        assert path.read_text() == encoded(hashes)
 
     def test_spec_is_serialized_once_per_run_not_per_settle(
         self, tmp_path, monkeypatch

@@ -1,19 +1,30 @@
 """CampaignSpec expansion, task hashing, and payload round-trips."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.campaign.spec import (
     CampaignSpec,
     FigureTask,
     MaterializeTask,
+    ParetoFrontTask,
     ParetoTask,
     SensitivityTask,
+    SuccessiveHalvingTask,
     canonical_json,
+    flat_asdict,
     task_hash,
 )
+from repro.dse.front import DSEPoint
 from repro.errors import ModelError
 from repro.perf.grid import CAMPAIGN_FIGURES
 from repro.projection.engine import PAPER_F_VALUES
+from repro.service.schemas import (
+    OptimizeRequest,
+    SpeedupRequest,
+    SweepRequest,
+)
 
 
 class TestExpansion:
@@ -110,6 +121,46 @@ class TestHashing:
         c = CampaignSpec(figures=("F7",))
         assert a.spec_hash() == b.spec_hash()
         assert a.spec_hash() != c.spec_hash()
+
+
+class TestFlatAsdict:
+    """The shallow field dict that task hashes, spec payloads, result
+    echoes, DSE front points and live responses encode equals
+    ``asdict``: every field of these types is a scalar or a tuple of
+    scalars."""
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            SpeedupRequest(workload="fft", f=0.99, design="ASIC",
+                           fft_size=1024),
+            SweepRequest(workload="mmm", f=0.5, design="GTX480",
+                         r_max=4),
+            OptimizeRequest(workload="bs", f=0.9, node_nm=None),
+            FigureTask(figure="F7", f=0.9, method="scalar"),
+            ParetoTask(workload="fft", fft_size=1024, node_nm=11),
+            SensitivityTask(workload="bs", trials=7, seed=3),
+            MaterializeTask(f_grid=(0.5, 0.99), r_grid=(1, 2, 3)),
+            ParetoFrontTask(scenario_json='{"name":"x"}',
+                            area_scale_grid=(0.5, 2.0), shard=1,
+                            shards=3),
+            SuccessiveHalvingTask(scenario_json='{"name":"x"}',
+                                  power_scale_grid=(1.0, 4.0),
+                                  rungs=(1, 8)),
+            DSEPoint(config_id="ASIC#4|45nm|f=0.9|a=1|p=1",
+                     scenario="baseline", provider="table1",
+                     chip="ASIC", workload="mmm", f=0.9, node="45nm",
+                     area_scale=1.0, power_scale=1.0, area=19.0,
+                     power=7.5, speedup=12.5, r=2, n=19.0,
+                     limiter="area"),
+        ],
+        ids=lambda obj: type(obj).__name__,
+    )
+    def test_equals_asdict(self, obj):
+        shallow = flat_asdict(obj)
+        assert shallow == asdict(obj)
+        assert list(shallow) == list(asdict(obj))
+        assert canonical_json(shallow) == canonical_json(asdict(obj))
 
 
 class TestPayloadRoundTrip:

@@ -3,10 +3,12 @@
 ``perfbench/tracing.py`` wraps the layers it times by name (its
 ``TARGETS`` table) and the traced run dies on a name that no longer
 resolves; ``perfbench/launch.py`` and ``perfbench/run.py`` import
-``repro`` names directly.  A refactor that renames or moves any of
-them passes the rest of this suite and still breaks the benchmark, so
-every such name is resolved here -- without calling ``install`` or
-importing the benchmark scripts' own dependencies.
+``repro`` names directly, and ``run.py`` warms the page cache by
+importing a list of modules in a subprocess that must succeed.  A
+refactor that renames or moves any of them passes the rest of this
+suite and still breaks the benchmark, so every such name is resolved
+here -- without calling ``install`` or importing the benchmark
+scripts' own dependencies.
 
 The ``campaign`` workload also checks its results against a digest
 that ``BENCHMARK.json`` records for seed 1; that digest is checked
@@ -87,6 +89,34 @@ def test_every_repro_import_resolves(script):
         module = importlib.import_module(module_name)
         if name is not None:
             assert hasattr(module, name), f"{module_name}.{name}"
+
+
+def _warmed_modules():
+    """The modules ``run.warm_page_cache`` imports in its subprocess,
+    read from its ``import a, b, ...`` string."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text(), filename="run.py")
+    [warm] = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and node.name == "warm_page_cache"
+    ]
+    [statement] = [
+        node.value for node in ast.walk(warm)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.startswith("import ")
+    ]
+    return [
+        name.strip()
+        for name in statement[len("import "):].split(",")
+    ]
+
+
+@pytest.mark.parametrize("module_name", _warmed_modules())
+def test_every_warmed_module_imports(module_name):
+    """A warm-up import that fails stops every workload of the
+    benchmark (the subprocess runs with ``check=True``)."""
+    importlib.import_module(module_name)
 
 
 def test_campaign_seed_1_matches_the_recorded_digest(tmp_path):
