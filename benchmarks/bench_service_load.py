@@ -313,7 +313,7 @@ async def _run_load() -> dict:
         service.close()
 
     with tempfile.TemporaryDirectory(prefix="bench-tensors-") as tdir:
-        build_tensor_store(tdir, executor="thread")
+        build_tensor_store(tdir)
         materialized, tensor_counters = await _run_materialized_phase(
             mix, tdir
         )

@@ -51,7 +51,6 @@ async def main(tensor_dir):
     manifest = build_tensor_store(
         tensor_dir,
         spec=materialize_spec(f_grid=F_GRID),
-        executor="thread",
     )
     cells = sum(
         int(g["shape"][0]) * int(g["shape"][1])

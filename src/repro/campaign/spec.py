@@ -125,6 +125,11 @@ class MaterializeTask:
     evaluation via prefix argmax
     (:func:`repro.perf.batch.optimize_prefix_batch`), which is only
     bit-identical to per-``r_max`` calls over such a prefix family.
+
+    The result holds each channel's ``(node, f, r_max)`` block as
+    base64 of its little-endian float64 bytes; ``encoding`` names that
+    format.  It is a fixed field inside the content hash, so a result
+    stored in an earlier format is a plain miss, never misread.
     """
 
     kind: str = field(default="materialize", init=False)
@@ -134,6 +139,7 @@ class MaterializeTask:
     fft_size: Optional[int] = None
     f_grid: Tuple[float, ...] = ()
     r_grid: Tuple[int, ...] = ()
+    encoding: str = field(default="f64le-base64", init=False)
 
 
 @dataclass(frozen=True)
@@ -592,7 +598,9 @@ def _dse_halving_task(**fields: Any) -> SuccessiveHalvingTask:
 
 
 def _materialize_task(**fields: Any) -> MaterializeTask:
-    """The ``from_payload`` factory: grids arrive as JSON lists."""
+    """The ``from_payload`` factory: grids arrive as JSON lists, and
+    the fixed ``encoding`` is dropped like ``kind``."""
+    fields.pop("encoding", None)
     if "f_grid" in fields:
         fields["f_grid"] = _grid_tuple(
             "f_grid", fields["f_grid"], integral=False

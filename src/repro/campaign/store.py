@@ -34,8 +34,10 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import tempfile
 import threading
+import weakref
 from pathlib import Path
 from typing import Any, Dict, List, NamedTuple, Optional
 
@@ -59,14 +61,22 @@ class StoreStats(NamedTuple):
     corrupt: int
 
 
+def _remove_tree(path: str, owner_pid: int) -> None:
+    # A forked child inherits the finalizer; only the creator removes.
+    if os.getpid() == owner_pid:
+        shutil.rmtree(path, ignore_errors=True)
+
+
 class ResultStore:
     """A content-addressed mapping from task hashes to JSON results.
 
     Args:
         directory: root of the store.  ``None`` creates a fresh
             private temporary directory on first use -- handy for
-            one-shot campaigns and tests; pass a real path to make
-            results durable across invocations.
+            one-shot campaigns and tests -- and removes it when the
+            store is closed or collected, or at interpreter exit; pass
+            a real path to make results durable across invocations (a
+            given directory is never removed).
         model_version: the version dimension of the key; defaults to
             the running package's version.
     """
@@ -79,6 +89,7 @@ class ResultStore:
     ):
         self._directory = Path(directory) if directory is not None else None
         self._ephemeral = directory is None
+        self._cleanup: Optional[weakref.finalize] = None
         self.model_version = model_version
         self._lock = threading.Lock()
         self._hits = 0
@@ -102,10 +113,21 @@ class ResultStore:
     def directory(self) -> Path:
         """The store root (created on first access when ephemeral)."""
         if self._directory is None:
-            self._directory = Path(
-                tempfile.mkdtemp(prefix="repro-campaign-")
+            path = tempfile.mkdtemp(prefix="repro-campaign-")
+            self._directory = Path(path)
+            self._cleanup = weakref.finalize(
+                self, _remove_tree, path, os.getpid()
             )
         return self._directory
+
+    def close(self) -> None:
+        """Remove an ephemeral store's directory now; a store given a
+        directory keeps it.  A closed ephemeral store that is used
+        again starts over in a fresh temporary directory."""
+        if self._cleanup is not None:
+            self._cleanup()
+            self._cleanup = None
+            self._directory = None
 
     @property
     def is_ephemeral(self) -> bool:

@@ -418,15 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="budget scenario to materialize (default: baseline)",
     )
     materialize.add_argument(
-        "--jobs", type=int, default=None,
-        help="campaign worker count (default: CPU count)",
-    )
-    materialize.add_argument(
-        "--executor", default="process",
-        choices=("process", "thread", "serial"),
-        help="campaign pool flavour (default: process)",
-    )
-    materialize.add_argument(
         "--store-dir", default=None, metavar="DIR",
         help=(
             "content-addressed campaign result store; refresh resumes "
@@ -1284,7 +1275,6 @@ def _cmd_dse(action: str, scenario_name: str,
 
 
 def _cmd_materialize(action: str, tensor_dir: str, scenario: str,
-                     jobs: Optional[int], executor: str,
                      store_dir: Optional[str]) -> str:
     from .campaign.store import ResultStore
     from .perf.tensorstore import (
@@ -1332,9 +1322,7 @@ def _cmd_materialize(action: str, tensor_dir: str, scenario: str,
     manifest = build_tensor_store(
         tensor_dir,
         spec=spec,
-        store=ResultStore(store_dir),
-        workers=jobs,
-        executor=executor,
+        store=ResultStore(store_dir) if store_dir is not None else None,
         resume=(action == "refresh"),
     )
     described = TensorStore.load(tensor_dir, verify=True).describe()
@@ -1437,7 +1425,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         elif args.command == "materialize":
             output = _cmd_materialize(
                 args.action, args.tensor_dir, args.scenario,
-                args.jobs, args.executor, args.store_dir,
+                args.store_dir,
             )
         elif args.command == "metrics-dump":
             output = _cmd_metrics_dump(args.dump_format)

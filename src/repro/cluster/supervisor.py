@@ -157,10 +157,24 @@ class WorkerSupervisor:
     def start(self) -> Dict[str, int]:
         """Spawn every worker; returns ``{name: port}`` once all bound."""
         for slot in self._slots.values():
-            self._spawn(slot)
+            self._publish(slot, *self._spawn(slot))
         return self.ports()
 
-    def _spawn(self, slot: _WorkerSlot) -> None:
+    def _publish(self, slot: _WorkerSlot,
+                 process: multiprocessing.Process, port: int) -> None:
+        """Make a bound worker visible to ``alive``/``liveness`` readers."""
+        slot.process = process
+        slot.port = port
+        log_event(
+            _log, "worker.started", worker=slot.name, port=port,
+            pid=process.pid,
+        )
+
+    def _spawn(
+        self, slot: _WorkerSlot
+    ) -> Tuple[multiprocessing.Process, int]:
+        """Start ``slot``'s worker; returns it and its bound port
+        without publishing either."""
         worker_config = dataclasses.replace(
             self.config.service, host=self.config.host, port=0
         )
@@ -192,12 +206,7 @@ class WorkerSupervisor:
             raise ServiceError(
                 f"worker {slot.name} failed to bind: {report['error']}"
             )
-        slot.process = process
-        slot.port = int(report["port"])
-        log_event(
-            _log, "worker.started", worker=slot.name, port=slot.port,
-            pid=process.pid,
-        )
+        return process, int(report["port"])
 
     # ------------------------------------------------------------------
 
@@ -265,15 +274,19 @@ class WorkerSupervisor:
             slot.next_spawn_at = now + backoff
             old_port = slot.port
             try:
-                self._spawn(slot)
+                spawned = self._spawn(slot)
             except ServiceError as exc:
                 log_event(
                     _log, "worker.respawn_failed", worker=slot.name,
                     error=str(exc),
                 )
                 continue
+            # Count before publishing: poll runs off the router's loop
+            # thread, and /healthz must never see the live replacement
+            # with the old count.
             slot.respawns += 1
             self._respawns.inc(worker=slot.name)
+            self._publish(slot, *spawned)
             respawned.append(slot.name)
             log_event(
                 _log, "worker.respawned", worker=slot.name,

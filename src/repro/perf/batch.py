@@ -16,7 +16,10 @@ its own mu and phi.  The Budget-list adapters (:func:`optimize_batch`,
 row per budget -- typically every node of a roadmap.  Monte-Carlo
 sensitivity makes one row per trial (:func:`best_speedups`), and DSE
 equivalence classes read the bound grid of a whole block of configs
-(:func:`bound_grid`).
+(:func:`bound_grid`).  :func:`optimize_prefix_batch` answers every
+``r_max`` of a budget list at once and returns the winners as channel
+arrays (:class:`PrefixOptima`), not :class:`DesignPoint` objects: the
+tensor materializer writes those arrays straight to disk.
 
 Bit-for-bit parity with the scalar reference is a hard requirement
 (the differential tests assert full ``DesignPoint`` equality), so the
@@ -60,6 +63,7 @@ __all__ = [
     "sweep_designs_batch",
     "optimize_batch",
     "optimize_prefix_batch",
+    "PrefixOptima",
     "best_speedups",
     "bound_grid",
 ]
@@ -506,63 +510,94 @@ def optimize_batch(
     return results
 
 
+class PrefixOptima(NamedTuple):
+    """:func:`optimize_prefix_batch`'s answer: one float64 array per
+    channel, shaped ``(len(budgets), len(r_maxes))``.
+
+    Cell ``[i, k]`` describes the point ``optimize_batch(chip, f,
+    [budgets[i]], r_max=r_maxes[k])`` returns: its speedup, ``r``,
+    ``n`` and three bounds, bit for bit, with ``feasible`` 1.0.  Where
+    that call returns None, ``feasible`` is 0.0 and every other
+    channel is NaN.  The field order is the tensor store's channel
+    order.
+    """
+
+    speedup: np.ndarray
+    r: np.ndarray
+    n: np.ndarray
+    n_area: np.ndarray
+    n_power: np.ndarray
+    n_bandwidth: np.ndarray
+    feasible: np.ndarray
+
+
+def _prefix_argmax(score: np.ndarray) -> np.ndarray:
+    """``np.argmax(score[:, :m], axis=1)`` for every ``m``, as column
+    ``m - 1`` of one array shaped like ``score``.
+
+    A prefix's first maximum moves only at a *record*, a column that
+    beats every column before it, so prefix ``m`` is answered by the
+    last record at or before column ``m - 1``.  Ties are not records
+    (the first maximum wins), and ``np.argmax`` ranks NaN above every
+    number: the first NaN is a record and nothing after it is.
+    """
+    before = np.maximum.accumulate(score, axis=1)[:, :-1]
+    record = np.ones(score.shape, dtype=bool)
+    record[:, 1:] = ~(score[:, 1:] <= before) & ~np.isnan(before)
+    columns = np.arange(score.shape[1])
+    return np.maximum.accumulate(np.where(record, columns, 0), axis=1)
+
+
 def optimize_prefix_batch(
     chip: ChipModel,
     f: float,
     budgets: Sequence[Budget],
     r_maxes: Sequence[int],
-) -> Dict[int, List[Optional[DesignPoint]]]:
+) -> PrefixOptima:
     """One grid evaluation answering :func:`optimize_batch` for every
-    ``r_max`` in ``r_maxes`` at once.
+    ``r_max`` in ``r_maxes`` at once, as channel arrays.
 
     The grid columns are r_max-independent: every bound, the
     feasibility mask and the speedup of candidate ``r`` are elementwise
     functions of ``(budget, r)``, and the serial-bound mask is
     ``r <= max_serial_r`` per column.  A smaller ``r_max`` therefore
-    only *restricts the argmax to a prefix* of the same columns, so
-    ``np.argmax(score[:, :r_max])`` over one evaluation at
-    ``max(r_maxes)`` is bit-identical to a fresh
-    ``optimize_batch(..., r_max)`` call -- including first-max-wins
-    tie-breaking, which prefix slicing preserves.
+    only *restricts the argmax to a prefix* of the same columns, so one
+    evaluation at ``max(r_maxes)`` and a prefix argmax that picks each
+    prefix's first maximum, as ``np.argmax`` does, are bit-identical to
+    a fresh ``optimize_batch(..., r_max)`` call per ``r_max``.
 
-    Returns ``{r_max: [point-or-None per budget]}``.  The tensor
-    materializer uses this to fill a whole ``(node, r_max)`` plane with
-    one NumPy pass instead of ``len(r_maxes)`` passes.
+    Returns a :class:`PrefixOptima`; column ``k`` answers
+    ``r_maxes[k]``.  No :class:`DesignPoint` is built: the tensor
+    materializer writes these arrays straight into its channel files.
     """
     budgets = list(budgets)
-    r_maxes = sorted({int(r) for r in r_maxes})
-    if not r_maxes:
-        return {}
-    if not budgets:
-        return {r: [] for r in r_maxes}
-    _check_r_max(r_maxes[0])
-    candidates: Sequence[float] = list(range(1, r_maxes[-1] + 1))
+    r_maxes = [int(r) for r in r_maxes]
+    if not budgets or not r_maxes:
+        shape = (len(budgets), len(r_maxes))
+        return PrefixOptima(*(np.empty(shape) for _ in PrefixOptima._fields))
+    _check_r_max(min(r_maxes))
+    candidates: Sequence[float] = list(range(1, max(r_maxes) + 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        arrays = _evaluate_grid(
+        n_area, n_power, n_bandwidth, n, mask, speedup = _evaluate_grid(
             chip, f, GridRows.from_budgets(budgets), candidates
         )
-        mask, speedup = arrays[4], arrays[5]
-        score = np.where(mask, speedup, -np.inf)
-    # Winning lanes repeat across prefixes; materialise each (i, j)
-    # cell once and share the frozen DesignPoint.
-    memo: Dict[Tuple[int, int], DesignPoint] = {}
-    out: Dict[int, List[Optional[DesignPoint]]] = {}
-    for r_max in r_maxes:
-        best_j = np.argmax(score[:, :r_max], axis=1)
-        points: List[Optional[DesignPoint]] = []
-        for i in range(len(budgets)):
-            j = int(best_j[i])
-            if not mask[i, j]:
-                points.append(None)
-                continue
-            point = memo.get((i, j))
-            if point is None:
-                point = memo[(i, j)] = _make_point(
-                    chip, f, candidates[j], arrays, i, j
-                )
-            points.append(point)
-        out[r_max] = points
-    return out
+        best = _prefix_argmax(np.where(mask, speedup, -np.inf))
+    best = best[:, np.array(r_maxes) - 1]
+    lanes = np.arange(len(budgets))[:, None]
+    feasible = mask[lanes, best]
+
+    def winners(grid: np.ndarray) -> np.ndarray:
+        return np.where(feasible, grid[lanes, best], np.nan)
+
+    return PrefixOptima(
+        speedup=winners(speedup),
+        r=np.where(feasible, best + 1.0, np.nan),
+        n=winners(n),
+        n_area=winners(n_area),
+        n_power=winners(n_power),
+        n_bandwidth=winners(n_bandwidth),
+        feasible=feasible.astype(np.float64),
+    )
 
 
 def best_speedups(

@@ -11,22 +11,26 @@ This module turns that observation into a durable artifact:
 
 * :func:`materialize_spec` expands the design space into
   :class:`~repro.campaign.spec.MaterializeTask` entries -- one per
-  (scenario, workload, design) -- executed by the ordinary
+  (scenario, workload, design) -- executed serially by the ordinary
   :class:`~repro.campaign.runner.CampaignRunner` under a
   content-addressed :class:`~repro.campaign.store.ResultStore`, so a
   rebuild resumes from cached task results and every tensor cell is
-  traceable to a task hash.
+  traceable to a task hash.  Serial, because the default build is
+  about a second of kernel work: a process pool takes longer to start
+  than it saves.
 * :func:`materialize_task_payload` evaluates one design's full
-  ``(f-grid x r-grid x node)`` block via
+  ``(node x f-grid x r-grid)`` block via
   :func:`~repro.perf.batch.optimize_prefix_batch` -- one grid
   evaluation per ``f``, prefix-argmax for every ``r_max``, bit-identical
-  to per-request :func:`~repro.perf.batch.optimize_batch` calls.
-* :func:`build_tensor_store` assembles the campaign results into dense
-  ``(design x node x f x r)`` float64 channel tensors, written as raw
-  little-endian ``.f64`` files named by content hash, described by a
-  checksummed JSON manifest that is published *last* via atomic rename
-  -- the manifest is the commit point; a killed build never leaves a
-  readable-but-wrong store.
+  to per-request :func:`~repro.perf.batch.optimize_batch` calls -- and
+  carries each channel as the base64 of its little-endian float64
+  bytes.  No per-cell object is built and no float goes through text.
+* :func:`build_tensor_store` concatenates those bytes, design by
+  design, into dense ``(design x node x f x r)`` float64 channel
+  tensors, written as raw little-endian ``.f64`` files named by content
+  hash, described by a checksummed JSON manifest that is published
+  *last* via atomic rename -- the manifest is the commit point; a
+  killed build never leaves a readable-but-wrong store.
 * :class:`TensorStore` memory-maps a published store read-only and
   answers lookups without touching the optimizer: exact grid hits,
   harmonic interpolation between bracketing ``f`` grid points, or a
@@ -56,6 +60,7 @@ live compute), so corruption can cost speed, never correctness.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import os
@@ -83,7 +88,7 @@ from ..obs.history import envelope
 from ..obs.trace import get_tracer
 from ..projection.designs import standard_designs
 from ..projection.engine import node_budget
-from .batch import optimize_prefix_batch
+from .batch import PrefixOptima, optimize_prefix_batch
 
 __all__ = [
     "DEFAULT_F_GRID",
@@ -107,16 +112,9 @@ DEFAULT_F_GRID: Tuple[float, ...] = tuple(
     sorted({i / 100 for i in range(101)} | {0.999})
 )
 
-#: Channel order inside every group's tensor block.
-CHANNELS: Tuple[str, ...] = (
-    "speedup",
-    "r",
-    "n",
-    "n_area",
-    "n_power",
-    "n_bandwidth",
-    "feasible",
-)
+#: Channel order inside every group's tensor block: the fields of
+#: :func:`~repro.perf.batch.optimize_prefix_batch`'s answer.
+CHANNELS: Tuple[str, ...] = PrefixOptima._fields
 
 #: The manifest file name -- its atomic appearance *is* the publish.
 MANIFEST_NAME = "tensor-manifest.json"
@@ -140,28 +138,6 @@ _SCHEMA_VERSION = 1
 def default_r_grid() -> Tuple[int, ...]:
     """The contiguous ``r_max`` grid ``(1, ..., DEFAULT_R_MAX)``."""
     return tuple(range(1, DEFAULT_R_MAX + 1))
-
-
-# -- value codec -----------------------------------------------------------
-#
-# Campaign payloads travel through canonical_json (allow_nan=False), so
-# non-finite floats -- the bandwidth-exempt ASIC's infinite bandwidth
-# bound -- are encoded as strings.  repr-shortest floats round-trip
-# exactly, so a value decoded here and written into a float64 tensor is
-# bit-identical to the live computation that produced it.
-
-
-def _encode_value(value: float) -> Any:
-    value = float(value)
-    if math.isfinite(value):
-        return value
-    if math.isnan(value):
-        return "nan"
-    return "inf" if value > 0 else "-inf"
-
-
-def _decode_value(value: Any) -> float:
-    return float(value)
 
 
 # -- campaign expansion ----------------------------------------------------
@@ -207,14 +183,15 @@ def materialize_spec(
 
 
 def materialize_task_payload(task) -> Dict[str, Any]:
-    """One design's dense ``(f x r_max x node)`` block of optima.
+    """One design's dense ``(node x f x r_max)`` block of optima.
 
-    Runs inside campaign workers (module-level, picklable).  For each
-    ``f`` a single :func:`optimize_prefix_batch` call evaluates the
-    whole candidate grid once and reads off the optimum for *every*
-    ``r_max`` -- bit-identical to per-``r_max``
-    :func:`~repro.perf.batch.optimize_batch` calls, at 1/len(r_grid)
-    the cost.
+    For each ``f`` a single :func:`optimize_prefix_batch` call
+    evaluates the whole candidate grid once and reads off the optimum
+    for *every* ``r_max`` -- bit-identical to per-``r_max``
+    :func:`~repro.perf.batch.optimize_batch` calls.  Each channel
+    travels as the exact little-endian float64 bytes of its block,
+    base64-encoded (the task's ``encoding``), which are the bytes the
+    channel file holds: no float is printed or parsed on the way.
     """
     from ..campaign.spec import flat_asdict
 
@@ -248,36 +225,18 @@ def materialize_task_payload(task) -> Dict[str, Any]:
             "f_points": len(task.f_grid),
         },
     ):
-        planes: List[List[List[Optional[Dict[str, Any]]]]] = []
-        for f in task.f_grid:
-            by_r_max = optimize_prefix_batch(
-                design.chip, f, budgets, task.r_grid
-            )
-            rows: List[List[Optional[Dict[str, Any]]]] = []
-            for r_max in task.r_grid:
-                row: List[Optional[Dict[str, Any]]] = []
-                for point in by_r_max[r_max]:
-                    if point is None:
-                        row.append(None)
-                        continue
-                    row.append(
-                        {
-                            "r": point.r,
-                            "n": point.n,
-                            "speedup": _encode_value(point.speedup),
-                            "n_area": _encode_value(
-                                point.bounds.n_area
-                            ),
-                            "n_power": _encode_value(
-                                point.bounds.n_power
-                            ),
-                            "n_bandwidth": _encode_value(
-                                point.bounds.n_bandwidth
-                            ),
-                        }
-                    )
-                rows.append(row)
-            planes.append(rows)
+        optima = [
+            optimize_prefix_batch(design.chip, f, budgets, task.r_grid)
+            for f in task.f_grid
+        ]
+    # zip(*optima) walks channel by channel; stacking on axis 1 lays
+    # each block out as (node, f, r_max), the channel file's order.
+    channels = {
+        name: base64.b64encode(
+            np.stack(per_f, axis=1).astype("<f8", copy=False).tobytes()
+        ).decode("ascii")
+        for name, per_f in zip(CHANNELS, zip(*optima))
+    }
     return {
         "kind": "materialize",
         "task": flat_asdict(task),
@@ -292,7 +251,7 @@ def materialize_task_payload(task) -> Dict[str, Any]:
             {"label": node.label, "node_nm": node.node_nm}
             for node in nodes
         ],
-        "planes": planes,
+        "channels": channels,
     }
 
 
@@ -312,14 +271,14 @@ def _group_stem(key: Tuple[str, str, Optional[int]]) -> str:
 
 
 def _write_channel(directory: Path, stem: str,
-                   array: np.ndarray) -> Dict[str, Any]:
-    """Persist one channel tensor atomically; return its manifest row.
+                   blob: bytes) -> Dict[str, Any]:
+    """Persist one channel tensor's bytes atomically; return its
+    manifest row.
 
     The file name embeds a content-hash prefix, so a rebuild that
     produces different bytes never silently aliases an old file, and a
     manifest always points at exactly the bytes it was computed over.
     """
-    blob = np.ascontiguousarray(array, dtype="<f8").tobytes()
     digest = _sha256_bytes(blob)
     name = f"{stem}-{digest[:8]}.f64"
     path = directory / name
@@ -352,7 +311,9 @@ def _assemble_group(
     entries: Sequence[Tuple[Any, str, Dict[str, Any]]],
     directory: Path,
 ) -> Dict[str, Any]:
-    """Stack one group's task payloads into channel tensors on disk."""
+    """Write one group's channel files: each is its designs' channel
+    blocks concatenated in task order, the C order of a
+    ``(design, node, f, r_max)`` tensor."""
     scenario, workload, fft_size = key
     first_task = entries[0][0]
     f_grid, r_grid = first_task.f_grid, first_task.r_grid
@@ -367,31 +328,22 @@ def _assemble_group(
                 f"materialize tasks for group {key} disagree on nodes"
             )
     shape = (len(entries), len(nodes), len(f_grid), len(r_grid))
-    tensors = {
-        channel: np.full(shape, np.nan, dtype=np.float64)
-        for channel in CHANNELS
-    }
-    tensors["feasible"].fill(0.0)
-    for d_idx, (_, _, payload) in enumerate(entries):
-        planes = payload["planes"]
-        for f_idx in range(len(f_grid)):
-            for r_idx in range(len(r_grid)):
-                for n_idx in range(len(nodes)):
-                    cell = planes[f_idx][r_idx][n_idx]
-                    if cell is None:
-                        continue
-                    tensors["feasible"][d_idx, n_idx, f_idx, r_idx] = 1.0
-                    for channel in CHANNELS[:-1]:
-                        tensors[channel][d_idx, n_idx, f_idx, r_idx] = (
-                            _decode_value(cell[channel])
-                        )
+    block_bytes = len(nodes) * len(f_grid) * len(r_grid) * 8
     stem = _group_stem(key)
-    channels = {
-        channel: _write_channel(
-            directory, f"{stem}-{channel}", tensors[channel]
+    channels = {}
+    for channel in CHANNELS:
+        blocks = [
+            base64.b64decode(payload["channels"][channel])
+            for _, _, payload in entries
+        ]
+        if any(len(block) != block_bytes for block in blocks):
+            raise TensorStoreError(
+                f"materialize results for group {key} hold a "
+                f"{channel!r} block of the wrong size"
+            )
+        channels[channel] = _write_channel(
+            directory, f"{stem}-{channel}", b"".join(blocks)
         )
-        for channel in CHANNELS
-    }
     return {
         "scenario": scenario,
         "workload": workload,
@@ -413,8 +365,6 @@ def build_tensor_store(
     directory: os.PathLike,
     spec=None,
     store=None,
-    workers: Optional[int] = None,
-    executor: str = "process",
     resume: bool = False,
     progress=None,
     timestamp: Optional[float] = None,
@@ -423,29 +373,37 @@ def build_tensor_store(
     """Materialize ``spec`` (default: the full paper grid) into
     ``directory`` and return the published manifest.
 
-    The campaign runs under a :class:`~repro.campaign.store.ResultStore`
-    (``store``; ephemeral when None); with ``resume=True`` an
-    interrupted or repeated build reuses cached task results instead of
-    recomputing them.  Channel files land first, each atomically; the
-    checksummed manifest is renamed into place last and is the store's
-    commit point.
+    The campaign runs serially under a
+    :class:`~repro.campaign.store.ResultStore` (``store``; when None,
+    an ephemeral one removed before this returns); with
+    ``resume=True`` an interrupted or repeated build reuses cached
+    task results instead of recomputing them.  Channel files land
+    first, each atomically; the checksummed manifest is renamed into
+    place last and is the store's commit point.
     """
     from ..campaign.runner import CampaignRunner
-    from ..campaign.spec import task_hash
+    from ..campaign.store import ResultStore
 
     if spec is None:
         spec = materialize_spec()
     tasks = spec.tasks()
     if not tasks:
         raise TensorStoreError("materialize spec expands to no tasks")
-    runner = CampaignRunner(
-        store=store,
-        workers=workers,
-        executor=executor,
-        resume=resume,
-        progress=progress,
-    )
-    report = runner.run(spec)
+    owned = store is None
+    if owned:
+        store = ResultStore()
+    try:
+        # Serial: the default build is about a second of kernel work,
+        # less than a process pool takes to start.
+        report = CampaignRunner(
+            store=store,
+            executor="serial",
+            resume=resume,
+            progress=progress,
+        ).run(spec)
+    finally:
+        if owned:
+            store.close()
     if not report.ok:
         first = next(
             o for o in report.outcomes if o.status == "failed"
@@ -478,7 +436,7 @@ def build_tensor_store(
         "f_grid": list(first_task.f_grid),
         "r_grid": list(first_task.r_grid),
         "groups": group_rows,
-        "task_hashes": sorted(task_hash(task) for task in tasks),
+        "task_hashes": sorted(o.hash for o in report.outcomes),
     }
     manifest["checksum"] = _manifest_checksum(manifest)
     _publish_manifest(directory, manifest)

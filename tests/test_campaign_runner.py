@@ -187,8 +187,9 @@ class TestInterruptAndResume:
     def test_spec_is_serialized_once_per_run_not_per_settle(
         self, tmp_path, monkeypatch
     ):
-        """Each settle rewrites the manifest; the spec's payload is
-        derived once per run, however many tasks settle."""
+        """The manifest is written when a run starts and when it ends;
+        the spec's payload is derived once per run, however many tasks
+        settle."""
         real_payload = CampaignSpec.payload
         calls = {"n": 0}
 

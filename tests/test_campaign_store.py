@@ -1,6 +1,8 @@
 """ResultStore: atomicity, content addressing, corruption handling."""
 
+import gc
 import json
+import os
 
 import pytest
 
@@ -150,6 +152,43 @@ class TestEphemeral:
         store.put(HASH_A, PAYLOAD)
         assert store.get(HASH_A) == PAYLOAD
         assert store.directory.is_dir()
+
+    def test_close_removes_the_temporary_directory(self):
+        store = ResultStore()
+        store.put(HASH_A, PAYLOAD)
+        directory = store.directory
+        store.close()
+        assert not directory.exists()
+        store.close()  # idempotent
+
+    def test_collection_removes_the_temporary_directory(self):
+        store = ResultStore()
+        store.put(HASH_A, PAYLOAD)
+        directory = store.directory
+        del store
+        gc.collect()
+        assert not directory.exists()
+
+    def test_a_given_directory_is_kept(self, tmp_path):
+        store = ResultStore(tmp_path / "kept")
+        path = store.put(HASH_A, PAYLOAD)
+        store.close()
+        del store
+        gc.collect()
+        assert path.is_file()
+
+    def test_a_forked_copy_never_removes_the_parent_directory(self):
+        store = ResultStore()
+        store.put(HASH_A, PAYLOAD)
+        pid = os.fork()
+        if pid == 0:  # the child closes its inherited copy, then exits
+            try:
+                store.close()
+            finally:
+                os._exit(0)
+        os.waitpid(pid, 0)
+        assert store.get(HASH_A) == PAYLOAD
+        store.close()
 
     def test_flush_is_safe_before_and_after_writes(self, store):
         store.flush()

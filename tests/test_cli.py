@@ -225,8 +225,7 @@ class TestMaterializeCommand:
     def test_parser_accepts_actions_and_flags(self):
         args = build_parser().parse_args(
             ["materialize", "build", "--dir", "tensors",
-             "--scenario", "baseline", "--jobs", "2",
-             "--executor", "thread", "--store-dir", "results"]
+             "--scenario", "baseline", "--store-dir", "results"]
         )
         assert args.action == "build"
         assert args.tensor_dir == "tensors"

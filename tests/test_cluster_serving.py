@@ -413,9 +413,7 @@ class _SingleProcess:
 def materialized(tmp_path_factory):
     """A 2-worker fleet and a single-process server over one store."""
     tensor_dir = tmp_path_factory.mktemp("fleet-tensors")
-    build_tensor_store(
-        tensor_dir, spec=materialize_spec(f_grid=F_GRID), executor="serial"
-    )
+    build_tensor_store(tensor_dir, spec=materialize_spec(f_grid=F_GRID))
     config = ServiceConfig(tensor_dir=str(tensor_dir))
     fleet = _Cluster(workers=2, service=config).start()
     try:
@@ -656,6 +654,41 @@ class TestWorkerDeath:
             assert reborn_body == healthy_body
         finally:
             harness.stop()
+
+    def test_respawn_is_counted_before_the_replacement_is_visible(self):
+        """poll runs off the router's loop thread: once /healthz can
+        see a replacement alive, its respawn is already counted."""
+
+        class _Process:
+            pid = 0
+
+            def __init__(self, alive):
+                self.alive = alive
+
+            def is_alive(self):
+                return self.alive
+
+            def join(self, timeout=None):
+                pass
+
+        supervisor = WorkerSupervisor(
+            ClusterConfig(workers=1), registry=MetricsRegistry()
+        )
+        supervisor._slots["w1"].process = _Process(alive=False)
+        seen = []
+        publish = supervisor._publish
+
+        def spy(slot, process, port):
+            seen.append(supervisor.liveness()["workers"]["w1"]["respawns"])
+            publish(slot, process, port)
+
+        supervisor._spawn = lambda slot: (_Process(alive=True), 4242)
+        supervisor._publish = spy
+        assert supervisor.poll() == ["w1"]
+        assert seen == [1]
+        assert supervisor.liveness()["workers"]["w1"] == {
+            "alive": True, "port": 4242, "respawns": 1,
+        }
 
     @pytest.mark.parametrize(
         "keep", [False, True], ids=["close", "keep-alive"]

@@ -13,8 +13,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.chip import (
     AsymmetricCMP,
@@ -32,6 +33,8 @@ from repro.errors import InfeasibleDesignError, ModelError
 from repro.itrs.scenarios import get_scenario, scenario_names
 from repro.perf.batch import (
     GridRows,
+    PrefixOptima,
+    _prefix_argmax,
     best_speedups,
     bound_grid,
     optimize_batch,
@@ -213,6 +216,39 @@ def test_random_budget_parity(area, power, bandwidth, alpha, f,
     ]
 
 
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def _assert_prefix_matches_batch(chip, f, budgets, r_maxes):
+    """Cell [i, k] of every channel is optimize_batch's answer for
+    budgets[i] at r_maxes[k]: feasible exactly where it returns a
+    point, that point's values bit for bit, NaN where it returns None."""
+    prefix = optimize_prefix_batch(chip, f, budgets, r_maxes)
+    for name in PrefixOptima._fields:
+        assert getattr(prefix, name).shape == (len(budgets), len(r_maxes))
+    for k, r_max in enumerate(r_maxes):
+        points = optimize_batch(chip, f, budgets, r_max=r_max)
+        for i, point in enumerate(points):
+            cell = {name: getattr(prefix, name)[i, k]
+                    for name in PrefixOptima._fields}
+            if point is None:
+                assert _bits(cell.pop("feasible")) == _bits(0.0)
+                assert all(np.isnan(v) for v in cell.values()), cell
+                continue
+            assert _bits(cell["feasible"]) == _bits(1.0)
+            expected = {
+                "speedup": point.speedup,
+                "r": point.r,
+                "n": point.n,
+                "n_area": point.bounds.n_area,
+                "n_power": point.bounds.n_power,
+                "n_bandwidth": point.bounds.n_bandwidth,
+            }
+            for name, value in expected.items():
+                assert _bits(cell[name]) == _bits(value), (name, i, r_max)
+
+
 class TestPrefixBatchMatchesBatch:
     """optimize_prefix_batch must equal a fresh optimize_batch call
     for every r_max -- same bit-for-bit contract as the scalar tests
@@ -232,23 +268,15 @@ class TestPrefixBatchMatchesBatch:
                 )
                 for node in scenario.roadmap.nodes
             ]
-            prefix = optimize_prefix_batch(
+            _assert_prefix_matches_batch(
                 design.chip, f, budgets, self.R_MAXES
             )
-            for r_max in self.R_MAXES:
-                assert prefix[r_max] == optimize_batch(
-                    design.chip, f, budgets, r_max=r_max
-                )
 
     def test_all_models_basic_budget(self, basic_budget):
         for chip in _all_chips():
-            prefix = optimize_prefix_batch(
+            _assert_prefix_matches_batch(
                 chip, 0.9, [basic_budget], self.R_MAXES
             )
-            for r_max in self.R_MAXES:
-                assert prefix[r_max] == optimize_batch(
-                    chip, 0.9, [basic_budget], r_max=r_max
-                )
 
     def test_infeasible_cells_match(self):
         chip = HeterogeneousChip(
@@ -259,19 +287,113 @@ class TestPrefixBatchMatchesBatch:
             Budget(area=100.0, power=0.5),
             Budget(area=1.0, power=1e9),
         ]
-        prefix = optimize_prefix_batch(chip, 0.99, budgets, (1, 4, 16))
-        for r_max in (1, 4, 16):
-            assert prefix[r_max] == optimize_batch(
-                chip, 0.99, budgets, r_max=r_max
-            )
+        _assert_prefix_matches_batch(chip, 0.99, budgets, (1, 4, 16))
 
     def test_empty_inputs(self):
-        assert optimize_prefix_batch(SymmetricCMP(), 0.5, [], (1, 2)) == {
-            1: [], 2: [],
-        }
-        assert optimize_prefix_batch(
-            SymmetricCMP(), 0.5, [Budget(area=10.0, power=10.0)], ()
-        ) == {}
+        for budgets, r_maxes in (
+            ([], (1, 2)),
+            ([Budget(area=10.0, power=10.0)], ()),
+        ):
+            prefix = optimize_prefix_batch(
+                SymmetricCMP(), 0.5, budgets, r_maxes
+            )
+            for name in PrefixOptima._fields:
+                assert getattr(prefix, name).shape == (
+                    len(budgets), len(r_maxes)
+                )
+
+
+class _LateFabricCMP(AsymmetricOffloadCMP):
+    """Offload fabric that only fits beside a fast core of r >= 4.
+
+    No vector branch serves it, so the kernel's per-cell fallback
+    evaluates it; at f > 0 a row is infeasible for r_max < 4 and may
+    be feasible from r_max = 4 on.
+    """
+
+    model_id = "late-fabric"
+
+    def bound_area(self, budget, r):
+        return budget.area if r >= 4 else float(r)
+
+
+_PREFIX_CHIPS = _all_chips() + [_LateFabricCMP()]
+_LATE = len(_PREFIX_CHIPS) - 1
+_DYNAMIC = next(
+    i for i, chip in enumerate(_PREFIX_CHIPS)
+    if isinstance(chip, DynamicCMP)
+)
+
+_small_budget = st.builds(
+    Budget,
+    area=st.floats(0.5, 64.0),
+    power=st.floats(0.5, 64.0),
+    bandwidth=st.one_of(st.just(math.inf), st.floats(0.5, 64.0)),
+    alpha=st.floats(1.0, 3.0),
+)
+
+
+@given(
+    budgets=st.lists(_small_budget, min_size=1, max_size=6),
+    f=st.sampled_from(F_VALUES),
+    chip_index=st.integers(0, len(_PREFIX_CHIPS) - 1),
+    r_maxes=st.lists(st.integers(1, 20), min_size=1, max_size=8),
+)
+# Rows feasible only from r_max = 4, a row with no feasible column
+# (power < 1 leaves no serial core) and, on the dynamic chip, tied
+# speedups (every r <= n has the same speedup; the first wins).
+@example(
+    budgets=[Budget(area=32.0, power=32.0), Budget(area=32.0, power=0.7)],
+    f=0.9, chip_index=_LATE, r_maxes=[16, 3, 4, 1],
+)
+@example(
+    budgets=[Budget(area=16.0, power=8.0, alpha=2.0)],
+    f=0.5, chip_index=_DYNAMIC, r_maxes=[1, 2, 8, 16],
+)
+@settings(max_examples=150, deadline=None)
+def test_prefix_batch_parity(budgets, f, chip_index, r_maxes):
+    """optimize_prefix_batch == optimize_batch per r_max, on random
+    budgets small enough that rows and columns go infeasible; r_maxes
+    come in any order, repeats included."""
+    _assert_prefix_matches_batch(
+        _PREFIX_CHIPS[chip_index], f, budgets, r_maxes
+    )
+
+
+def test_parity_examples_reach_their_edge_cases():
+    """The pinned examples above exercise what they claim."""
+    late = optimize_prefix_batch(
+        _PREFIX_CHIPS[_LATE], 0.9,
+        [Budget(area=32.0, power=32.0), Budget(area=32.0, power=0.7)],
+        (1, 3, 4, 16),
+    )
+    assert late.feasible.tolist() == [[0, 0, 1, 1], [0, 0, 0, 0]]
+    dynamic = _PREFIX_CHIPS[_DYNAMIC]
+    budget = Budget(area=16.0, power=8.0, alpha=2.0)
+    tied = sweep_designs_batch(dynamic, 0.5, budget, r_max=8)
+    assert len(tied) == 8 and len({p.speedup for p in tied}) == 1
+    [best] = optimize_batch(dynamic, 0.5, [budget], r_max=8)
+    assert best.r == 1
+
+
+@given(
+    score=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 4), st.integers(1, 12)),
+        elements=st.sampled_from(
+            (-np.inf, -1.5, 0.0, 1.0, 2.0, np.inf, np.nan)
+        ),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_prefix_argmax_is_argmax_of_every_prefix(score):
+    """Ties, -inf rows and NaN are ranked exactly as np.argmax ranks
+    them."""
+    best = _prefix_argmax(score)
+    for m in range(1, score.shape[1] + 1):
+        assert best[:, m - 1].tolist() == (
+            np.argmax(score[:, :m], axis=1).tolist()
+        )
 
 
 _row = st.tuples(

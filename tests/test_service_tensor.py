@@ -42,7 +42,6 @@ def tensor_dir(tmp_path_factory):
     build_tensor_store(
         directory,
         spec=materialize_spec(f_grid=F_GRID),
-        executor="serial",
     )
     return directory
 

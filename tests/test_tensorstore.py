@@ -16,9 +16,14 @@ The contract under test is the serving fast path's foundation:
   exist.
 """
 
+import hashlib
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+import tempfile
 
 import pytest
 
@@ -48,7 +53,6 @@ def store_dir(tmp_path_factory):
         directory,
         spec=materialize_spec(workloads=WORKLOADS, f_grid=F_GRID,
                               r_grid=R_GRID),
-        executor="serial",
     )
     return directory
 
@@ -271,7 +275,6 @@ class TestInterpolation:
                 f_grid=(0.4, 0.5, 0.6),
                 r_grid=R_GRID,
             ),
-            executor="serial",
         )
         narrow = TensorStore.load(directory)
         for f in (0.1, 0.39, 0.61, 0.99):
@@ -291,3 +294,134 @@ class TestInterpolation:
             )
             assert cell.outcome == "miss"
             assert cell.reason == "non-finite f"
+
+
+#: sha256 of every channel file of the default build (the full paper
+#: grid: 3 groups x 7 channels).  Serving maps these bytes, so any
+#: change to them is a change to the model's answers.
+PINNED_DEFAULT_CHANNELS = {
+    "baseline-bs-feasible-7a9d8897.f64":
+        "7a9d8897f4a98310092b8f47662b05f605cf9bfea67731fca68da7ca752a93d9",
+    "baseline-bs-n-c5509ca3.f64":
+        "c5509ca32be91f7c5d26c2ddbef7bcce9401b3a5692302b0109e5d3038d5e7cf",
+    "baseline-bs-n_area-a684d245.f64":
+        "a684d245d0b6d7c3dd6d8f1cea391b5cd5e6833ffbae82598539f9dde8e489c6",
+    "baseline-bs-n_bandwidth-5440a064.f64":
+        "5440a064bf6bdf4336ca852002ac0e4160bfc883b7f9d3ba8f4a9f73db847b9a",
+    "baseline-bs-n_power-8ae888be.f64":
+        "8ae888be4a22d56c781854aa154d312fabf1227a2b7ad831c0d0cc9655b5fd79",
+    "baseline-bs-r-b468d9f4.f64":
+        "b468d9f427b8ca0c77a8f883c2421f225be4dcb53171efcad1bf7179e300290a",
+    "baseline-bs-speedup-0c696fa8.f64":
+        "0c696fa8fe518108516c632af4f98f8776c630d748bda82f9dcda8a22321b2be",
+    "baseline-fft-1024-feasible-50aac593.f64":
+        "50aac59398d7cc45472ce401333335befe1ff7562a783cd5e4576fdd24ec8677",
+    "baseline-fft-1024-n-842286b6.f64":
+        "842286b6948c89dd7598bd0ae76b3a86afba3a421a0e27219c9360922cea623c",
+    "baseline-fft-1024-n_area-e21fded6.f64":
+        "e21fded645da24dbf4296e4a15435142300d2ef9c70989bef733948b915cb0bb",
+    "baseline-fft-1024-n_bandwidth-e3f7e8f2.f64":
+        "e3f7e8f25445668f5151b8f17c306f43a413cc170708c69fc6fff5b0be225884",
+    "baseline-fft-1024-n_power-8a2233af.f64":
+        "8a2233af51b92689df03a24530dd7cc01521bc06e9f9eb3dba5e69a1e9d005e3",
+    "baseline-fft-1024-r-3a39ecec.f64":
+        "3a39ececa76ae9f269a7c7c1cdfa76bdddbe8d7e3cd52d7b959d98248995c882",
+    "baseline-fft-1024-speedup-b763bb0b.f64":
+        "b763bb0bbe1640c0c23cf1bfdc3b8c87de5825464aa390d883686408b40e9e8b",
+    "baseline-mmm-feasible-f8346cc7.f64":
+        "f8346cc7c6739c38018fa15e44607022c5cbc42a26a0799d764838a1a3bd53ba",
+    "baseline-mmm-n-b0ca6228.f64":
+        "b0ca62280c6de770fdf4b5d21530dbba2970ac5cec089f175eb973604e624e5e",
+    "baseline-mmm-n_area-93500cc4.f64":
+        "93500cc48030ae60ed11db8ddffb908c9afe8627e3175efe391029760be8d6f3",
+    "baseline-mmm-n_bandwidth-2a256d6c.f64":
+        "2a256d6c824e46d89430a2474d5ea68fdb103c0dc059caf6dc644e831802ef0f",
+    "baseline-mmm-n_power-8c91318c.f64":
+        "8c91318c6490a613bcfbd9f64ea8868cc1ee48a803c67e1642c55920d6f99a3f",
+    "baseline-mmm-r-97e1c5e3.f64":
+        "97e1c5e3edbdfe7296d16ff3ba4915b765d5f231893fd8bed18ffdb3c582d584",
+    "baseline-mmm-speedup-03d01a27.f64":
+        "03d01a272fe398abcfa539a741f8319779c84cf50531855687a7f64f8db2abf9",
+}
+
+
+def _channel_digests(directory):
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in directory.glob("*.f64")
+    }
+
+
+def _leftover_stores(tmp):
+    return sorted(path.name for path in tmp.glob("repro-campaign-*"))
+
+
+class TestDefaultBuild:
+    def test_default_build_is_pinned(self, tmp_path):
+        directory = tmp_path / "tensors"
+        build_tensor_store(directory)
+        assert _channel_digests(directory) == PINNED_DEFAULT_CHANNELS
+
+    def test_parent_format_results_are_misses(self, tmp_path):
+        """A result store holding the per-cell ``planes`` payloads an
+        earlier build wrote, under that build's task hashes (the
+        task's fields without ``encoding``), resumes into the pinned
+        bytes: those entries are never read."""
+        from repro.campaign.spec import (
+            canonical_json,
+            flat_asdict,
+            sha256_text,
+        )
+        from repro.campaign.store import ResultStore
+
+        spec = materialize_spec()
+        store = ResultStore(tmp_path / "results")
+        for task in spec.tasks():
+            fields = flat_asdict(task)
+            del fields["encoding"]
+            store.put(
+                sha256_text(canonical_json(fields)),
+                {
+                    "kind": "materialize",
+                    "task": fields,
+                    "nodes": [],
+                    "planes": [[[None]] * len(task.r_grid)]
+                    * len(task.f_grid),
+                },
+            )
+        directory = tmp_path / "tensors"
+        build_tensor_store(directory, spec=spec, store=store, resume=True)
+        assert _channel_digests(directory) == PINNED_DEFAULT_CHANNELS
+        assert store.stats().hits == 0
+        assert len(store) == 2 * len(spec.tasks())
+
+    def test_build_removes_its_ephemeral_store(self, tmp_path,
+                                               monkeypatch):
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        build_tensor_store(
+            tmp_path / "tensors",
+            spec=materialize_spec(workloads=(("bs", None),),
+                                  f_grid=(0.5, 0.99), r_grid=(1, 2)),
+        )
+        assert _leftover_stores(tmp) == []
+
+    def test_cli_build_leaves_no_ephemeral_store(self, tmp_path):
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        env = dict(os.environ, TMPDIR=str(tmp))
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src) + (
+            os.pathsep + env["PYTHONPATH"]
+            if env.get("PYTHONPATH")
+            else ""
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "materialize", "build",
+             "--dir", str(tmp_path / "tensors")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "materialized 18 tasks" in done.stdout
+        assert _leftover_stores(tmp) == []
