@@ -1,26 +1,21 @@
-"""Wall-clock benchmark: scalar vs batched vs parallel campaigns.
+"""Wall-clock benchmark: scalar vs batched figure campaigns.
 
 Times the full Figure 6-9 projection campaign (14 panels: every
-(workload, f, scenario) cell behind the paper's headline figures)
-through each execution mode:
+(workload, f, scenario) cell behind the paper's headline figures,
+expanded by :func:`repro.campaign.spec.figure_campaign` and projected
+by :func:`repro.campaign.runner.project_figure`) in process, by each
+method:
 
 * ``scalar_serial`` -- the seed-faithful baseline: per-cell budget
   derivation with no memoization and the pure-Python r-sweep.
 * ``batch_serial`` -- memoized budgets + the NumPy-vectorized sweep
-  (:func:`repro.perf.batch.optimize_batch`), in-process.
-* ``batch_parallel`` / ``scalar_parallel`` -- the same methods fanned
-  across a :class:`repro.perf.grid.ProjectionGrid` process pool
-  (including pool spawn, so the number is an honest cold-start cost).
+  (:func:`repro.perf.batch.optimize_batch`).
 
 Results land in ``BENCH_projection.json`` at the repo root, plus one
 envelope-stamped history row appended to ``BENCH_history.jsonl``
 (benchmark ``projection``) for the regression sentinel
-(``repro-hetsim bench-check``).  The
-optimized path must beat the scalar baseline by at least
-``REQUIRED_SPEEDUP``; at this campaign size the vectorized serial path
-is usually the fastest configuration (each panel costs ~0.5 ms, below
-process-pool dispatch overhead), while the pool pays off as per-panel
-cost grows -- the scalar_parallel row quantifies exactly that.
+(``repro-hetsim bench-check``).  The batched path must beat the scalar
+baseline by at least ``REQUIRED_SPEEDUP``.
 
 Run as a script (``python benchmarks/bench_perf_grid.py``) or through
 pytest (``pytest benchmarks/bench_perf_grid.py``).  Caches are cleared
@@ -34,15 +29,15 @@ import platform
 import sys
 import time
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from repro._version import __version__
+from repro.campaign.runner import project_figure
+from repro.campaign.spec import figure_campaign
 from repro.obs.history import DEFAULT_HISTORY_NAME, record_benchmark
 from repro.obs.trace import phase_totals, reset_phase_totals
 from repro.perf.cache import clear_caches
-from repro.perf.grid import ProjectionGrid, figure_campaign
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_projection.json"
@@ -53,35 +48,27 @@ REQUIRED_SPEEDUP = 5.0
 REPEATS = 5
 
 
-def _time_mode(
-    executor: str,
-    method: str,
-    jobs: Optional[int] = None,
-    repeats: int = REPEATS,
-) -> dict:
-    """Best-of-N wall-clock for one campaign configuration."""
-    grid = ProjectionGrid(jobs=jobs, executor=executor, method=method)
-    tasks = figure_campaign(FIGURES)
+def _time_mode(method: str, repeats: int = REPEATS) -> dict:
+    """Best-of-N wall-clock for one projection method."""
+    tasks = figure_campaign(FIGURES, method)
     times = []
     phases: dict = {}
     for _ in range(repeats):
         clear_caches()
         reset_phase_totals()
         start = time.perf_counter()
-        results = grid.run(tasks)
+        results = [project_figure(task) for task in tasks]
         elapsed = time.perf_counter() - start
         if not times or elapsed < min(times):
             # Span breakdown of the best repetition (what best_s
-            # reports).  Serial modes attribute nearly all of best_s
-            # to projection.project spans; process modes only see the
-            # parent's share (workers trace in their own process).
+            # reports): nearly all of it is projection.project spans.
             phases = phase_totals()
         times.append(elapsed)
     assert len(results) == len(tasks)
     return {
-        "executor": executor,
+        "executor": "serial",
         "method": method,
-        "jobs": grid.jobs if executor == "process" else 1,
+        "jobs": 1,
         "best_s": min(times),
         "mean_s": sum(times) / len(times),
         "times_s": times,
@@ -89,14 +76,12 @@ def _time_mode(
     }
 
 
-def run_benchmark(jobs: Optional[int] = None) -> dict:
+def run_benchmark() -> dict:
     """Time every mode and assemble the BENCH_projection payload."""
     panels = len(figure_campaign(FIGURES))
     modes = {
-        "scalar_serial": _time_mode("serial", "scalar"),
-        "batch_serial": _time_mode("serial", "batch"),
-        "batch_parallel": _time_mode("process", "batch", jobs=jobs),
-        "scalar_parallel": _time_mode("process", "scalar", jobs=jobs),
+        "scalar_serial": _time_mode("scalar"),
+        "batch_serial": _time_mode("batch"),
     }
     baseline = modes["scalar_serial"]["best_s"]
     speedups = {
@@ -135,7 +120,7 @@ def _record(payload: dict) -> None:
 
 
 def test_batched_campaign_speedup():
-    """The optimized path must beat the seed scalar path by >= 5x."""
+    """The batched path must beat the seed scalar path by >= 5x."""
     payload = run_benchmark()
     _record(payload)
     assert payload["best_speedup"] >= REQUIRED_SPEEDUP, (
@@ -151,12 +136,11 @@ def main() -> int:
     base = payload["modes"]["scalar_serial"]["best_s"]
     print(f"campaign: {payload['panels']} panels, best of {REPEATS}")
     print(f"  scalar_serial : {base * 1000:8.1f} ms  (baseline)")
-    for name in ("batch_serial", "batch_parallel", "scalar_parallel"):
-        mode = payload["modes"][name]
-        print(
-            f"  {name:<14}: {mode['best_s'] * 1000:8.1f} ms  "
-            f"({payload['speedup_vs_scalar'][name]:.2f}x)"
-        )
+    mode = payload["modes"]["batch_serial"]
+    print(
+        f"  batch_serial  : {mode['best_s'] * 1000:8.1f} ms  "
+        f"({payload['speedup_vs_scalar']['batch_serial']:.2f}x)"
+    )
     print(f"wrote {OUTPUT_PATH}")
     if payload["best_speedup"] < REQUIRED_SPEEDUP:
         print(

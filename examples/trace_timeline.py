@@ -1,11 +1,11 @@
 """Trace a campaign end to end and render its span timeline.
 
 Runs a small projection campaign (one Figure 8 panel, one Pareto
-sweep, one Monte-Carlo sensitivity batch) on a thread pool with
-tracing on, then draws the resulting span tree as a text timeline:
-indentation shows parentage, bars show when each span ran relative
-to the campaign, and queue wait shows up as the gap the pool imposed
-between submit and start.
+sweep, one Monte-Carlo sensitivity batch) serially with tracing on,
+then draws the resulting span tree as a text timeline: indentation
+shows parentage, bars show when each span ran relative to the
+campaign, and queue wait is the gap between a task's submit and its
+start.
 
 This is the same instrumentation `repro-hetsim serve` and
 `repro-hetsim campaign --trace-file` use; here we read the spans
@@ -85,9 +85,7 @@ def main() -> None:
     tracer = get_tracer()
     tracer.clear()
     with tempfile.TemporaryDirectory() as store_dir:
-        runner = CampaignRunner(
-            store=ResultStore(store_dir), executor="thread", workers=2
-        )
+        runner = CampaignRunner(store=ResultStore(store_dir))
         report = runner.run(spec)
 
     print(

@@ -10,14 +10,15 @@ turns any such sweep into a *durable job*:
 * :mod:`~repro.campaign.store` -- a content-addressed on-disk
   :class:`ResultStore` keyed on ``(task hash, model version)`` with
   atomic writes, corruption detection, and hit/miss statistics;
-* :mod:`~repro.campaign.runner` -- a :class:`CampaignRunner` worker
-  pool with per-task retry + exponential backoff, a checkpoint
-  manifest, and resume that skips completed tasks;
+* :mod:`~repro.campaign.runner` -- a :class:`CampaignRunner` that
+  drains a spec serially (or across a process pool, or with other
+  ``--join`` processes), with per-task retry + exponential backoff, a
+  checkpoint manifest, and resume that skips completed tasks;
 * :mod:`~repro.campaign.jobs` -- an async :class:`JobManager` the
   serving layer mounts as ``POST /v1/jobs`` / ``GET /v1/jobs/{id}``.
 
-The CLI front end is ``repro-hetsim campaign --resume --workers N
---store-dir DIR``.
+The CLI front end is ``repro-hetsim campaign --resume --store-dir
+DIR``.
 """
 
 from .jobs import JobManager, JobRecord, JobState

@@ -2,11 +2,11 @@
 
 :class:`JobManager` runs campaigns *off the request path*: the service
 answers ``POST /v1/jobs`` immediately with a queued
-:class:`JobRecord`, a dedicated background thread drains the campaign
-through a :class:`~repro.campaign.runner.CampaignRunner` (thread pool
-inside the runner -- the work is NumPy-heavy, so it releases the GIL,
-and the request event loop never blocks), and ``GET /v1/jobs/{id}``
-polls progress until the job settles.
+:class:`JobRecord`, a dedicated background thread per job drains the
+campaign serially through a
+:class:`~repro.campaign.runner.CampaignRunner` (so tasks settle in
+spec order, and the request event loop never blocks on them), and
+``GET /v1/jobs/{id}`` polls progress until the job settles.
 
 All jobs of one manager share one
 :class:`~repro.campaign.store.ResultStore`, so a re-submitted spec --
@@ -95,7 +95,6 @@ class JobManager:
             ``store_dir`` (or an ephemeral temp directory).
         store_dir: root for a manager-owned store when ``store`` is
             not given.
-        task_workers: width of each campaign's internal thread pool.
         registry: counts job lifecycle events
             (``repro_service_jobs_total``) and backs a manager-owned
             store; ``None`` keeps the job counts private.
@@ -110,7 +109,6 @@ class JobManager:
         self,
         store: Optional[ResultStore] = None,
         store_dir: Optional[str] = None,
-        task_workers: int = 2,
         registry: Optional[MetricsRegistry] = None,
         events: Optional[EventBus] = None,
     ):
@@ -119,7 +117,6 @@ class JobManager:
             if store is not None
             else ResultStore(store_dir, registry=registry)
         )
-        self.task_workers = task_workers
         self._lifecycle = (
             registry if registry is not None else MetricsRegistry()
         ).counter(
@@ -275,11 +272,7 @@ class JobManager:
                 )
 
         runner = CampaignRunner(
-            store=self.store,
-            workers=self.task_workers,
-            executor="thread",
-            progress=_progress,
-            events=publisher,
+            store=self.store, progress=_progress, events=publisher
         )
         try:
             report = runner.run(record.spec)

@@ -1,9 +1,10 @@
-"""Campaign execution: worker pools, retries, checkpoints, resume.
+"""Campaign execution: retries, checkpoints, resume.
 
 :class:`CampaignRunner` drains a :class:`~repro.campaign.spec.CampaignSpec`
-through a worker pool (processes by default, threads or in-process
-serial on request), persisting every completed task into a
-:class:`~repro.campaign.store.ResultStore` *as it finishes* -- the
+in the calling thread (``serial``, the default), across a spawned
+process pool (``process``), or cooperatively with other processes
+sharing its store (``cluster``), persisting every completed task into
+a :class:`~repro.campaign.store.ResultStore` *as it finishes* -- the
 store is the checkpoint.  Killing a campaign at any point loses at
 most the tasks currently in flight; re-running with ``resume=True``
 answers finished tasks from the store (counted as ``cached``) and
@@ -29,18 +30,12 @@ only thing resume reads, and live progress is on the event stream.
 
 from __future__ import annotations
 
-import contextvars
 import json
 import multiprocessing
 import os
 import tempfile
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -52,7 +47,7 @@ from ..obs.metrics import get_registry
 from ..obs.prof import FoldedProfile, acquire_sampler, release_sampler
 from ..obs.stream import EventPublisher, bind_publisher, unbind_publisher
 from ..obs.trace import get_tracer
-from ..projection.engine import project
+from ..projection.engine import ProjectionResult, project
 from ..projection.pareto import design_space_points, pareto_frontier
 from ..projection.sensitivity import SensitivityConfig, run_sensitivity
 from .spec import (
@@ -75,9 +70,10 @@ __all__ = [
     "CampaignReport",
     "TaskOutcome",
     "execute_task",
+    "project_figure",
 ]
 
-_EXECUTORS = ("process", "thread", "serial", "cluster")
+_EXECUTORS = ("serial", "process", "cluster")
 
 #: Process pools always use the ``spawn`` start method: ``fork`` would
 #: inherit locks, the metrics registry, and any event loop state, and
@@ -90,14 +86,19 @@ _SPAWN = multiprocessing.get_context("spawn")
 # -- task evaluation (module-level so it pickles into workers) -------------
 
 
-def _figure_payload(task: FigureTask) -> Dict[str, Any]:
-    result = project(
+def project_figure(task: FigureTask) -> ProjectionResult:
+    """The projection behind one figure panel."""
+    return project(
         task.workload,
         task.f,
         get_scenario(task.scenario),
         fft_size=task.fft_size,
         method=task.method,
     )
+
+
+def _figure_payload(task: FigureTask) -> Dict[str, Any]:
+    result = project_figure(task)
     series = []
     for line in result.series:
         cells = []
@@ -354,17 +355,21 @@ class CampaignReport:
 
 
 class CampaignRunner:
-    """Execute campaign specs durably across a worker pool.
+    """Execute campaign specs durably.
 
     Args:
         store: result store used for checkpointing and resume; ``None``
             creates an ephemeral one (no durability across processes).
-        workers: pool width; ``None`` uses the CPU count, ``1`` forces
-            in-process serial execution.
-        executor: ``"process"`` (default), ``"thread"``, ``"serial"``,
-            or ``"cluster"`` -- the last drains the spec cooperatively
-            with any other ``--join`` process pointed at the same
-            durable store (see :mod:`repro.cluster.executor`).
+        workers: the ``process`` pool's width; ``None`` uses the CPU
+            count, ``1`` runs the tasks serially.  Other executors
+            ignore it.
+        executor: ``"serial"`` (default) runs one task at a time in
+            the calling thread; ``"process"`` spreads tasks across a
+            spawned process pool, which repays its start-up (about
+            0.7 s on two CPUs) only from a few seconds of serial work;
+            ``"cluster"`` drains the spec cooperatively with any other
+            ``--join`` process pointed at the same durable store (see
+            :mod:`repro.cluster.executor`).
         lease_ttl_s: cluster executor only -- how long a claimed
             task's lease may go without a heartbeat before a peer may
             take it over.
@@ -380,8 +385,8 @@ class CampaignRunner:
             bound as the ambient :func:`~repro.obs.stream.emit` target
             for the duration of the run, so nested code (DSE rungs,
             store lease accounting) publishes onto the campaign's
-            event stream.  Serial and thread executors bind it inside
-            worker tasks too; process-pool workers cannot publish live
+            event stream.  Serial and cluster tasks run in the thread
+            that bound it; process-pool workers cannot publish live
             events across the process boundary (their settle events
             still stream -- settling happens in the parent).
         profile: when True (default), hold the shared process sampler
@@ -399,7 +404,7 @@ class CampaignRunner:
         self,
         store: Optional[ResultStore] = None,
         workers: Optional[int] = None,
-        executor: str = "process",
+        executor: str = "serial",
         retries: int = 2,
         backoff_base_s: float = 0.05,
         backoff_cap_s: float = 2.0,
@@ -505,7 +510,7 @@ class CampaignRunner:
         to the submitting request's trace when the caller attached one
         (``POST /v1/jobs``), a fresh trace otherwise (the CLI) -- and
         every task settles as a ``campaign.task`` child carrying its
-        status, attempts, and (for pooled executors) queue wait.
+        status, attempts, and queue wait.
         """
         start = time.perf_counter()
         tasks = spec.tasks()
@@ -730,26 +735,12 @@ class CampaignRunner:
         workers: int,
         settle: Callable[..., None],
     ) -> None:
-        if self.executor == "process":
-            pool = ProcessPoolExecutor(
-                max_workers=workers, mp_context=_SPAWN
-            )
-            submit = pool.submit
-        else:
-            pool = ThreadPoolExecutor(max_workers=workers)
-
-            def submit(fn, *args):
-                # Pool threads do not inherit contextvars, so each task
-                # runs in a copy of this one: the run's span parents
-                # the task's spans and the ambient event publisher
-                # stays bound (a spawn-pinned process pool carries
-                # neither).
-                return pool.submit(contextvars.copy_context().run, fn, *args)
-
-        with pool:
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=_SPAWN
+        ) as pool:
             futures = {}
             for task, digest in pending:
-                future = submit(
+                future = pool.submit(
                     _timed_run,
                     task,
                     self.retries,

@@ -30,15 +30,16 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import ModelError
 from ..core.optimizer import DEFAULT_R_MAX
 from ..itrs.scenarios import scenario_names
-from ..perf.grid import CAMPAIGN_FIGURES
+from ..projection.paperfigs import CAMPAIGN_FIGURES
 
 __all__ = [
     "FigureTask",
+    "figure_campaign",
     "ParetoTask",
     "SensitivityTask",
     "MaterializeTask",
@@ -75,6 +76,35 @@ class FigureTask:
     scenario: str = "baseline"
     fft_size: Optional[int] = None
     method: str = "batch"
+
+
+def figure_campaign(
+    figures: Sequence[str] = tuple(CAMPAIGN_FIGURES),
+    method: str = "batch",
+) -> Tuple[FigureTask, ...]:
+    """The panels of ``figures``, in the given order, each in paper
+    f order (:data:`~repro.projection.paperfigs.CAMPAIGN_FIGURES`)."""
+    tasks = []
+    for figure in figures:
+        try:
+            workload, scenario, fft_size, f_values = CAMPAIGN_FIGURES[figure]
+        except KeyError:
+            raise ModelError(
+                f"unknown campaign figure {figure!r}; "
+                f"available: {sorted(CAMPAIGN_FIGURES)}"
+            ) from None
+        tasks.extend(
+            FigureTask(
+                figure=figure,
+                workload=workload,
+                f=f,
+                scenario=scenario,
+                fft_size=fft_size,
+                method=method,
+            )
+            for f in f_values
+        )
+    return tuple(tasks)
 
 
 @dataclass(frozen=True)
@@ -381,13 +411,11 @@ def _validate_materialize(task: "MaterializeTask") -> None:
 class CampaignSpec:
     """What a campaign computes, independent of how it is executed.
 
-    ``figures`` expand through the same
-    :data:`~repro.perf.grid.CAMPAIGN_FIGURES` index the parallel grid
-    driver uses; ``pareto`` and ``sensitivity`` carry explicit task
-    tuples.  The expansion order is deterministic -- figures in the
-    given order, then Pareto sweeps, then sensitivity batches -- so a
-    resumed campaign reports results in exactly the order of the
-    original one.
+    ``figures`` expand through :func:`figure_campaign`; ``pareto``
+    and ``sensitivity`` carry explicit task tuples.  The expansion
+    order is deterministic -- figures in the given order, then Pareto
+    sweeps, then sensitivity batches -- so a resumed campaign reports
+    results in exactly the order of the original one.
     """
 
     name: str = "campaign"
@@ -421,28 +449,7 @@ class CampaignSpec:
 
     def tasks(self) -> Tuple[CampaignTask, ...]:
         """Expand into the deterministic task list (validated)."""
-        tasks = []
-        for figure in self.figures:
-            try:
-                workload, scenario, fft_size, f_values = (
-                    CAMPAIGN_FIGURES[figure]
-                )
-            except KeyError:
-                raise ModelError(
-                    f"unknown campaign figure {figure!r}; "
-                    f"available: {sorted(CAMPAIGN_FIGURES)}"
-                ) from None
-            for f in f_values:
-                tasks.append(
-                    FigureTask(
-                        figure=figure,
-                        workload=workload,
-                        f=f,
-                        scenario=scenario,
-                        fft_size=fft_size,
-                        method=self.method,
-                    )
-                )
+        tasks = list(figure_campaign(self.figures, self.method))
         tasks.extend(self.pareto)
         tasks.extend(self.sensitivity)
         tasks.extend(self.materialize)

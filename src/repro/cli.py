@@ -263,19 +263,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--jobs", type=int, default=None,
-        help="worker count (default: CPU count; 1 forces serial)",
-    )
-    campaign.add_argument(
-        "--workers", type=int, default=None,
-        help="synonym for --jobs (the campaign subsystem's name)",
-    )
-    campaign.add_argument(
-        "--executor", default="process",
-        choices=("process", "thread", "serial", "cluster"),
         help=(
-            "pool flavour (default: process); 'cluster' drains the "
-            "campaign cooperatively with other --join processes "
-            "through store lease files"
+            "width of the --executor process pool (default: CPU "
+            "count; 1 runs serially)"
+        ),
+    )
+    campaign.add_argument(
+        "--executor", default="serial",
+        choices=("serial", "process", "cluster"),
+        help=(
+            "serial (default) runs the panels one at a time in this "
+            "process; 'process' spreads them across a spawned pool, "
+            "which pays off only for seconds of work; 'cluster' "
+            "drains the campaign cooperatively with other --join "
+            "processes through store lease files"
         ),
     )
     campaign.add_argument(
@@ -1403,7 +1404,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         elif args.command == "campaign":
             output = _cmd_campaign(
                 args.figures,
-                args.workers if args.workers is not None else args.jobs,
+                args.jobs,
                 args.executor,
                 args.method,
                 store_dir=args.store_dir,

@@ -1,4 +1,4 @@
-"""Batched, cached, parallel evaluation of the projection model.
+"""Batched, cached evaluation of the projection model.
 
 The scalar model in :mod:`repro.core` is the *reference
 implementation*: one (chip, budget, f) cell at a time, pure Python,
@@ -13,13 +13,10 @@ easy to audit against the paper's formulas.  This package is the
   the budget/measurement derivations
   (:func:`~repro.projection.engine.node_budget` and friends), so
   repeated figure panels share derived budgets.
-* :mod:`repro.perf.grid` -- :class:`ProjectionGrid`, a
-  ``concurrent.futures`` driver that fans a full figure campaign
-  (all workloads x f values x scenarios) across a process or thread
-  pool.
 
-``benchmarks/bench_perf_grid.py`` tracks the speedup of each layer
-over the scalar path in ``BENCH_projection.json``.
+Campaigns of figure panels run through :mod:`repro.campaign`;
+``benchmarks/bench_perf_grid.py`` times the batched path against the
+scalar one over the Figure 6-9 panels in ``BENCH_projection.json``.
 """
 
 from .batch import optimize_batch, sweep_designs_batch
@@ -32,23 +29,4 @@ __all__ = [
     "clear_caches",
     "cache_stats",
     "registered_caches",
-    # provided lazily by repro.perf.grid (see __getattr__):
-    "GridTask",
-    "ProjectionGrid",
-    "figure_campaign",
-    "run_campaign",
 ]
-
-_GRID_NAMES = ("GridTask", "ProjectionGrid", "figure_campaign",
-               "run_campaign")
-
-
-def __getattr__(name):
-    # Lazy: grid imports the projection engine, which itself imports
-    # this package for the cache layer -- resolving grid on first use
-    # keeps the import graph acyclic.
-    if name in _GRID_NAMES:
-        from . import grid
-
-        return getattr(grid, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,12 +2,14 @@
 
 Each function regenerates the data behind one figure of Section 6 --
 the same panels, designs, and parallel fractions.  Rendering to text
-lives in :mod:`repro.reporting`.
+lives in :mod:`repro.reporting`.  :data:`CAMPAIGN_FIGURES` indexes the
+panels of Figures 6-9 for campaigns
+(:func:`repro.campaign.spec.figure_campaign`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..itrs.scenarios import BASELINE, get_scenario
 from .energyproj import EnergyResult, project_energy
@@ -19,7 +21,7 @@ __all__ = [
     "figure8_bs_projection",
     "figure9_fft_high_bandwidth",
     "figure10_mmm_energy",
-    "all_projection_figures",
+    "CAMPAIGN_FIGURES",
     "FIGURE8_F_VALUES",
     "FIGURE10_F_VALUES",
 ]
@@ -29,6 +31,14 @@ FIGURE8_F_VALUES: Tuple[float, ...] = (0.5, 0.9)
 
 #: Figure 10 shows f = 0.5, 0.9 and 0.99 panels.
 FIGURE10_F_VALUES: Tuple[float, ...] = (0.5, 0.9, 0.99)
+
+#: figure id -> (workload, scenario, fft_size, f values), Figures 6-9.
+CAMPAIGN_FIGURES: Dict[str, Tuple[str, str, Optional[int], Tuple[float, ...]]] = {
+    "F6": ("fft", "baseline", 1024, PAPER_F_VALUES),
+    "F7": ("mmm", "baseline", None, PAPER_F_VALUES),
+    "F8": ("bs", "baseline", None, FIGURE8_F_VALUES),
+    "F9": ("fft", "high-bandwidth", 1024, PAPER_F_VALUES),
+}
 
 
 def figure6_fft_projection() -> Dict[float, ProjectionResult]:
@@ -63,25 +73,3 @@ def figure10_mmm_energy() -> Dict[float, EnergyResult]:
     return {
         f: project_energy("mmm", f, BASELINE) for f in FIGURE10_F_VALUES
     }
-
-
-def all_projection_figures(
-    jobs: int = 1,
-    executor: str = "serial",
-) -> Dict[str, Dict[float, ProjectionResult]]:
-    """Figures 6-9 in one pass, optionally across a worker pool.
-
-    Same data as the four per-figure constructors above, resolved
-    through :func:`repro.perf.grid.run_campaign` -- pass ``jobs`` and
-    ``executor="process"`` to fan the panels out.
-    """
-    # Imported here: perf.grid reads this module's f-value constants.
-    from ..perf.grid import run_campaign
-
-    results = run_campaign(
-        jobs=jobs, executor=executor
-    )
-    figures: Dict[str, Dict[float, ProjectionResult]] = {}
-    for task, result in results.items():
-        figures.setdefault(task.figure, {})[task.f] = result
-    return figures

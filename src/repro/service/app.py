@@ -120,8 +120,6 @@ class ServiceConfig:
     #: Root of the campaign result store backing ``POST /v1/jobs``;
     #: None keeps job results in an ephemeral temporary directory.
     store_dir: Optional[str] = None
-    #: Worker threads per background campaign job.
-    job_task_workers: int = 2
     #: Graceful-shutdown budget: seconds to drain open connections and
     #: running jobs after SIGTERM/SIGINT before exiting anyway.
     drain_timeout_s: float = 5.0
@@ -219,7 +217,6 @@ class ModelService:
         self.slo.add_alert_hook(self._publish_slo_alert)
         self.jobs = JobManager(
             store_dir=self.config.store_dir,
-            task_workers=self.config.job_task_workers,
             registry=self.registry,
             events=self.events,
         )

@@ -168,7 +168,7 @@ class TestExecution:
         first = serial_runner(store).run(SPEC)
         second = CampaignRunner(
             store=ResultStore(tmp_path),
-            executor="thread",
+            executor="process",
             workers=4,
             resume=True,
         ).run(SPEC)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.campaign.jobs import JobManager, JobState
-from repro.campaign.spec import CampaignSpec, SensitivityTask
+from repro.campaign.spec import CampaignSpec, SensitivityTask, task_hash
 from repro.campaign.store import ResultStore
 from repro.errors import ModelError
 from repro.obs.metrics import MetricsRegistry
@@ -88,6 +88,26 @@ class TestJobManager:
         with pytest.raises(RuntimeError, match="closed"):
             manager.submit(SMALL_SPEC)
         manager.close()  # idempotent
+
+    def test_tasks_settle_in_spec_order(self, tmp_path):
+        # A slow task ahead of a fast one: a pool would settle the fast
+        # one first, a serial drain never does.
+        spec = CampaignSpec(
+            sensitivity=(
+                SensitivityTask(workload="mmm", f=0.99, node_nm=11,
+                                trials=2000),
+                SensitivityTask(workload="bs", f=0.9, node_nm=11,
+                                trials=5),
+            ),
+        )
+        manager = JobManager(store=ResultStore(tmp_path))
+        record = manager.submit(spec)
+        assert manager.join(timeout=60)
+        assert record.state == JobState.SUCCEEDED
+        assert [t["hash"] for t in record.tasks] == [
+            task_hash(t) for t in spec.tasks()
+        ]
+        manager.close()
 
     def test_list_payload_ordered_without_results(self, tmp_path):
         manager = JobManager(store=ResultStore(tmp_path))

@@ -7,13 +7,19 @@ produces output bit-identical to an uninterrupted run.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.campaign import runner as runner_mod
-from repro.campaign.runner import CampaignReport, CampaignRunner
+from repro.campaign.runner import (
+    CampaignReport,
+    CampaignRunner,
+    project_figure,
+)
 from repro.campaign.spec import (
     CampaignSpec,
+    FigureTask,
     ParetoTask,
     SensitivityTask,
     task_hash,
@@ -41,8 +47,12 @@ def serial_runner(store, **kwargs):
 
 class TestValidation:
     def test_bad_executor(self):
-        with pytest.raises(ModelError, match="executor"):
-            CampaignRunner(executor="gpu")
+        for executor in ("gpu", "thread"):
+            with pytest.raises(
+                ModelError,
+                match=r"executor .*\('serial', 'process', 'cluster'\)",
+            ):
+                CampaignRunner(executor=executor)
 
     def test_bad_workers(self):
         with pytest.raises(ModelError, match="workers"):
@@ -271,7 +281,7 @@ class TestRetries:
 
 
 class TestPoolEquivalence:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_pools_match_serial_bit_for_bit(self, tmp_path, executor):
         serial = serial_runner(ResultStore(tmp_path / "serial")).run(SPEC)
         pooled = CampaignRunner(
@@ -316,7 +326,7 @@ class TestSensitivityDeterminism:
         pooled = CampaignRunner(
             store=ResultStore(tmp_path / f"w{workers}"),
             workers=workers,
-            executor="thread",
+            executor="process",
         ).run(self.SENS_SPEC)
         assert pooled.results_json() == serial.results_json()
 
@@ -336,6 +346,19 @@ class TestSensitivityDeterminism:
         a = serial_runner(ResultStore(tmp_path / "a")).run(base)
         b = serial_runner(ResultStore(tmp_path / "b")).run(reseeded)
         assert a.results_json() != b.results_json()
+
+
+class TestProjectFigure:
+    def test_scalar_method_matches_batch(self):
+        task = FigureTask(
+            figure="F7", workload="mmm", f=0.99, scenario="baseline"
+        )
+        a = project_figure(task)
+        b = project_figure(replace(task, method="scalar"))
+        for sa, sb in zip(a.series, b.series):
+            assert [c.point for c in sa.cells] == [
+                c.point for c in sb.cells
+            ]
 
 
 class TestReport:

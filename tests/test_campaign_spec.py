@@ -13,13 +13,14 @@ from repro.campaign.spec import (
     SensitivityTask,
     SuccessiveHalvingTask,
     canonical_json,
+    figure_campaign,
     flat_asdict,
     task_hash,
 )
 from repro.dse.front import DSEPoint
 from repro.errors import ModelError
-from repro.perf.grid import CAMPAIGN_FIGURES
 from repro.projection.engine import PAPER_F_VALUES
+from repro.projection.paperfigs import CAMPAIGN_FIGURES
 from repro.service.schemas import (
     OptimizeRequest,
     SpeedupRequest,
@@ -80,6 +81,28 @@ class TestExpansion:
         )
         with pytest.raises(ModelError):
             spec.tasks()
+
+
+class TestFigureCampaign:
+    def test_default_campaign_shape(self):
+        tasks = figure_campaign()
+        assert len(tasks) == 14  # 4 + 4 + 2 + 4 panels
+        assert [t.figure for t in tasks[:4]] == ["F6"] * 4
+        assert {t.figure for t in tasks} == set(CAMPAIGN_FIGURES)
+
+    def test_single_figure(self):
+        tasks = figure_campaign(["F9"])
+        assert all(t.figure == "F9" for t in tasks)
+        assert all(t.scenario == "high-bandwidth" for t in tasks)
+        assert tuple(t.f for t in tasks) == PAPER_F_VALUES
+
+    def test_unknown_figure(self):
+        with pytest.raises(ModelError, match="F11"):
+            figure_campaign(["F6", "F11"])
+
+    def test_tasks_are_hashable(self):
+        task = figure_campaign(["F6"])[0]
+        assert task in {task}
 
 
 class TestHashing:

@@ -38,24 +38,27 @@ class TestParser:
         args = build_parser().parse_args(["campaign"])
         assert args.figures == ["F6", "F7", "F8", "F9"]
         assert args.jobs is None
-        assert args.executor == "process"
+        assert args.executor == "serial"
         assert args.method == "batch"
 
     def test_campaign_rejects_bad_executor(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["campaign", "--executor", "gpu"])
+        for executor in ("gpu", "thread"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["campaign", "--executor", executor]
+                )
 
     def test_campaign_store_flags(self):
         args = build_parser().parse_args(["campaign"])
-        assert args.workers is None
+        assert args.jobs is None
         assert args.store_dir is None
         assert args.resume is False
         assert args.retries == 2
         args = build_parser().parse_args(
-            ["campaign", "--workers", "3", "--store-dir", "/tmp/s",
+            ["campaign", "--jobs", "3", "--store-dir", "/tmp/s",
              "--resume", "--retries", "0"]
         )
-        assert args.workers == 3
+        assert args.jobs == 3
         assert args.store_dir == "/tmp/s"
         assert args.resume is True
         assert args.retries == 0

@@ -7,7 +7,11 @@ when workers die mid-task.
 """
 
 import multiprocessing
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -163,18 +167,10 @@ class TestClusterExecutor:
 
 class TestSpawnPinning:
     def test_pool_start_method_is_spawn(self):
-        # Campaign pools and perf grids must behave identically on
-        # Linux and macOS: fork is never used.
+        # Campaign pools must behave identically on Linux and macOS:
+        # fork is never used.
         assert _SPAWN.get_start_method() == "spawn"
         assert "cluster" in _EXECUTORS
-
-    def test_grid_uses_spawn_context(self):
-        import inspect
-
-        from repro.perf import grid
-
-        source = inspect.getsource(grid)
-        assert 'multiprocessing.get_context("spawn")' in source
 
 
 class TestCli:
@@ -215,3 +211,55 @@ class TestCli:
             ]
         )
         assert code == 0
+
+
+def _campaign_cli(store_dir, *flags):
+    """A ``repro-hetsim campaign --figures F6 F7`` child process."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")])
+    )
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "campaign",
+         "--figures", "F6", "F7", "--store-dir", str(store_dir), *flags],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def _finish(proc):
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    return out
+
+
+def _tree(root):
+    """Every file under ``root`` but lease residue, as path -> bytes."""
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and "leases" not in path.relative_to(root).parts
+    }
+
+
+class TestCliStores:
+    def test_join_and_process_pool_match_the_default_store(self, tmp_path):
+        """Two concurrent ``--join`` processes, and a 2-worker process
+        pool, leave byte for byte the store a default campaign leaves
+        (leases are coordination residue, not results)."""
+        default = tmp_path / "default"
+        _finish(_campaign_cli(default))
+        joined = tmp_path / "joined"
+        peers = [_campaign_cli(joined, "--join") for _ in range(2)]
+        outs = [_finish(peer) for peer in peers]
+        # A peer that starts after the other drained everything
+        # settles from the store and takes no lease.
+        assert any("leases: " in out for out in outs)
+        pooled = tmp_path / "pooled"
+        _finish(_campaign_cli(pooled, "--executor", "process", "--jobs", "2"))
+
+        expected = _tree(default)
+        assert expected
+        assert _tree(joined) == expected
+        assert _tree(pooled) == expected

@@ -227,7 +227,7 @@ class TestCampaignPool:
         assert report.ok
         return get_tracer().spans()
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_one_trace_covers_run_and_every_task(
         self, tmp_path, executor
     ):
@@ -245,7 +245,7 @@ class TestCampaignPool:
             assert task["attributes"]["status"] == "executed"
             assert task["attributes"]["attempts"] == 1
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_pooled_tasks_expose_queue_wait(self, tmp_path, executor):
         spans = self._run_campaign(tmp_path, executor)
         for task in _by_name(spans, "campaign.task"):

@@ -11,8 +11,9 @@ import time
 
 import pytest
 
+from repro.campaign.runner import project_figure
+from repro.campaign.spec import figure_campaign
 from repro.perf.cache import clear_caches
-from repro.perf.grid import figure_campaign, run_task
 
 pytestmark = pytest.mark.perfbench
 
@@ -28,11 +29,12 @@ def _best_of(fn, repeats=3):
 
 
 def test_batch_campaign_beats_scalar():
-    tasks = figure_campaign()
-    run_task(tasks[0], "batch")  # warm imports outside the timer
+    scalar_tasks = figure_campaign(method="scalar")
+    batch_tasks = figure_campaign(method="batch")
+    project_figure(batch_tasks[0])  # warm imports outside the timer
 
-    scalar = _best_of(lambda: [run_task(t, "scalar") for t in tasks])
-    batch = _best_of(lambda: [run_task(t, "batch") for t in tasks])
+    scalar = _best_of(lambda: [project_figure(t) for t in scalar_tasks])
+    batch = _best_of(lambda: [project_figure(t) for t in batch_tasks])
 
     # The full benchmark demands 5x; here 2x keeps the smoke test
     # immune to noisy shared machines while still catching any

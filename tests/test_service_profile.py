@@ -6,6 +6,7 @@ CLI surfaces (``profile``, ``metrics-dump`` sections).
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -50,7 +51,15 @@ class TestProfileEndpoint:
         async def main_():
             service = _service()
             try:
-                await asyncio.sleep(0.05)
+                # Wait for the first tick rather than a fixed time: a
+                # loaded host can delay the sampler thread past any
+                # one sleep.
+                deadline = time.monotonic() + 5.0
+                while (
+                    service.sampler.samples < 1
+                    and time.monotonic() < deadline
+                ):
+                    await asyncio.sleep(0.01)
                 return await service.handle("GET", "/v1/profile?seconds=0")
             finally:
                 service.close()
