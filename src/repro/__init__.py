@@ -33,42 +33,30 @@ Subpackages:
     service:     asyncio model-serving layer (HTTP JSON API).
 """
 
-from . import (
-    archmodels,
-    core,
-    devices,
-    dse,
-    hls,
-    itrs,
-    layout,
-    projection,
-    service,
-    sim,
-    units,
-    workloads,
-)
-from ._version import __version__
-from .core import (
-    Budget,
-    DesignPoint,
-    HeterogeneousChip,
-    LimitingFactor,
-    UCore,
-    optimize,
-)
-from .devices import DEFAULT_BCE, ucore_for
-from .errors import (
-    CalibrationError,
-    InfeasibleDesignError,
-    ModelError,
-    ReproError,
-    UnknownDeviceError,
-    UnknownExperimentError,
-    UnknownWorkloadError,
-)
-from .projection import project
+from ._lazy import lazy_exports
 
-__all__ = [
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "_version": ("__version__",),
+    "core": (
+        "Budget",
+        "DesignPoint",
+        "HeterogeneousChip",
+        "LimitingFactor",
+        "UCore",
+        "optimize",
+    ),
+    "devices": ("DEFAULT_BCE", "ucore_for"),
+    "errors": (
+        "CalibrationError",
+        "InfeasibleDesignError",
+        "ModelError",
+        "ReproError",
+        "UnknownDeviceError",
+        "UnknownExperimentError",
+        "UnknownWorkloadError",
+    ),
+    "projection": ("project",),
+}, submodules=(
     "archmodels",
     "core",
     "devices",
@@ -81,21 +69,4 @@ __all__ = [
     "sim",
     "units",
     "workloads",
-    "Budget",
-    "DesignPoint",
-    "HeterogeneousChip",
-    "LimitingFactor",
-    "UCore",
-    "optimize",
-    "DEFAULT_BCE",
-    "ucore_for",
-    "project",
-    "CalibrationError",
-    "InfeasibleDesignError",
-    "ModelError",
-    "ReproError",
-    "UnknownDeviceError",
-    "UnknownExperimentError",
-    "UnknownWorkloadError",
-    "__version__",
-]
+))

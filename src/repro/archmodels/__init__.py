@@ -1,23 +1,15 @@
 """Architectural peak models and rooflines for the measured devices."""
 
-from .peaks import (
-    DEVICE_PEAKS,
-    ComputePeak,
-    efficiency_table,
-    measured_efficiency,
-    peak_gflops,
-    sanity_check_device,
-)
-from .roofline import RooflinePoint, render_roofline, roofline_points
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEVICE_PEAKS",
-    "ComputePeak",
-    "efficiency_table",
-    "measured_efficiency",
-    "peak_gflops",
-    "sanity_check_device",
-    "RooflinePoint",
-    "render_roofline",
-    "roofline_points",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "peaks": (
+        "DEVICE_PEAKS",
+        "ComputePeak",
+        "efficiency_table",
+        "measured_efficiency",
+        "peak_gflops",
+        "sanity_check_device",
+    ),
+    "roofline": ("RooflinePoint", "render_roofline", "roofline_points"),
+})

@@ -21,34 +21,24 @@ The CLI front end is ``repro-hetsim campaign --resume --store-dir
 DIR``.
 """
 
-from .jobs import JobManager, JobRecord, JobState
-from .runner import CampaignReport, CampaignRunner, TaskOutcome, execute_task
-from .spec import (
-    CampaignSpec,
-    FigureTask,
-    ParetoFrontTask,
-    ParetoTask,
-    SensitivityTask,
-    SuccessiveHalvingTask,
-    task_hash,
-)
-from .store import ResultStore, StoreStats
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CampaignSpec",
-    "FigureTask",
-    "ParetoFrontTask",
-    "ParetoTask",
-    "SensitivityTask",
-    "SuccessiveHalvingTask",
-    "task_hash",
-    "ResultStore",
-    "StoreStats",
-    "CampaignRunner",
-    "CampaignReport",
-    "TaskOutcome",
-    "execute_task",
-    "JobManager",
-    "JobRecord",
-    "JobState",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "jobs": ("JobManager", "JobRecord", "JobState"),
+    "runner": (
+        "CampaignReport",
+        "CampaignRunner",
+        "TaskOutcome",
+        "execute_task",
+    ),
+    "spec": (
+        "CampaignSpec",
+        "FigureTask",
+        "ParetoFrontTask",
+        "ParetoTask",
+        "SensitivityTask",
+        "SuccessiveHalvingTask",
+        "task_hash",
+    ),
+    "store": ("ResultStore", "StoreStats"),
+})

@@ -18,6 +18,11 @@ up to ``retries`` times with exponential backoff
 its retries is reported as ``failed`` without aborting the rest of
 the campaign.
 
+A runner built without a store checkpoints nothing: results stay in
+the :class:`CampaignReport`, and no store entry, manifest or temp
+directory is written (``repro-hetsim campaign`` without
+``--store-dir``, and a tensor-store build given no store).
+
 Alongside the store, the runner writes a *checkpoint manifest*
 (``manifest-<spec_hash[:16]>.json`` at the store root): the spec, the
 model version, and the hash of every completed task.  It is written
@@ -358,8 +363,11 @@ class CampaignRunner:
     """Execute campaign specs durably.
 
     Args:
-        store: result store used for checkpointing and resume; ``None``
-            creates an ephemeral one (no durability across processes).
+        store: result store used for checkpointing and resume; with
+            ``None`` the run checkpoints nothing (results live only in
+            the report, and :meth:`manifest_path` raises
+            :class:`~repro.errors.ModelError`).  The ``cluster``
+            executor needs a durable one.
         workers: the ``process`` pool's width; ``None`` uses the CPU
             count, ``1`` runs the tasks serially.  Other executors
             ignore it.
@@ -434,7 +442,7 @@ class CampaignRunner:
                 "cluster executor needs a durable store directory "
                 "shared with the joined peers (pass --store-dir)"
             )
-        self.store = store if store is not None else ResultStore()
+        self.store = store
         self.workers = (
             workers if workers is not None else (os.cpu_count() or 1)
         )
@@ -459,7 +467,16 @@ class CampaignRunner:
     # -- manifest ----------------------------------------------------------
 
     def manifest_path(self, spec: CampaignSpec) -> Path:
-        """Where the checkpoint manifest for ``spec`` lives."""
+        """Where the checkpoint manifest for ``spec`` lives.
+
+        Raises :class:`~repro.errors.ModelError` on a runner without a
+        store, which writes no manifest.
+        """
+        if self.store is None:
+            raise ModelError(
+                "a campaign runner without a result store writes no "
+                "checkpoint manifest"
+            )
         return self._manifest_path(spec.spec_hash())
 
     def _manifest_path(self, spec_hash: str) -> Path:
@@ -488,8 +505,37 @@ class CampaignRunner:
                 pass
             raise
 
+    def _checkpointer(
+        self,
+        spec: CampaignSpec,
+        spec_hash: str,
+        hashes: Sequence[str],
+    ) -> Callable[[Sequence[str]], None]:
+        """The run's manifest writer, called with the completed hashes;
+        without a store, one that writes nothing."""
+        if self.store is None:
+            return lambda completed: None
+        # The manifest's fixed part, derived and encoded once for the
+        # run's two manifest writes.
+        path = self._manifest_path(spec_hash)
+        render = _manifest_renderer(
+            {
+                "spec": spec.payload(),
+                "spec_hash": spec_hash,
+                "model_version": __version__,
+                "total": len(hashes),
+                "tasks": list(hashes),
+            }
+        )
+        return lambda completed: self._write_manifest(
+            path, render(completed)
+        )
+
     def read_manifest(self, spec: CampaignSpec) -> Optional[Dict[str, Any]]:
-        """The last checkpoint manifest for ``spec``, if any."""
+        """The last checkpoint manifest for ``spec``, if any (None on a
+        runner without a store)."""
+        if self.store is None:
+            return None
         try:
             raw = self.manifest_path(spec).read_text(encoding="utf-8")
             return json.loads(raw)
@@ -505,6 +551,7 @@ class CampaignRunner:
         an interrupted run checkpoints everything that completed before
         the interruption.  The manifest is written when the run starts
         and once more when it ends, even when it ends by an exception.
+        Without a store, nothing is read or written.
 
         Tracing: the whole run is one ``campaign.run`` span -- joined
         to the submitting request's trace when the caller attached one
@@ -516,22 +563,7 @@ class CampaignRunner:
         tasks = spec.tasks()
         hashes = [task_hash(task) for task in tasks]
         spec_hash = spec.spec_hash()
-        # The manifest's fixed part, derived and encoded once for the
-        # run's two manifest writes.
-        manifest_path = self._manifest_path(spec_hash)
-        render = _manifest_renderer(
-            {
-                "spec": spec.payload(),
-                "spec_hash": spec_hash,
-                "model_version": __version__,
-                "total": len(hashes),
-                "tasks": list(hashes),
-            }
-        )
-
-        def checkpoint(completed: Sequence[str]) -> None:
-            self._write_manifest(manifest_path, render(completed))
-
+        checkpoint = self._checkpointer(spec, spec_hash, hashes)
         sampler = acquire_sampler() if self.profile else None
         self._sampler = sampler
         window = sampler.mark() if sampler is not None else None
@@ -586,8 +618,9 @@ class CampaignRunner:
         completed: List[str] = []
 
         pending: List[Tuple[CampaignTask, str]] = []
+        lookup = self.resume and self.store is not None
         for task, digest in zip(tasks, hashes):
-            hit = self.store.get(digest) if self.resume else None
+            hit = self.store.get(digest) if lookup else None
             if hit is not None:
                 outcomes[digest] = TaskOutcome(
                     task=task, hash=digest, status="cached", result=hit
@@ -626,9 +659,10 @@ class CampaignRunner:
                 if outcome.status == "failed":
                     span.status = "error"
                 if outcome.result is not None:
-                    # store.put's serialize phase nests under the
-                    # task span via the attached context.
-                    self.store.put(outcome.hash, outcome.result)
+                    if self.store is not None:
+                        # store.put's serialize phase nests under the
+                        # task span via the attached context.
+                        self.store.put(outcome.hash, outcome.result)
                     completed.append(outcome.hash)
             # Enrich after the span closed so the outcome carries the
             # final duration; the span is backdated to submit, making

@@ -50,10 +50,6 @@ import sys
 from typing import List, Optional
 
 from ._version import __version__
-from .core.metrics import Objective
-from .devices.measurements import get_measurement
-from .devices.params import FAST_CORE_DEVICE, derive_ucore
-from .devices.specs import Measurement
 from .errors import (
     CalibrationError,
     InfeasibleDesignError,
@@ -64,20 +60,10 @@ from .errors import (
     UnknownExperimentError,
     UnknownWorkloadError,
 )
-from .itrs.scenarios import get_scenario, scenario_names
-from .obs.prof import DEFAULT_HZ as PROFILE_DEFAULT_HZ
-from .projection.engine import project
-from .projection.pareto import design_space_points, pareto_frontier
-from .projection.sensitivity import SensitivityConfig, run_sensitivity
-from .reporting.experiments import (
-    EXPERIMENTS,
-    experiment_ids,
-    run_experiment,
-)
-from .reporting.export import export_all
-from .reporting.figures import render_projection_panel
-from .reporting.tables import format_table
-from .reporting.validation import render_validation_report, validate_claims
+
+# Each command imports the modules it runs, so a process pays only
+# for its own command (``serve`` and ``materialize build`` load no
+# reporting, layout, measurement, simulation or DSE code).
 
 __all__ = ["main", "build_parser", "exit_code_for"]
 
@@ -112,6 +98,10 @@ def exit_code_for(exc: ReproError) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
+    from .core.metrics import Objective
+    from .itrs.scenarios import scenario_names
+    from .obs.prof import DEFAULT_HZ as PROFILE_DEFAULT_HZ
+
     parser = argparse.ArgumentParser(
         prog="repro-hetsim",
         description=(
@@ -303,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-dir", default=None, metavar="DIR",
         help=(
             "content-addressed result store root; completed panels "
-            "checkpoint here (default: a throwaway temp directory)"
+            "checkpoint here (default: none, nothing is checkpointed)"
         ),
     )
     campaign.add_argument(
@@ -421,9 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     materialize.add_argument(
         "--store-dir", default=None, metavar="DIR",
         help=(
-            "content-addressed campaign result store; refresh resumes "
-            "completed tasks from here (default: a throwaway temp "
-            "directory)"
+            "content-addressed campaign result store; a build "
+            "checkpoints every task here and refresh resumes "
+            "completed tasks from it (default: none, nothing is "
+            "checkpointed)"
         ),
     )
 
@@ -663,6 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list() -> str:
+    from .reporting.experiments import EXPERIMENTS, experiment_ids
+
     lines = ["experiment  title"]
     lines.append("----------  -----")
     for exp_id in experiment_ids():
@@ -671,6 +664,8 @@ def _cmd_list() -> str:
 
 
 def _cmd_run(ids: List[str]) -> str:
+    from .reporting.experiments import run_experiment
+
     outputs = []
     for exp_id in ids:
         outputs.append(run_experiment(exp_id))
@@ -679,6 +674,10 @@ def _cmd_run(ids: List[str]) -> str:
 
 def _cmd_speedup(workload: str, f: float, fft_size: int,
                  scenario_name: str) -> str:
+    from .itrs.scenarios import get_scenario
+    from .projection.engine import project
+    from .reporting.figures import render_projection_panel
+
     scenario = get_scenario(scenario_name)
     result = project(
         workload,
@@ -690,6 +689,8 @@ def _cmd_speedup(workload: str, f: float, fft_size: int,
 
 
 def _cmd_export(out: str) -> str:
+    from .reporting.export import export_all
+
     written = export_all(out)
     count = sum(len(paths) for paths in written.values())
     return f"wrote {count} files under {out}/ (artifacts/ and csv/)"
@@ -697,6 +698,9 @@ def _cmd_export(out: str) -> str:
 
 def _cmd_pareto(workload: str, f: float, node_nm: int,
                 fft_size: int) -> str:
+    from .projection.pareto import design_space_points, pareto_frontier
+    from .reporting.tables import format_table
+
     points = design_space_points(
         workload, f, node_nm,
         fft_size=fft_size if workload == "fft" else None,
@@ -723,6 +727,9 @@ def _cmd_pareto(workload: str, f: float, node_nm: int,
 
 def _cmd_sensitivity(workload: str, f: float, node_nm: int,
                      trials: int, sigma: float, seed: int) -> str:
+    from .projection.sensitivity import SensitivityConfig, run_sensitivity
+    from .reporting.tables import format_table
+
     summary = run_sensitivity(
         workload, f, node_nm,
         config=SensitivityConfig(
@@ -754,6 +761,10 @@ def _cmd_sensitivity(workload: str, f: float, node_nm: int,
 
 def _cmd_calibrate(name: str, workload: str, fft_size: int,
                    throughput: float, area: float, watts: float) -> str:
+    from .devices.measurements import get_measurement
+    from .devices.params import FAST_CORE_DEVICE, derive_ucore
+    from .devices.specs import Measurement
+
     size = fft_size if workload == "fft" else None
     unit = "Mopts/s" if workload == "bs" else "GFLOP/s"
     mine = Measurement(
@@ -909,6 +920,7 @@ def _cmd_profile(target: str, url: str, seconds: float, top: int,
     import urllib.request
 
     from .obs.prof import FoldedProfile
+    from .reporting.tables import format_table
 
     if seconds < 0 or seconds > 60:
         raise ModelError(
@@ -1038,6 +1050,7 @@ def _cmd_campaign(figures: List[str], jobs: Optional[int],
     from .campaign.store import ResultStore
     from .obs.logging import configure_logging
     from .obs.trace import configure_tracer
+    from .reporting.tables import format_table
 
     configure_logging(log_level)
     if trace_file is not None:
@@ -1055,7 +1068,8 @@ def _cmd_campaign(figures: List[str], jobs: Optional[int],
         name="cli-figures", figures=tuple(figures), method=method
     )
     runner = CampaignRunner(
-        store=ResultStore(store_dir),
+        # No --store-dir: nothing to resume from, so no checkpoint.
+        store=ResultStore(store_dir) if store_dir is not None else None,
         workers=jobs,
         executor=executor,
         retries=retries,
@@ -1083,6 +1097,8 @@ def _cmd_campaign(figures: List[str], jobs: Optional[int],
                 outcome.status,
             )
         )
+    # Only a process pool has a width to report.
+    width = f", jobs={jobs or 'auto'}" if executor == "process" else ""
     table = format_table(
         ["figure", "workload", "f", "scenario", "winner",
          "final speedup", "status"],
@@ -1090,7 +1106,7 @@ def _cmd_campaign(figures: List[str], jobs: Optional[int],
         title=(
             f"Campaign: {len(report.outcomes)} panels in "
             f"{report.elapsed_s:.2f}s "
-            f"({executor}, jobs={jobs or 'auto'}, method={method}; "
+            f"({executor}{width}, method={method}; "
             f"{report.executed} executed, {report.cached} resumed)"
         ),
     )
@@ -1101,9 +1117,9 @@ def _cmd_campaign(figures: List[str], jobs: Optional[int],
             f"{runner.last_profile.hz:g} Hz "
             f"({len(runner.last_profile.counts)} unique stacks)"
         )
-    if not runner.store.is_ephemeral:
+    if runner.store is not None:
         lines.append(f"store: {runner.store.directory}")
-    lease_events = runner.store.lease_stats()
+    lease_events = runner.store.lease_stats() if runner.store else {}
     if lease_events:
         lines.append(
             "leases: "
@@ -1170,6 +1186,7 @@ def _cmd_dse(action: str, scenario_name: str,
         scenario_summary,
         successive_halving,
     )
+    from .reporting.tables import format_table
 
     if action == "list-scenarios":
         summaries = [
@@ -1343,12 +1360,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         elif args.command == "run":
             output = _cmd_run(args.ids)
         elif args.command == "all":
+            from .reporting.experiments import experiment_ids
+
             output = _cmd_run(experiment_ids())
         elif args.command == "speedup":
             output = _cmd_speedup(
                 args.workload, args.f, args.fft_size, args.scenario
             )
         elif args.command == "validate":
+            from .reporting.validation import (
+                render_validation_report,
+                validate_claims,
+            )
+
             results = validate_claims()
             output = render_validation_report(results)
             if any(not r.passed for r in results):
@@ -1381,6 +1405,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 args.design,
             )
         elif args.command == "advise":
+            from .core.metrics import Objective
             from .projection.advisor import (
                 Requirement,
                 advise,

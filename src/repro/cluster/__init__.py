@@ -29,22 +29,13 @@ Two halves:
   as a single-process campaign.
 """
 
-from .executor import run_cluster_pending
-from .hashring import rendezvous_owner, rendezvous_rank, shard_key
-from .lease import LeaseManager
-from .prommerge import merge_expositions
-from .router import Router
-from .supervisor import ClusterConfig, WorkerSupervisor, run_cluster_server
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ClusterConfig",
-    "LeaseManager",
-    "Router",
-    "WorkerSupervisor",
-    "merge_expositions",
-    "rendezvous_owner",
-    "rendezvous_rank",
-    "run_cluster_pending",
-    "run_cluster_server",
-    "shard_key",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "executor": ("run_cluster_pending",),
+    "hashring": ("rendezvous_owner", "rendezvous_rank", "shard_key"),
+    "lease": ("LeaseManager",),
+    "prommerge": ("merge_expositions",),
+    "router": ("Router",),
+    "supervisor": ("ClusterConfig", "WorkerSupervisor", "run_cluster_server"),
+})

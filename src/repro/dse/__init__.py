@@ -25,74 +25,42 @@ scenarios into a production exploration pipeline:
   search on the spaces benchmarked.
 """
 
-from .dsl import (
-    BEST_SUBSTRATE,
-    BUILTIN_SCENARIOS,
-    SUBSTRATES,
-    ChipSpec,
-    DSEScenario,
-    SegmentSpec,
-    builtin_scenario,
-    builtin_scenario_names,
-    list_scenario_files,
-    load_scenario_file,
-    scenario_summary,
-)
-from .engine import (
-    DSEConfig,
-    evaluate_config,
-    exhaustive_sweep,
-    expand_configs,
-    resolve_chip,
-)
-from .front import (
-    DSEPoint,
-    dominates,
-    front_payload,
-    merge_fronts,
-    pareto_front,
-    points_from_payload,
-)
-from .halving import HalvingResult, successive_halving
-from .providers import (
-    PROVIDERS,
-    DSEProvider,
-    get_provider,
-    provider_names,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    # dsl
-    "BEST_SUBSTRATE",
-    "BUILTIN_SCENARIOS",
-    "SUBSTRATES",
-    "ChipSpec",
-    "DSEScenario",
-    "SegmentSpec",
-    "builtin_scenario",
-    "builtin_scenario_names",
-    "list_scenario_files",
-    "load_scenario_file",
-    "scenario_summary",
-    # engine
-    "DSEConfig",
-    "evaluate_config",
-    "exhaustive_sweep",
-    "expand_configs",
-    "resolve_chip",
-    # front
-    "DSEPoint",
-    "dominates",
-    "front_payload",
-    "merge_fronts",
-    "pareto_front",
-    "points_from_payload",
-    # halving
-    "HalvingResult",
-    "successive_halving",
-    # providers
-    "PROVIDERS",
-    "DSEProvider",
-    "get_provider",
-    "provider_names",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "dsl": (
+        "BEST_SUBSTRATE",
+        "BUILTIN_SCENARIOS",
+        "SUBSTRATES",
+        "ChipSpec",
+        "DSEScenario",
+        "SegmentSpec",
+        "builtin_scenario",
+        "builtin_scenario_names",
+        "list_scenario_files",
+        "load_scenario_file",
+        "scenario_summary",
+    ),
+    "engine": (
+        "DSEConfig",
+        "evaluate_config",
+        "exhaustive_sweep",
+        "expand_configs",
+        "resolve_chip",
+    ),
+    "front": (
+        "DSEPoint",
+        "dominates",
+        "front_payload",
+        "merge_fronts",
+        "pareto_front",
+        "points_from_payload",
+    ),
+    "halving": ("HalvingResult", "successive_halving"),
+    "providers": (
+        "PROVIDERS",
+        "DSEProvider",
+        "get_provider",
+        "provider_names",
+    ),
+})

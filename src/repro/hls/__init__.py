@@ -1,23 +1,16 @@
 """Hardware-pipeline cost model (Section 4 FPGA/ASIC methodology)."""
 
-from .costmodel import (
-    BLACK_SCHOLES_DATAFLOW,
-    DEFAULT_LUT_COSTS,
-    LX760_FABRIC,
-    MMM_PE_DATAFLOW,
-    Dataflow,
-    FabricSpec,
-    ScaledDesign,
-    scale_design,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BLACK_SCHOLES_DATAFLOW",
-    "DEFAULT_LUT_COSTS",
-    "LX760_FABRIC",
-    "MMM_PE_DATAFLOW",
-    "Dataflow",
-    "FabricSpec",
-    "ScaledDesign",
-    "scale_design",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "costmodel": (
+        "BLACK_SCHOLES_DATAFLOW",
+        "DEFAULT_LUT_COSTS",
+        "LX760_FABRIC",
+        "MMM_PE_DATAFLOW",
+        "Dataflow",
+        "FabricSpec",
+        "ScaledDesign",
+        "scale_design",
+    ),
+})

@@ -1,26 +1,16 @@
 """ITRS 2009 roadmap data and the Section 6.2 scenario engine."""
 
-from .roadmap import ITRS_2009, NodeParams, Roadmap, figure5_series
-from .scenarios import (
-    BASELINE,
-    SCENARIO_OVERRIDES,
-    SCENARIOS,
-    Scenario,
-    get_scenario,
-    scenario_from_overrides,
-    scenario_names,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ITRS_2009",
-    "NodeParams",
-    "Roadmap",
-    "figure5_series",
-    "BASELINE",
-    "SCENARIO_OVERRIDES",
-    "SCENARIOS",
-    "Scenario",
-    "get_scenario",
-    "scenario_from_overrides",
-    "scenario_names",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "roadmap": ("ITRS_2009", "NodeParams", "Roadmap", "figure5_series"),
+    "scenarios": (
+        "BASELINE",
+        "SCENARIO_OVERRIDES",
+        "SCENARIOS",
+        "Scenario",
+        "get_scenario",
+        "scenario_from_overrides",
+        "scenario_names",
+    ),
+})

@@ -1,16 +1,9 @@
 """Physical chip layout: tiles, floorplans, and Figure 1 rendering."""
 
-from .floorplan import NONCOMPUTE_FRACTION, Floorplan, build_floorplan
-from .render import render_figure1, render_floorplan
-from .tiles import Tile, TileKind, make_tile
+from .._lazy import lazy_exports
 
-__all__ = [
-    "NONCOMPUTE_FRACTION",
-    "Floorplan",
-    "build_floorplan",
-    "render_figure1",
-    "render_floorplan",
-    "Tile",
-    "TileKind",
-    "make_tile",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "floorplan": ("NONCOMPUTE_FRACTION", "Floorplan", "build_floorplan"),
+    "render": ("render_figure1", "render_floorplan"),
+    "tiles": ("Tile", "TileKind", "make_tile"),
+})

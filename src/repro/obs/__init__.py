@@ -32,146 +32,75 @@ Structured JSON logging with trace correlation lives in
 :mod:`repro.obs.logging`.  Everything is stdlib-only.
 """
 
-from .context import (
-    SpanContext,
-    attach,
-    current_context,
-    detach,
-    extract,
-    inject,
-    new_span_id,
-    new_trace_id,
-)
-from .logging import (
-    JsonLogFormatter,
-    configure_logging,
-    get_logger,
-    log_event,
-    resolve_level,
-)
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    percentile,
-    render_merged,
-    validate_prometheus,
-)
-from .history import (
-    HistoryStore,
-    envelope,
-    extract_metrics,
-    host_fingerprint,
-    record_benchmark,
-)
-from .prof import (
-    FoldedProfile,
-    StackSampler,
-    acquire_sampler,
-    get_sampler,
-    release_sampler,
-)
-from .profdiff import (
-    attribute_regression,
-    diff_profiles,
-    render_culprit,
-)
-from .regress import (
-    MetricVerdict,
-    RegressionReport,
-    bootstrap_ci,
-    check_history,
-    select_baseline,
-)
-from .slo import (
-    SLObjective,
-    SLOTracker,
-    get_slo_tracker,
-)
-from .stream import (
-    Event,
-    EventBus,
-    EventPublisher,
-    StreamSlice,
-    bind_publisher,
-    bound_publisher,
-    emit,
-    unbind_publisher,
-)
-from .trace import (
-    Span,
-    Tracer,
-    configure_tracer,
-    get_tracer,
-    phase_totals,
-    reset_phase_totals,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    # context
-    "SpanContext",
-    "attach",
-    "current_context",
-    "detach",
-    "extract",
-    "inject",
-    "new_span_id",
-    "new_trace_id",
-    # trace
-    "Span",
-    "Tracer",
-    "configure_tracer",
-    "get_tracer",
-    "phase_totals",
-    "reset_phase_totals",
-    # metrics
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "get_registry",
-    "percentile",
-    "render_merged",
-    "validate_prometheus",
-    # continuous sampling profiler + differential attribution
-    "FoldedProfile",
-    "StackSampler",
-    "acquire_sampler",
-    "get_sampler",
-    "release_sampler",
-    "attribute_regression",
-    "diff_profiles",
-    "render_culprit",
-    # history + regression sentinel
-    "HistoryStore",
-    "envelope",
-    "extract_metrics",
-    "host_fingerprint",
-    "record_benchmark",
-    "MetricVerdict",
-    "RegressionReport",
-    "bootstrap_ci",
-    "check_history",
-    "select_baseline",
-    # SLOs
-    "SLObjective",
-    "SLOTracker",
-    "get_slo_tracker",
-    # event streaming
-    "Event",
-    "EventBus",
-    "EventPublisher",
-    "StreamSlice",
-    "bind_publisher",
-    "bound_publisher",
-    "emit",
-    "unbind_publisher",
-    # logging
-    "JsonLogFormatter",
-    "configure_logging",
-    "get_logger",
-    "log_event",
-    "resolve_level",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "context": (
+        "SpanContext",
+        "attach",
+        "current_context",
+        "detach",
+        "extract",
+        "inject",
+        "new_span_id",
+        "new_trace_id",
+    ),
+    "logging": (
+        "JsonLogFormatter",
+        "configure_logging",
+        "get_logger",
+        "log_event",
+        "resolve_level",
+    ),
+    "metrics": (
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "get_registry",
+        "percentile",
+        "render_merged",
+        "validate_prometheus",
+    ),
+    "history": (
+        "HistoryStore",
+        "envelope",
+        "extract_metrics",
+        "host_fingerprint",
+        "record_benchmark",
+    ),
+    "prof": (
+        "FoldedProfile",
+        "StackSampler",
+        "acquire_sampler",
+        "get_sampler",
+        "release_sampler",
+    ),
+    "profdiff": ("attribute_regression", "diff_profiles", "render_culprit"),
+    "regress": (
+        "MetricVerdict",
+        "RegressionReport",
+        "bootstrap_ci",
+        "check_history",
+        "select_baseline",
+    ),
+    "slo": ("SLObjective", "SLOTracker", "get_slo_tracker"),
+    "stream": (
+        "Event",
+        "EventBus",
+        "EventPublisher",
+        "StreamSlice",
+        "bind_publisher",
+        "bound_publisher",
+        "emit",
+        "unbind_publisher",
+    ),
+    "trace": (
+        "Span",
+        "Tracer",
+        "configure_tracer",
+        "get_tracer",
+        "phase_totals",
+        "reset_phase_totals",
+    ),
+})

@@ -522,7 +522,9 @@ def render_merged(*registries: MetricsRegistry) -> str:
 
 _SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?P<labels>\{[^{}]*\})?"
+    # A label set: braces only outside quoted values, so a value may
+    # hold any character (a route label like "/v1/jobs/{id}").
+    r'(?P<labels>\{(?:[^{}"]|"(?:[^"\\]|\\.)*")*\})?'
     r" (?P<value>\S+)"
     r"(?: (?P<timestamp>-?\d+))?$"
 )

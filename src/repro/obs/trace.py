@@ -38,8 +38,8 @@ campaign runner and the model's loop owners share; tests build private
 
 from __future__ import annotations
 
-import asyncio
 import json
+import sys
 import threading
 import time
 from collections import deque
@@ -116,6 +116,13 @@ def phase_totals(reset: bool = False) -> Dict[str, Dict[str, float]]:
 def reset_phase_totals() -> None:
     """Restart the phase totals (benchmarks, between modes)."""
     phase_totals(reset=True)
+
+
+def _on_event_loop() -> bool:
+    """Whether this thread runs an asyncio loop.  A process that never
+    imported asyncio runs none, so this module does not import it."""
+    asyncio = sys.modules.get("asyncio")
+    return asyncio is not None and asyncio._get_running_loop() is not None
 
 
 class Span:
@@ -215,7 +222,7 @@ class Span:
         self._token = attach(self.context)
         # A span on an event-loop thread stays open across awaits while
         # the thread runs other tasks or waits, so it tags nothing.
-        if _prof.tagging_active() and asyncio._get_running_loop() is None:
+        if _prof.tagging_active() and not _on_event_loop():
             _prof.push_phase(self.name)
             self._tagged = True
         return self

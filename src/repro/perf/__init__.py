@@ -19,14 +19,9 @@ Campaigns of figure panels run through :mod:`repro.campaign`;
 scalar one over the Figure 6-9 panels in ``BENCH_projection.json``.
 """
 
-from .batch import optimize_batch, sweep_designs_batch
-from .cache import cache_stats, cached, clear_caches, registered_caches
+from .._lazy import lazy_exports
 
-__all__ = [
-    "optimize_batch",
-    "sweep_designs_batch",
-    "cached",
-    "clear_caches",
-    "cache_stats",
-    "registered_caches",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "batch": ("optimize_batch", "sweep_designs_batch"),
+    "cache": ("cache_stats", "cached", "clear_caches", "registered_caches"),
+})

@@ -17,9 +17,11 @@ row per budget -- typically every node of a roadmap.  Monte-Carlo
 sensitivity makes one row per trial (:func:`best_speedups`), and DSE
 equivalence classes read the bound grid of a whole block of configs
 (:func:`bound_grid`).  :func:`optimize_prefix_batch` answers every
-``r_max`` of a budget list at once and returns the winners as channel
-arrays (:class:`PrefixOptima`), not :class:`DesignPoint` objects: the
-tensor materializer writes those arrays straight to disk.
+``f`` of a list and every ``r_max`` for a budget list in one grid
+pass, with ``f`` as a column of the same speedup formulas, and
+returns the winners as channel arrays (:class:`PrefixOptima`), not
+:class:`DesignPoint` objects: the tensor materializer writes those
+arrays straight to disk.
 
 Bit-for-bit parity with the scalar reference is a hard requirement
 (the differential tests assert full ``DesignPoint`` equality), so the
@@ -290,7 +292,7 @@ def _grid_bounds(
 
 def _grid_speedup(
     chip: ChipModel,
-    f: float,
+    f: float | np.ndarray,
     rows: GridRows,
     n: np.ndarray,
     r: np.ndarray,
@@ -299,10 +301,17 @@ def _grid_speedup(
 ) -> np.ndarray:
     """Speedup over the grid, mirroring each model's scalar formula.
 
+    ``f`` is a scalar, or a column that broadcasts against ``n``: the
+    stacked prefix pass gives ``f`` as ``(F, 1)`` and ``n`` as
+    ``(rows, 1, r)``, so every f shares one set of formulas and the
+    result gains an f axis.  Each cell performs the scalar formula's
+    operations in its order either way.
+
     Values outside ``mask`` are mathematically meaningless (the scalar
     path never evaluates them); they are computed anyway -- the caller
     holds an ``errstate`` suppressing divide/invalid warnings -- and
-    discarded.
+    discarded.  The per-cell fallback for models with no vector branch
+    takes a scalar ``f`` and a 2-D grid.
     """
     model = _vector_model(chip)
     if model == "symmetric":
@@ -314,36 +323,40 @@ def _grid_speedup(
         parallel = f / (ps + (n - r))
         return 1.0 / (serial + parallel)
     if model == "asymmetric-offload":
-        if f == 0.0:
-            return np.broadcast_to(ps, n.shape).copy()
         serial = (1.0 - f) / ps
         parallel = f / (n - r)
-        return 1.0 / (serial + parallel)
+        return _serial_where_f0(f, ps, 1.0 / (serial + parallel))
     if model == "dynamic":
         serial_rate = _perf_law_matrix(chip, np.maximum(n, r))
         serial = (1.0 - f) / serial_rate
         parallel = f / n
         return 1.0 / (serial + parallel)
     if model == "heterogeneous":
-        if f == 0.0:
-            return np.broadcast_to(ps, n.shape).copy()
         mu, _ = _ucore_params(chip, rows)
         serial = (1.0 - f) / ps
         parallel = f / (mu * (n - r))
-        return 1.0 / (serial + parallel)
+        return _serial_where_f0(f, ps, 1.0 / (serial + parallel))
     if model == "heterogeneous-assisted":
-        if f == 0.0:
-            return np.broadcast_to(ps, n.shape).copy()
         mu, _ = _ucore_params(chip, rows)
         serial = (1.0 - f) / ps
         parallel = f / (mu * (n - r) + ps)
-        return 1.0 / (serial + parallel)
+        return _serial_where_f0(f, ps, 1.0 / (serial + parallel))
     # Generic fallback: scalar speedup on feasible lanes only (the
     # scalar path never evaluates infeasible ones either).
     out = np.full(n.shape, -np.inf)
     for i, j in zip(*np.nonzero(mask)):
         out[i, j] = chip.speedup(f, float(n[i, j]), float(r[0, j]))
     return out
+
+
+def _serial_where_f0(f: float | np.ndarray, ps: np.ndarray,
+                     speedup: np.ndarray) -> np.ndarray:
+    """``speedup`` with ``perf_seq(r)`` written over it wherever
+    ``f == 0``: the offload models' scalar formulas return it as is
+    for a wholly serial run, where the parallel term can be 0/0.  In
+    place, so a scalar ``f > 0`` copies nothing."""
+    np.copyto(speedup, ps, where=f == 0.0)
+    return speedup
 
 
 def _n_grid(chip: ChipModel, rows: GridRows, r_vals: Sequence[float]):
@@ -354,6 +367,27 @@ def _n_grid(chip: ChipModel, rows: GridRows, r_vals: Sequence[float]):
     )
     n = np.minimum(np.minimum(n_area, n_power), n_bandwidth)
     return r, n_area, n_power, n_bandwidth, n
+
+
+def _serial_mask(
+    chip: ChipModel,
+    r: np.ndarray,
+    n: np.ndarray,
+    ceilings: np.ndarray,
+) -> np.ndarray:
+    """The f-independent feasibility mask: ``serial_feasible``
+    (``1 <= r <= max_serial_r``) and ``evaluate_design``'s
+    ``if n < r ... return None``."""
+    mask = (r >= 1) & (r <= ceilings[:, None])
+    if chip.model_id != "dynamic":
+        mask &= ~(n < r)
+    return mask
+
+
+def _needs_fabric(chip: ChipModel) -> bool:
+    """``evaluate_design``: at ``f > 0`` offload-style machines need
+    fabric beyond ``r`` (``n <= r`` is infeasible)."""
+    return chip.model_id not in ("symmetric", "dynamic")
 
 
 def _evaluate_grid(
@@ -379,12 +413,8 @@ def _evaluate_grid(
     r, n_area, n_power, n_bandwidth, n = _n_grid(chip, rows, r_vals)
     if ceilings is None:
         ceilings = _serial_ceilings(chip, rows)
-    mask = (r >= 1) & (r <= ceilings[:, None])
-    if chip.model_id != "dynamic":
-        # evaluate_design: `if n < r ... return None`
-        mask &= ~(n < r)
-    if f > 0.0 and chip.model_id not in ("symmetric", "dynamic"):
-        # evaluate_design: offload-style machines need fabric beyond r.
+    mask = _serial_mask(chip, r, n, ceilings)
+    if f > 0.0 and _needs_fabric(chip):
         mask &= ~(n <= r)
 
     ps = _perf_law_matrix(chip, r[0])
@@ -512,14 +542,15 @@ def optimize_batch(
 
 class PrefixOptima(NamedTuple):
     """:func:`optimize_prefix_batch`'s answer: one float64 array per
-    channel, shaped ``(len(budgets), len(r_maxes))``.
+    channel, shaped ``(len(budgets), len(f_values), len(r_maxes))``.
 
-    Cell ``[i, k]`` describes the point ``optimize_batch(chip, f,
-    [budgets[i]], r_max=r_maxes[k])`` returns: its speedup, ``r``,
-    ``n`` and three bounds, bit for bit, with ``feasible`` 1.0.  Where
-    that call returns None, ``feasible`` is 0.0 and every other
-    channel is NaN.  The field order is the tensor store's channel
-    order.
+    Cell ``[i, j, k]`` describes the point ``optimize_batch(chip,
+    f_values[j], [budgets[i]], r_max=r_maxes[k])`` returns: its
+    speedup, ``r``, ``n`` and three bounds, bit for bit, with
+    ``feasible`` 1.0.  Where that call returns None, ``feasible`` is
+    0.0 and every other channel is NaN.  The field order is the tensor
+    store's channel order, and the axes are its ``(node, f, r_max)``
+    block order.
     """
 
     speedup: np.ndarray
@@ -532,8 +563,8 @@ class PrefixOptima(NamedTuple):
 
 
 def _prefix_argmax(score: np.ndarray) -> np.ndarray:
-    """``np.argmax(score[:, :m], axis=1)`` for every ``m``, as column
-    ``m - 1`` of one array shaped like ``score``.
+    """``np.argmax(score[..., :m], axis=-1)`` for every ``m``, as
+    column ``m - 1`` of one array shaped like ``score``.
 
     A prefix's first maximum moves only at a *record*, a column that
     beats every column before it, so prefix ``m`` is answered by the
@@ -541,53 +572,87 @@ def _prefix_argmax(score: np.ndarray) -> np.ndarray:
     (the first maximum wins), and ``np.argmax`` ranks NaN above every
     number: the first NaN is a record and nothing after it is.
     """
-    before = np.maximum.accumulate(score, axis=1)[:, :-1]
+    before = np.maximum.accumulate(score, axis=-1)[..., :-1]
     record = np.ones(score.shape, dtype=bool)
-    record[:, 1:] = ~(score[:, 1:] <= before) & ~np.isnan(before)
-    columns = np.arange(score.shape[1])
-    return np.maximum.accumulate(np.where(record, columns, 0), axis=1)
+    record[..., 1:] = ~(score[..., 1:] <= before) & ~np.isnan(before)
+    columns = np.arange(score.shape[-1])
+    return np.maximum.accumulate(np.where(record, columns, 0), axis=-1)
 
 
 def optimize_prefix_batch(
     chip: ChipModel,
-    f: float,
+    f_values: Sequence[float],
     budgets: Sequence[Budget],
     r_maxes: Sequence[int],
 ) -> PrefixOptima:
-    """One grid evaluation answering :func:`optimize_batch` for every
-    ``r_max`` in ``r_maxes`` at once, as channel arrays.
+    """One grid pass answering :func:`optimize_batch` for every ``f``
+    in ``f_values`` and every ``r_max`` in ``r_maxes`` at once, as
+    channel arrays.
 
     The grid columns are r_max-independent: every bound, the
     feasibility mask and the speedup of candidate ``r`` are elementwise
-    functions of ``(budget, r)``, and the serial-bound mask is
+    functions of ``(budget, f, r)``, and the serial-bound mask is
     ``r <= max_serial_r`` per column.  A smaller ``r_max`` therefore
     only *restricts the argmax to a prefix* of the same columns, so one
     evaluation at ``max(r_maxes)`` and a prefix argmax that picks each
     prefix's first maximum, as ``np.argmax`` does, are bit-identical to
     a fresh ``optimize_batch(..., r_max)`` call per ``r_max``.
 
-    Returns a :class:`PrefixOptima`; column ``k`` answers
-    ``r_maxes[k]``.  No :class:`DesignPoint` is built: the tensor
-    materializer writes these arrays straight into its channel files.
+    The bounds, the serial ceilings, the f-independent part of the mask
+    and ``perf_seq(r)`` are computed once per call; only the speedup,
+    the ``f > 0`` fabric check and the prefix argmax gain the f axis.
+    A chip with no vector branch takes the per-cell fallback through
+    ``chip.speedup``, one ``f`` at a time.
+
+    Returns a :class:`PrefixOptima`; cell ``[i, j, k]`` answers
+    ``(budgets[i], f_values[j], r_maxes[k])``.  No :class:`DesignPoint`
+    is built: the tensor materializer writes these arrays straight
+    into its channel files.
     """
     budgets = list(budgets)
+    f_values = [float(f) for f in f_values]
     r_maxes = [int(r) for r in r_maxes]
-    if not budgets or not r_maxes:
-        shape = (len(budgets), len(r_maxes))
+    shape = (len(budgets), len(f_values), len(r_maxes))
+    if 0 in shape:
         return PrefixOptima(*(np.empty(shape) for _ in PrefixOptima._fields))
     _check_r_max(min(r_maxes))
+    for f in f_values:
+        check_fraction(f)
     candidates: Sequence[float] = list(range(1, max(r_maxes) + 1))
+    rows = GridRows.from_budgets(budgets)
+    f_col = np.array(f_values)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        n_area, n_power, n_bandwidth, n, mask, speedup = _evaluate_grid(
-            chip, f, GridRows.from_budgets(budgets), candidates
+        r, n_area, n_power, n_bandwidth, n = _n_grid(chip, rows, candidates)
+        mask = _serial_mask(
+            chip, r, n, _serial_ceilings(chip, rows)
+        )[:, None, :]
+        if _needs_fabric(chip):
+            mask = mask & ~((f_col > 0.0) & (n <= r)[:, None, :])
+        mask = np.broadcast_to(
+            mask, (len(budgets), len(f_values), len(candidates))
         )
+        ps = _perf_law_matrix(chip, r[0])
+        if _vector_model(chip) is None:
+            speedup = np.empty(mask.shape)
+            for j, f in enumerate(f_values):
+                speedup[:, j] = _grid_speedup(
+                    chip, f, rows, n, r, ps, mask[:, j]
+                )
+        else:
+            speedup = _grid_speedup(
+                chip, f_col, rows, n[:, None, :], r, ps, mask
+            )
         best = _prefix_argmax(np.where(mask, speedup, -np.inf))
-    best = best[:, np.array(r_maxes) - 1]
-    lanes = np.arange(len(budgets))[:, None]
-    feasible = mask[lanes, best]
+    best = best[..., np.array(r_maxes) - 1]
+    feasible = np.take_along_axis(mask, best, axis=-1)
 
     def winners(grid: np.ndarray) -> np.ndarray:
-        return np.where(feasible, grid[lanes, best], np.nan)
+        # (rows, r) grids broadcast over the f axis as (rows, 1, r).
+        if grid.ndim == 2:
+            grid = grid[:, None, :]
+        return np.where(
+            feasible, np.take_along_axis(grid, best, axis=-1), np.nan
+        )
 
     return PrefixOptima(
         speedup=winners(speedup),

@@ -12,16 +12,16 @@ This module turns that observation into a durable artifact:
 * :func:`materialize_spec` expands the design space into
   :class:`~repro.campaign.spec.MaterializeTask` entries -- one per
   (scenario, workload, design) -- executed serially by the ordinary
-  :class:`~repro.campaign.runner.CampaignRunner` under a
-  content-addressed :class:`~repro.campaign.store.ResultStore`, so a
-  rebuild resumes from cached task results and every tensor cell is
-  traceable to a task hash.  Serial, because the default build is
-  about a second of kernel work: a process pool takes longer to start
+  :class:`~repro.campaign.runner.CampaignRunner`, so every tensor cell
+  is traceable to a task hash; given a content-addressed
+  :class:`~repro.campaign.store.ResultStore`, a rebuild resumes from
+  its cached task results.  Serial, because the default build is well
+  under a second of kernel work: a process pool takes longer to start
   than it saves.
 * :func:`materialize_task_payload` evaluates one design's full
   ``(node x f-grid x r-grid)`` block via
-  :func:`~repro.perf.batch.optimize_prefix_batch` -- one grid
-  evaluation per ``f``, prefix-argmax for every ``r_max``, bit-identical
+  :func:`~repro.perf.batch.optimize_prefix_batch` -- one grid pass
+  over every ``f``, prefix-argmax for every ``r_max``, bit-identical
   to per-request :func:`~repro.perf.batch.optimize_batch` calls -- and
   carries each channel as the base64 of its little-endian float64
   bytes.  No per-cell object is built and no float goes through text.
@@ -185,10 +185,10 @@ def materialize_spec(
 def materialize_task_payload(task) -> Dict[str, Any]:
     """One design's dense ``(node x f x r_max)`` block of optima.
 
-    For each ``f`` a single :func:`optimize_prefix_batch` call
-    evaluates the whole candidate grid once and reads off the optimum
-    for *every* ``r_max`` -- bit-identical to per-``r_max``
-    :func:`~repro.perf.batch.optimize_batch` calls.  Each channel
+    One :func:`optimize_prefix_batch` call evaluates the whole
+    ``(node x f x r)`` candidate grid in one pass and reads off the
+    optimum for *every* ``f`` and ``r_max`` -- bit-identical to
+    per-cell :func:`~repro.perf.batch.optimize_batch` calls.  Each channel
     travels as the exact little-endian float64 bytes of its block,
     base64-encoded (the task's ``encoding``), which are the bytes the
     channel file holds: no float is printed or parsed on the way.
@@ -225,17 +225,16 @@ def materialize_task_payload(task) -> Dict[str, Any]:
             "f_points": len(task.f_grid),
         },
     ):
-        optima = [
-            optimize_prefix_batch(design.chip, f, budgets, task.r_grid)
-            for f in task.f_grid
-        ]
-    # zip(*optima) walks channel by channel; stacking on axis 1 lays
-    # each block out as (node, f, r_max), the channel file's order.
+        optima = optimize_prefix_batch(
+            design.chip, task.f_grid, budgets, task.r_grid
+        )
+    # Each channel array is laid out (node, f, r_max), the channel
+    # file's order.
     channels = {
         name: base64.b64encode(
-            np.stack(per_f, axis=1).astype("<f8", copy=False).tobytes()
+            block.astype("<f8", copy=False).tobytes()
         ).decode("ascii")
-        for name, per_f in zip(CHANNELS, zip(*optima))
+        for name, block in zip(CHANNELS, optima)
     }
     return {
         "kind": "materialize",
@@ -373,37 +372,31 @@ def build_tensor_store(
     """Materialize ``spec`` (default: the full paper grid) into
     ``directory`` and return the published manifest.
 
-    The campaign runs serially under a
-    :class:`~repro.campaign.store.ResultStore` (``store``; when None,
-    an ephemeral one removed before this returns); with
-    ``resume=True`` an interrupted or repeated build reuses cached
-    task results instead of recomputing them.  Channel files land
-    first, each atomically; the checksummed manifest is renamed into
-    place last and is the store's commit point.
+    The campaign runs serially.  Given a
+    :class:`~repro.campaign.store.ResultStore` (``store``), it
+    checkpoints every task result there, and with ``resume=True`` an
+    interrupted or repeated build reuses cached task results instead
+    of recomputing them; without one, task results go straight from
+    the campaign report to the channel files and nothing else is
+    written.  Channel files land first, each atomically; the
+    checksummed manifest is renamed into place last and is the
+    store's commit point.
     """
     from ..campaign.runner import CampaignRunner
-    from ..campaign.store import ResultStore
 
     if spec is None:
         spec = materialize_spec()
     tasks = spec.tasks()
     if not tasks:
         raise TensorStoreError("materialize spec expands to no tasks")
-    owned = store is None
-    if owned:
-        store = ResultStore()
-    try:
-        # Serial: the default build is about a second of kernel work,
-        # less than a process pool takes to start.
-        report = CampaignRunner(
-            store=store,
-            executor="serial",
-            resume=resume,
-            progress=progress,
-        ).run(spec)
-    finally:
-        if owned:
-            store.close()
+    # Serial: the default build is a fraction of a second of kernel
+    # work, less than a process pool takes to start.
+    report = CampaignRunner(
+        store=store,
+        executor="serial",
+        resume=resume,
+        progress=progress,
+    ).run(spec)
     if not report.ok:
         first = next(
             o for o in report.outcomes if o.status == "failed"

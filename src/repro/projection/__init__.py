@@ -1,72 +1,39 @@
 """Scaling projections across ITRS nodes (Figures 6-10)."""
 
-from .designs import DesignSpec, design_labels, standard_designs
-from .energyproj import (
-    EnergyCell,
-    EnergyResult,
-    EnergySeries,
-    project_energy,
-)
-from .engine import (
-    PAPER_F_VALUES,
-    ProjectionCell,
-    ProjectionResult,
-    ProjectionSeries,
-    bandwidth_bce_units,
-    node_budget,
-    project,
-)
-from .advisor import Recommendation, Requirement, advise, render_advice
-from .mixing import MixedChip, MixPhase, PhaseOutcome
-from .pareto import ParetoPoint, design_space_points, pareto_frontier
-from .sensitivity import (
-    SensitivityConfig,
-    SensitivitySummary,
-    run_sensitivity,
-)
-from .paperfigs import (
-    FIGURE8_F_VALUES,
-    FIGURE10_F_VALUES,
-    figure6_fft_projection,
-    figure7_mmm_projection,
-    figure8_bs_projection,
-    figure9_fft_high_bandwidth,
-    figure10_mmm_energy,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DesignSpec",
-    "design_labels",
-    "standard_designs",
-    "EnergyCell",
-    "EnergyResult",
-    "EnergySeries",
-    "project_energy",
-    "PAPER_F_VALUES",
-    "ProjectionCell",
-    "ProjectionResult",
-    "ProjectionSeries",
-    "bandwidth_bce_units",
-    "node_budget",
-    "project",
-    "Recommendation",
-    "Requirement",
-    "advise",
-    "render_advice",
-    "MixedChip",
-    "MixPhase",
-    "PhaseOutcome",
-    "ParetoPoint",
-    "design_space_points",
-    "pareto_frontier",
-    "SensitivityConfig",
-    "SensitivitySummary",
-    "run_sensitivity",
-    "FIGURE8_F_VALUES",
-    "FIGURE10_F_VALUES",
-    "figure6_fft_projection",
-    "figure7_mmm_projection",
-    "figure8_bs_projection",
-    "figure9_fft_high_bandwidth",
-    "figure10_mmm_energy",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "designs": ("DesignSpec", "design_labels", "standard_designs"),
+    "energyproj": (
+        "EnergyCell",
+        "EnergyResult",
+        "EnergySeries",
+        "project_energy",
+    ),
+    "engine": (
+        "PAPER_F_VALUES",
+        "ProjectionCell",
+        "ProjectionResult",
+        "ProjectionSeries",
+        "bandwidth_bce_units",
+        "node_budget",
+        "project",
+    ),
+    "advisor": ("Recommendation", "Requirement", "advise", "render_advice"),
+    "mixing": ("MixedChip", "MixPhase", "PhaseOutcome"),
+    "pareto": ("ParetoPoint", "design_space_points", "pareto_frontier"),
+    "sensitivity": (
+        "SensitivityConfig",
+        "SensitivitySummary",
+        "run_sensitivity",
+    ),
+    "paperfigs": (
+        "FIGURE8_F_VALUES",
+        "FIGURE10_F_VALUES",
+        "figure6_fft_projection",
+        "figure7_mmm_projection",
+        "figure8_bs_projection",
+        "figure9_fft_high_bandwidth",
+        "figure10_mmm_energy",
+    ),
+})

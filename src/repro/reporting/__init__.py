@@ -1,64 +1,38 @@
 """Text rendering of every table and figure, plus the experiment index."""
 
-from .experiments import (
-    EXPERIMENTS,
-    Experiment,
-    experiment_ids,
-    get_experiment,
-    run_experiment,
-)
-from .export import export_all, export_artifacts, export_figure_csvs
-from .manifest import build_manifest, manifest_json
-from .validation import (
-    ClaimResult,
-    render_validation_report,
-    validate_claims,
-)
-from .figures import (
-    LIMITER_MARKS,
-    ascii_chart,
-    render_energy_figure,
-    render_energy_panel,
-    render_projection_figure,
-    render_projection_panel,
-    series_to_csv,
-)
-from .tables import (
-    format_table,
-    render_table1,
-    render_table2,
-    render_table3,
-    render_table4,
-    render_table5,
-    render_table6,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EXPERIMENTS",
-    "Experiment",
-    "experiment_ids",
-    "get_experiment",
-    "run_experiment",
-    "build_manifest",
-    "manifest_json",
-    "export_all",
-    "export_artifacts",
-    "export_figure_csvs",
-    "ClaimResult",
-    "render_validation_report",
-    "validate_claims",
-    "LIMITER_MARKS",
-    "ascii_chart",
-    "render_energy_figure",
-    "render_energy_panel",
-    "render_projection_figure",
-    "render_projection_panel",
-    "series_to_csv",
-    "format_table",
-    "render_table1",
-    "render_table2",
-    "render_table3",
-    "render_table4",
-    "render_table5",
-    "render_table6",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "experiments": (
+        "EXPERIMENTS",
+        "Experiment",
+        "experiment_ids",
+        "get_experiment",
+        "run_experiment",
+    ),
+    "export": ("export_all", "export_artifacts", "export_figure_csvs"),
+    "manifest": ("build_manifest", "manifest_json"),
+    "validation": (
+        "ClaimResult",
+        "render_validation_report",
+        "validate_claims",
+    ),
+    "figures": (
+        "LIMITER_MARKS",
+        "ascii_chart",
+        "render_energy_figure",
+        "render_energy_panel",
+        "render_projection_figure",
+        "render_projection_panel",
+        "series_to_csv",
+    ),
+    "tables": (
+        "format_table",
+        "render_table1",
+        "render_table2",
+        "render_table3",
+        "render_table4",
+        "render_table5",
+        "render_table6",
+    ),
+})

@@ -35,49 +35,28 @@ or in-process::
     server = await start_server(service)
 """
 
-from .app import ModelService, ServiceConfig
-from .batching import MicroBatcher
-from .events import (
-    EventStreamResponse,
-    events_payload,
-    sse_end_frame,
-    sse_frame,
-    sse_lagged_frame,
-)
-from .http import run_server, start_server
-from .respcache import ResponseCache
-from .watch import WatchState, iter_sse_frames, render_event, watch
-from .schemas import (
-    OptimizeRequest,
-    SpeedupRequest,
-    SweepRequest,
-    design_point_payload,
-    parse_optimize,
-    parse_speedup,
-    parse_sweep,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ModelService",
-    "ServiceConfig",
-    "MicroBatcher",
-    "ResponseCache",
-    "SpeedupRequest",
-    "SweepRequest",
-    "OptimizeRequest",
-    "parse_speedup",
-    "parse_sweep",
-    "parse_optimize",
-    "design_point_payload",
-    "run_server",
-    "start_server",
-    "EventStreamResponse",
-    "events_payload",
-    "sse_frame",
-    "sse_lagged_frame",
-    "sse_end_frame",
-    "WatchState",
-    "iter_sse_frames",
-    "render_event",
-    "watch",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "app": ("ModelService", "ServiceConfig"),
+    "batching": ("MicroBatcher",),
+    "events": (
+        "EventStreamResponse",
+        "events_payload",
+        "sse_end_frame",
+        "sse_frame",
+        "sse_lagged_frame",
+    ),
+    "http": ("run_server", "start_server"),
+    "respcache": ("ResponseCache",),
+    "watch": ("WatchState", "iter_sse_frames", "render_event", "watch"),
+    "schemas": (
+        "OptimizeRequest",
+        "SpeedupRequest",
+        "SweepRequest",
+        "design_point_payload",
+        "parse_optimize",
+        "parse_speedup",
+        "parse_sweep",
+    ),
+})

@@ -1,10 +1,7 @@
 """Execution-timeline simulation (operational twin of the model)."""
 
-from .engine import ChipSimulator, ExecutionTrace, TraceEvent, WorkPhase
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ChipSimulator",
-    "ExecutionTrace",
-    "TraceEvent",
-    "WorkPhase",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "engine": ("ChipSimulator", "ExecutionTrace", "TraceEvent", "WorkPhase"),
+})

@@ -1,53 +1,26 @@
 """Workload kernels and their operation/traffic models (Table 3)."""
 
-from .base import KernelRun, Workload
-from .blackscholes import (
-    BlackScholesWorkload,
-    OptionBatch,
-    black_scholes_price,
-    norm_cdf,
-)
-from .fft import FFTWorkload, bit_reverse_permutation, fft_radix2
-from .fft_variants import fft_radix4, rfft_bytes, rfft_ops, rfft_packed
-from .mmm import MMMWorkload, blocked_matmul
-from .registry import (
-    EXTENSION_WORKLOADS,
-    TABLE3_IMPLEMENTATIONS,
-    WORKLOADS,
-    all_workload_names,
-    get_workload,
-    workload_names,
-)
-from .spmv import CSRMatrix, SpMVWorkload, csr_from_dense, csr_matvec
-from .stencil import StencilWorkload, jacobi_step, jacobi_sweeps
+from .._lazy import lazy_exports
 
-__all__ = [
-    "KernelRun",
-    "Workload",
-    "BlackScholesWorkload",
-    "OptionBatch",
-    "black_scholes_price",
-    "norm_cdf",
-    "FFTWorkload",
-    "bit_reverse_permutation",
-    "fft_radix2",
-    "fft_radix4",
-    "rfft_bytes",
-    "rfft_ops",
-    "rfft_packed",
-    "MMMWorkload",
-    "blocked_matmul",
-    "EXTENSION_WORKLOADS",
-    "TABLE3_IMPLEMENTATIONS",
-    "WORKLOADS",
-    "all_workload_names",
-    "get_workload",
-    "workload_names",
-    "CSRMatrix",
-    "SpMVWorkload",
-    "csr_from_dense",
-    "csr_matvec",
-    "StencilWorkload",
-    "jacobi_step",
-    "jacobi_sweeps",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "base": ("KernelRun", "Workload"),
+    "blackscholes": (
+        "BlackScholesWorkload",
+        "OptionBatch",
+        "black_scholes_price",
+        "norm_cdf",
+    ),
+    "fft": ("FFTWorkload", "bit_reverse_permutation", "fft_radix2"),
+    "fft_variants": ("fft_radix4", "rfft_bytes", "rfft_ops", "rfft_packed"),
+    "mmm": ("MMMWorkload", "blocked_matmul"),
+    "registry": (
+        "EXTENSION_WORKLOADS",
+        "TABLE3_IMPLEMENTATIONS",
+        "WORKLOADS",
+        "all_workload_names",
+        "get_workload",
+        "workload_names",
+    ),
+    "spmv": ("CSRMatrix", "SpMVWorkload", "csr_from_dense", "csr_matvec"),
+    "stencil": ("StencilWorkload", "jacobi_step", "jacobi_sweeps"),
+})

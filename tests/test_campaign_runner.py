@@ -154,6 +154,25 @@ class TestInterruptAndResume:
         # Resumed output is bit-identical to the uninterrupted run.
         assert resumed.results_json() == reference.results_json()
 
+    def test_storeless_run_checkpoints_nothing(self, tmp_path,
+                                               monkeypatch):
+        """Without a store, results stay in the report: no store
+        lookup or write, and no manifest to point at."""
+        reference = serial_runner(ResultStore(tmp_path)).run(SPEC)
+        calls = []
+        for name in ("get", "put"):
+            monkeypatch.setattr(
+                ResultStore, name,
+                lambda self, *args, _name=name: calls.append(_name),
+            )
+        runner = serial_runner(None)
+        report = runner.run(SPEC)
+        assert report.executed == 4 and calls == []
+        assert report.results_json() == reference.results_json()
+        assert runner.read_manifest(SPEC) is None
+        with pytest.raises(ModelError, match="without a result store"):
+            runner.manifest_path(SPEC)
+
     def test_manifest_reaches_complete_state(self, tmp_path):
         store = ResultStore(tmp_path)
         runner = serial_runner(store)

@@ -189,11 +189,38 @@ class TestCommands:
         assert "ASIC" in out
 
     def test_campaign_jobs_flag(self, capsys):
+        # Only a process pool has a width: a serial run names none.
+        assert main(["campaign", "--figures", "F6", "--jobs", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "(serial, method=" in out
+        assert "jobs=" not in out
         code = main(
-            ["campaign", "--figures", "F6", "--jobs", "2"]
+            ["campaign", "--figures", "F6", "--executor", "process",
+             "--jobs", "2"]
         )
         assert code == 0
-        assert "jobs=2" in capsys.readouterr().out
+        assert "(process, jobs=2, method=" in capsys.readouterr().out
+
+    def test_campaign_without_store_dir_writes_no_store(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """No --store-dir: nothing to resume from, so no checkpoint --
+        no store put and no temp directory."""
+        import tempfile
+
+        from repro.campaign.store import ResultStore
+
+        puts = []
+        monkeypatch.setattr(
+            ResultStore, "put", lambda self, *args: puts.append(args)
+        )
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main(["campaign", "--figures", "F8"]) == 0
+        out = capsys.readouterr().out
+        assert "2 executed, 0 resumed" in out
+        assert "store:" not in out
+        assert puts == []
+        assert list(tmp_path.glob("repro-campaign-*")) == []
 
     def test_campaign_unknown_figure_fails_cleanly(self, capsys):
         assert main(["campaign", "--figures", "F42"]) == 2

@@ -233,6 +233,31 @@ class TestPrometheusExposition:
         # +Inf / NaN are legal sample values.
         validate_prometheus("# TYPE m gauge\nm +Inf\nm NaN\n")
 
+    def test_braces_inside_quoted_label_values(self):
+        """A route template label, as the service records for
+        ``GET /v1/jobs/{id}``, is a legal label value."""
+        r = MetricsRegistry()
+        r.histogram("t_seconds", "latency", window=4).observe(
+            0.5, endpoint="/v1/jobs/{id}"
+        )
+        r.counter("t_total").inc(path='{"a": "}{"}')
+        text = r.render_prometheus()
+        assert 'endpoint="/v1/jobs/{id}",quantile="0.5"' in text
+        names = validate_prometheus(text)
+        assert "t_seconds_count" in names and "t_total" in names
+
+    @pytest.mark.parametrize("line", [
+        'm{a="x"}} 1',
+        'm{{a="x"} 1',
+        'm{a="x"{} 1',
+        'm}{a="x"} 1',
+        'm{a="x",{b="y"}} 1',
+        'm{a="x} 1',
+    ])
+    def test_validator_rejects_braces_outside_quotes(self, line):
+        with pytest.raises(ValueError):
+            validate_prometheus(f"# TYPE m gauge\n{line}\n")
+
 
 class TestSpansAndTracer:
     def test_span_hierarchy_and_buffer(self):

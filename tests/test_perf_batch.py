@@ -220,45 +220,53 @@ def _bits(value) -> bytes:
     return np.float64(value).tobytes()
 
 
-def _assert_prefix_matches_batch(chip, f, budgets, r_maxes):
-    """Cell [i, k] of every channel is optimize_batch's answer for
-    budgets[i] at r_maxes[k]: feasible exactly where it returns a
-    point, that point's values bit for bit, NaN where it returns None."""
-    prefix = optimize_prefix_batch(chip, f, budgets, r_maxes)
+def _assert_prefix_matches_batch(chip, f_values, budgets, r_maxes):
+    """Cell [i, j, k] of every channel is optimize_batch's answer for
+    budgets[i] at f_values[j] and r_maxes[k]: feasible exactly where
+    it returns a point, that point's values bit for bit, NaN where it
+    returns None."""
+    prefix = optimize_prefix_batch(chip, f_values, budgets, r_maxes)
+    shape = (len(budgets), len(f_values), len(r_maxes))
     for name in PrefixOptima._fields:
-        assert getattr(prefix, name).shape == (len(budgets), len(r_maxes))
-    for k, r_max in enumerate(r_maxes):
-        points = optimize_batch(chip, f, budgets, r_max=r_max)
-        for i, point in enumerate(points):
-            cell = {name: getattr(prefix, name)[i, k]
-                    for name in PrefixOptima._fields}
-            if point is None:
-                assert _bits(cell.pop("feasible")) == _bits(0.0)
-                assert all(np.isnan(v) for v in cell.values()), cell
-                continue
-            assert _bits(cell["feasible"]) == _bits(1.0)
-            expected = {
-                "speedup": point.speedup,
-                "r": point.r,
-                "n": point.n,
-                "n_area": point.bounds.n_area,
-                "n_power": point.bounds.n_power,
-                "n_bandwidth": point.bounds.n_bandwidth,
-            }
-            for name, value in expected.items():
-                assert _bits(cell[name]) == _bits(value), (name, i, r_max)
+        assert getattr(prefix, name).shape == shape
+    for j, f in enumerate(f_values):
+        for k, r_max in enumerate(r_maxes):
+            points = optimize_batch(chip, f, budgets, r_max=r_max)
+            for i, point in enumerate(points):
+                cell = {name: getattr(prefix, name)[i, j, k]
+                        for name in PrefixOptima._fields}
+                if point is None:
+                    assert _bits(cell.pop("feasible")) == _bits(0.0)
+                    assert all(np.isnan(v) for v in cell.values()), cell
+                    continue
+                assert _bits(cell["feasible"]) == _bits(1.0)
+                expected = {
+                    "speedup": point.speedup,
+                    "r": point.r,
+                    "n": point.n,
+                    "n_area": point.bounds.n_area,
+                    "n_power": point.bounds.n_power,
+                    "n_bandwidth": point.bounds.n_bandwidth,
+                }
+                for name, value in expected.items():
+                    assert _bits(cell[name]) == _bits(value), (
+                        name, i, f, r_max
+                    )
 
 
 class TestPrefixBatchMatchesBatch:
     """optimize_prefix_batch must equal a fresh optimize_batch call
-    for every r_max -- same bit-for-bit contract as the scalar tests
-    above.  This is the equality the tensor materializer rests on."""
+    for every f and r_max -- same bit-for-bit contract as the scalar
+    tests above.  This is the equality the tensor materializer rests
+    on."""
 
     R_MAXES = tuple(range(1, 17))
 
     @pytest.mark.parametrize("workload,size", WORKLOADS)
     @pytest.mark.parametrize("f", (0.0, 0.5, 0.99, 0.999, 1.0))
     def test_paper_grid_every_r_max(self, workload, size, f):
+        # f shares its pass with both edge fractions, whose masks and
+        # formulas differ from every interior f's.
         scenario = get_scenario("baseline")
         for design in standard_designs(workload, size):
             budgets = [
@@ -269,13 +277,13 @@ class TestPrefixBatchMatchesBatch:
                 for node in scenario.roadmap.nodes
             ]
             _assert_prefix_matches_batch(
-                design.chip, f, budgets, self.R_MAXES
+                design.chip, (f, 0.0, 1.0), budgets, self.R_MAXES
             )
 
     def test_all_models_basic_budget(self, basic_budget):
         for chip in _all_chips():
             _assert_prefix_matches_batch(
-                chip, 0.9, [basic_budget], self.R_MAXES
+                chip, F_VALUES, [basic_budget], self.R_MAXES
             )
 
     def test_infeasible_cells_match(self):
@@ -287,19 +295,23 @@ class TestPrefixBatchMatchesBatch:
             Budget(area=100.0, power=0.5),
             Budget(area=1.0, power=1e9),
         ]
-        _assert_prefix_matches_batch(chip, 0.99, budgets, (1, 4, 16))
+        _assert_prefix_matches_batch(
+            chip, (0.0, 0.99, 1.0), budgets, (1, 4, 16)
+        )
 
     def test_empty_inputs(self):
-        for budgets, r_maxes in (
-            ([], (1, 2)),
-            ([Budget(area=10.0, power=10.0)], ()),
+        budget = Budget(area=10.0, power=10.0)
+        for budgets, f_values, r_maxes in (
+            ([], (0.0, 0.5, 1.0), (1, 2)),
+            ([budget], (0.0, 0.5, 1.0), ()),
+            ([budget], (), (1, 2)),
         ):
             prefix = optimize_prefix_batch(
-                SymmetricCMP(), 0.5, budgets, r_maxes
+                SymmetricCMP(), f_values, budgets, r_maxes
             )
             for name in PrefixOptima._fields:
                 assert getattr(prefix, name).shape == (
-                    len(budgets), len(r_maxes)
+                    len(budgets), len(f_values), len(r_maxes)
                 )
 
 
@@ -335,39 +347,43 @@ _small_budget = st.builds(
 
 @given(
     budgets=st.lists(_small_budget, min_size=1, max_size=6),
-    f=st.sampled_from(F_VALUES),
+    f_values=st.lists(st.sampled_from(F_VALUES), min_size=1, max_size=6),
     chip_index=st.integers(0, len(_PREFIX_CHIPS) - 1),
     r_maxes=st.lists(st.integers(1, 20), min_size=1, max_size=8),
 )
-# Rows feasible only from r_max = 4, a row with no feasible column
+# Rows feasible only from r_max = 4 at f > 0 (from r_max = 1 at
+# f = 0, where no fabric is needed), a row with no feasible column
 # (power < 1 leaves no serial core) and, on the dynamic chip, tied
 # speedups (every r <= n has the same speedup; the first wins).
 @example(
     budgets=[Budget(area=32.0, power=32.0), Budget(area=32.0, power=0.7)],
-    f=0.9, chip_index=_LATE, r_maxes=[16, 3, 4, 1],
+    f_values=[0.9, 0.0], chip_index=_LATE, r_maxes=[16, 3, 4, 1],
 )
 @example(
     budgets=[Budget(area=16.0, power=8.0, alpha=2.0)],
-    f=0.5, chip_index=_DYNAMIC, r_maxes=[1, 2, 8, 16],
+    f_values=[0.5, 1.0], chip_index=_DYNAMIC, r_maxes=[1, 2, 8, 16],
 )
 @settings(max_examples=150, deadline=None)
-def test_prefix_batch_parity(budgets, f, chip_index, r_maxes):
-    """optimize_prefix_batch == optimize_batch per r_max, on random
-    budgets small enough that rows and columns go infeasible; r_maxes
-    come in any order, repeats included."""
+def test_prefix_batch_parity(budgets, f_values, chip_index, r_maxes):
+    """optimize_prefix_batch == optimize_batch per (f, r_max), on
+    random budgets small enough that rows and columns go infeasible;
+    f values and r_maxes come in any order, repeats included."""
     _assert_prefix_matches_batch(
-        _PREFIX_CHIPS[chip_index], f, budgets, r_maxes
+        _PREFIX_CHIPS[chip_index], f_values, budgets, r_maxes
     )
 
 
 def test_parity_examples_reach_their_edge_cases():
     """The pinned examples above exercise what they claim."""
     late = optimize_prefix_batch(
-        _PREFIX_CHIPS[_LATE], 0.9,
+        _PREFIX_CHIPS[_LATE], (0.9, 0.0),
         [Budget(area=32.0, power=32.0), Budget(area=32.0, power=0.7)],
         (1, 3, 4, 16),
     )
-    assert late.feasible.tolist() == [[0, 0, 1, 1], [0, 0, 0, 0]]
+    assert late.feasible.tolist() == [
+        [[0, 0, 1, 1], [1, 1, 1, 1]],
+        [[0, 0, 0, 0], [0, 0, 0, 0]],
+    ]
     dynamic = _PREFIX_CHIPS[_DYNAMIC]
     budget = Budget(area=16.0, power=8.0, alpha=2.0)
     tied = sweep_designs_batch(dynamic, 0.5, budget, r_max=8)

@@ -2,11 +2,16 @@
 
 import asyncio
 import json
+import time
+import urllib.error
+import urllib.request
 
 import pytest
 
 from repro.dse.front import points_from_payload
+from repro.obs.metrics import validate_prometheus
 from repro.service.app import ModelService, ServiceConfig
+from repro.service.http import start_server
 from repro.service.schemas import parse_dse
 from repro.errors import BadRequestError
 
@@ -221,5 +226,106 @@ class TestEndpoint:
                 'outcome="accepted"} 1' in text
             )
             assert "repro_dse_configs_evaluated_total" in text
+
+        run(main())
+
+
+def _smoke_over_http(base):
+    """The dse-smoke checks, as a client of a running server."""
+    body = json.dumps({
+        "scenario": {
+            "name": "ci-smoke",
+            "f_values": [0.99, 0.999],
+            "chips": [
+                {"kind": "single", "device": "ASIC"},
+                {"kind": "single", "device": "GTX480"},
+            ],
+        },
+        "mode": "halving",
+        "area_scale_grid": [0.5, 1.0],
+    }).encode()
+
+    def submit():
+        req = urllib.request.Request(
+            f"{base}/v1/dse", data=body, method="POST"
+        )
+        with urllib.request.urlopen(req, timeout=30) as resp:
+            assert resp.status == 202, resp.status
+            return json.load(resp)["job_id"]
+
+    def wait(job_id, deadline_s=60):
+        deadline = time.monotonic() + deadline_s
+        while time.monotonic() < deadline:
+            with urllib.request.urlopen(
+                f"{base}/v1/jobs/{job_id}", timeout=30
+            ) as resp:
+                payload = json.load(resp)
+            if payload["state"] in ("succeeded", "failed"):
+                return payload
+            time.sleep(0.1)
+        raise AssertionError("job did not finish in time")
+
+    # The first run executes every task through the content-addressed
+    # store; the resubmission is served from it, bit-identically.
+    first = wait(submit())
+    assert first["state"] == "succeeded", first
+    (result,) = first["results"]
+    assert result["front"], "empty Pareto front"
+    assert result["full_evaluations"] <= result["n_configs"]
+    second = wait(submit())
+    assert second["state"] == "succeeded", second
+    assert second["progress"]["cached"] >= 1, second
+    a = json.dumps(first["results"], sort_keys=True)
+    b = json.dumps(second["results"], sort_keys=True)
+    assert a == b, "resumed DSE results diverged"
+
+    # A malformed scenario is an eager 400 naming the offending field,
+    # not a failed job.
+    bad = urllib.request.Request(
+        f"{base}/v1/dse",
+        data=b'{"scenario": {"name": "x", "provider": "magic"}}',
+        method="POST",
+    )
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(bad, timeout=30)
+    assert excinfo.value.code == 400
+    message = json.load(excinfo.value)["message"]
+    assert "provider" in message, message
+
+    with urllib.request.urlopen(
+        f"{base}/metrics?format=prom", timeout=30
+    ) as resp:
+        text = resp.read().decode()
+    validate_prometheus(text, required=[
+        "repro_dse_requests_total",
+        "repro_dse_configs_evaluated_total",
+        "repro_service_requests_total",
+    ])
+    assert 'mode="halving",outcome="accepted"} 2' in text
+    assert 'mode="invalid",outcome="rejected"} 1' in text
+
+
+class TestOverHttp:
+    def test_sweep_resume_and_metrics(self, tmp_path):
+        """A DSL sweep submitted twice over a socket, the second run
+        resumed from the durable store; an eager 400; and a
+        Prometheus exposition that validates, route labels included
+        (CI's dse-smoke job runs this test)."""
+
+        async def main():
+            service = ModelService(
+                ServiceConfig(store_dir=str(tmp_path / "dse-store"))
+            )
+            server = await start_server(service, port=0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                # The client blocks, so it runs off the server's loop.
+                await asyncio.to_thread(
+                    _smoke_over_http, f"http://127.0.0.1:{port}"
+                )
+            finally:
+                server.close()
+                await server.wait_closed()
+                service.close()
 
         run(main())

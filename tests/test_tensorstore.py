@@ -395,17 +395,55 @@ class TestDefaultBuild:
         assert store.stats().hits == 0
         assert len(store) == 2 * len(spec.tasks())
 
-    def test_build_removes_its_ephemeral_store(self, tmp_path,
-                                               monkeypatch):
+    def test_only_a_given_store_is_written(self, tmp_path, monkeypatch):
+        """Without a store the build checkpoints nothing: no put, no
+        temp directory.  Given one, every task lands in it, and the
+        channel bytes are the same either way."""
+        from repro.campaign.store import ResultStore
+
+        puts = []
+        put = ResultStore.put
+        monkeypatch.setattr(
+            ResultStore, "put",
+            lambda self, digest, payload: (
+                puts.append(digest) or put(self, digest, payload)
+            ),
+        )
         tmp = tmp_path / "tmp"
         tmp.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(tmp))
-        build_tensor_store(
-            tmp_path / "tensors",
-            spec=materialize_spec(workloads=(("bs", None),),
-                                  f_grid=(0.5, 0.99), r_grid=(1, 2)),
-        )
+        spec = materialize_spec(workloads=(("bs", None),),
+                                f_grid=(0.5, 0.99), r_grid=(1, 2))
+        build_tensor_store(tmp_path / "storeless", spec=spec)
+        assert puts == []
         assert _leftover_stores(tmp) == []
+
+        store = ResultStore(tmp_path / "results")
+        manifest = build_tensor_store(
+            tmp_path / "stored", spec=spec, store=store
+        )
+        assert sorted(puts) == manifest["task_hashes"]
+        assert len(store) == len(spec.tasks())
+        assert _channel_digests(tmp_path / "stored") == _channel_digests(
+            tmp_path / "storeless"
+        )
+
+    def test_one_kernel_call_per_design(self, tmp_path, monkeypatch):
+        """Each design's whole (node, f, r_max) block is one grid pass."""
+        import repro.perf.tensorstore as tensorstore
+
+        calls = []
+        kernel = tensorstore.optimize_prefix_batch
+
+        def counted(chip, f_values, budgets, r_maxes):
+            calls.append(tuple(f_values))
+            return kernel(chip, f_values, budgets, r_maxes)
+
+        monkeypatch.setattr(tensorstore, "optimize_prefix_batch", counted)
+        spec = materialize_spec(f_grid=(0.0, 0.5, 0.99, 1.0),
+                                r_grid=(1, 2, 3))
+        build_tensor_store(tmp_path / "tensors", spec=spec)
+        assert calls == [(0.0, 0.5, 0.99, 1.0)] * len(spec.tasks())
 
     def test_cli_build_leaves_no_ephemeral_store(self, tmp_path):
         tmp = tmp_path / "tmp"
