@@ -2,11 +2,11 @@
 
 ``repro-hetsim serve --workers N`` puts an asyncio router in front of
 N spawned worker processes, each a full single-process model service
-with its own micro-batcher and LRU cache.  The router rendezvous-
-hashes every request's *coalescing key* (workload, design, f -- never
-the node, so a node sweep stays on one worker and still batches), so
-repeat traffic always lands on the worker whose cache already holds
-the answer.  This script drives that machinery in process:
+with its own LRU cache.  The router rendezvous-hashes every request's
+*locality key* (workload, design, f -- never the node, so a design's
+whole roadmap stays on one worker), so repeat traffic always lands on
+the worker whose cache already holds the answer.  This script drives
+that machinery in process:
 
 1. **Boot** a 2-worker cluster on an ephemeral port.
 2. **Route**: the same request, asked twice, returns byte-identical

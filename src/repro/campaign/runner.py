@@ -36,11 +36,9 @@ only thing resume reads, and live progress is on the event stream.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import tempfile
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -80,12 +78,20 @@ __all__ = [
 
 _EXECUTORS = ("serial", "process", "cluster")
 
-#: Process pools always use the ``spawn`` start method: ``fork`` would
-#: inherit locks, the metrics registry, and any event loop state, and
-#: makes Linux and macOS behave differently.  Pinning it keeps worker
-#: determinism identical across platforms (and matches the serving
-#: cluster's worker processes).
-_SPAWN = multiprocessing.get_context("spawn")
+
+def _spawn_context():
+    """The start context of every campaign process pool.
+
+    Always ``spawn``: ``fork`` would inherit locks, the metrics
+    registry, and any event loop state, and makes Linux and macOS
+    behave differently.  Pinning it keeps worker determinism
+    identical across platforms (and matches the serving cluster's
+    worker processes).  Imported here, so a process that runs no
+    pool loads no ``multiprocessing``.
+    """
+    import multiprocessing
+
+    return multiprocessing.get_context("spawn")
 
 
 # -- task evaluation (module-level so it pickles into workers) -------------
@@ -769,8 +775,14 @@ class CampaignRunner:
         workers: int,
         settle: Callable[..., None],
     ) -> None:
+        from concurrent.futures import (
+            FIRST_COMPLETED,
+            ProcessPoolExecutor,
+            wait,
+        )
+
         with ProcessPoolExecutor(
-            max_workers=workers, mp_context=_SPAWN
+            max_workers=workers, mp_context=_spawn_context()
         ) as pool:
             futures = {}
             for task, digest in pending:

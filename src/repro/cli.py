@@ -100,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     from .core.metrics import Objective
     from .itrs.scenarios import scenario_names
-    from .obs.prof import DEFAULT_HZ as PROFILE_DEFAULT_HZ
 
     parser = argparse.ArgumentParser(
         prog="repro-hetsim",
@@ -502,18 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8080,
                        help="bind port (default 8080; 0 = ephemeral)")
     serve.add_argument(
-        "--max-inflight", type=int, default=8,
-        help="maximum concurrently evaluating requests (default 8)",
-    )
-    serve.add_argument(
-        "--queue-depth", type=int, default=64,
-        help="requests allowed to wait before 429 shedding (default 64)",
-    )
-    serve.add_argument(
-        "--cache-size", type=int, default=1024,
-        help="LRU response-cache capacity in entries (default 1024)",
-    )
-    serve.add_argument(
         "--workers", type=int, default=1,
         help=(
             "worker processes (default 1 = classic single-process "
@@ -566,14 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "disable the continuous sampling profiler "
             "(GET /v1/profile then answers 503)"
-        ),
-    )
-    serve.add_argument(
-        "--profile-hz", type=float, default=PROFILE_DEFAULT_HZ,
-        metavar="HZ",
-        help=(
-            f"continuous profiler sampling rate "
-            f"(default {PROFILE_DEFAULT_HZ:g} Hz)"
         ),
     )
 
@@ -1474,16 +1453,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             service_config = ServiceConfig(
                 host=args.host,
                 port=args.port,
-                max_inflight=args.max_inflight,
-                queue_depth=args.queue_depth,
-                cache_size=args.cache_size,
                 store_dir=args.store_dir,
                 tensor_dir=args.tensor_dir,
                 drain_timeout_s=args.drain_timeout_s,
                 trace_file=args.trace_file,
                 log_level=_checked_level(args.log_level),
                 profile=args.profile,
-                profile_hz=args.profile_hz,
             )
             if args.workers > 1:
                 from .cluster import ClusterConfig, run_cluster_server

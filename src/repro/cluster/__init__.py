@@ -10,14 +10,14 @@ Two halves:
 * **Serving** (:mod:`~repro.cluster.supervisor`,
   :mod:`~repro.cluster.router`) -- ``repro-hetsim serve --workers N``
   spawns N worker processes, each running the existing
-  :class:`~repro.service.app.ModelService` with its own micro-batch
-  coalescer, LRU response cache, and tensor map, and a front-end
-  router -- a handler on the same :mod:`repro.service.http` loop --
-  that rendezvous-hashes each request onto the worker owning its key
-  (:mod:`~repro.cluster.hashring`).  Because the shard key is
-  the coalescing key (chip/design, f, r_max -- never the node), the
-  batcher and both caches keep their locality under sharding instead
-  of fragmenting N ways.
+  :class:`~repro.service.app.ModelService` with its own LRU
+  response cache and tensor map, and a front-end router -- a handler
+  on the same :mod:`repro.service.http` loop -- that rendezvous-hashes
+  each request onto the worker owning its key
+  (:mod:`~repro.cluster.hashring`).  Because the shard key is a
+  design question (chip/design, f, r_max -- never the node), both
+  caches keep their locality under sharding instead of fragmenting N
+  ways.
 * **Campaigns** (:mod:`~repro.cluster.lease`,
   :mod:`~repro.cluster.executor`) -- independently launched
   ``repro-hetsim campaign --join`` processes cooperatively drain one

@@ -1,20 +1,19 @@
 """Rendezvous (highest-random-weight) hashing of the request space.
 
-The router must send every request whose evaluations can coalesce to
-the *same* worker, or sharding destroys the three localities the
+The router must send every request about one design question to the
+*same* worker, or sharding destroys the localities the
 single-process service already exploits:
 
-* the micro-batcher coalesces concurrent requests per
-  ``(chip, f, r_max)`` -- one NumPy grid call answers all of them;
-* the LRU response cache keys on the frozen request dataclass;
+* the LRU response cache keys on the frozen request dataclass, so a
+  repeated request must land where its answer is cached;
 * the memory-mapped tensor store maps one contiguous block per
-  ``(workload, design)`` group.
+  ``(workload, design)`` group, so one worker serving a design keeps
+  that block's pages warm.
 
-So the shard key (:func:`shard_key`) is exactly the coalescing key:
-workload, design (the chip), parallel fraction, ``r_max``, scenario,
-and FFT size -- and **never** the technology node, so a roadmap sweep
-for one design lands on one worker and still coalesces into a single
-grid call there.
+So the shard key (:func:`shard_key`) is workload, design (the chip),
+parallel fraction, ``r_max``, scenario, and FFT size -- and **never**
+the technology node, so every node of one design's roadmap lands on
+one worker, as a ``/v1/sweep`` for it does.
 
 Worker selection is rendezvous hashing (:func:`rendezvous_owner`):
 every worker scores ``sha256(worker_id | key)`` and the highest score
@@ -45,8 +44,8 @@ MODEL_ENDPOINTS = ("/v1/speedup", "/v1/sweep", "/v1/optimize")
 BODY_HASH_ENDPOINTS = ("/v1/jobs", "/v1/dse")
 
 #: Body fields that participate in the locality key, in canonical
-#: order.  ``node_nm`` is deliberately absent: node sweeps for one
-#: design must stay on one worker to coalesce.
+#: order.  ``node_nm`` is deliberately absent: a design's roadmap
+#: stays on one worker.
 _LOCALITY_FIELDS = ("workload", "design", "f", "r_max", "scenario",
                     "fft_size")
 

@@ -4,7 +4,7 @@
 method pinned to ``spawn`` -- identical semantics on Linux/macOS, no
 inherited locks or event loops), each running the unmodified
 single-process :class:`~repro.service.app.ModelService` on its own
-ephemeral port with its own micro-batcher, LRU cache, and tensor map.
+ephemeral port with its own LRU cache and tensor map.
 
 Port discovery is race-free: each worker binds its listening socket
 *before* reporting, sending the bound port back over a

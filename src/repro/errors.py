@@ -21,7 +21,6 @@ __all__ = [
     "NotFoundError",
     "MethodNotAllowedError",
     "UnprocessableRequestError",
-    "TooManyRequestsError",
     "ServiceTimeoutError",
 ]
 
@@ -104,12 +103,6 @@ class UnprocessableRequestError(ServiceError):
     """The request parsed, but the model cannot satisfy it."""
 
     http_status = 422
-
-
-class TooManyRequestsError(ServiceError):
-    """The admission queue is full; the request was shed unprocessed."""
-
-    http_status = 429
 
 
 class ServiceTimeoutError(ServiceError):

@@ -8,9 +8,9 @@ cost.  Three coordinated pieces:
 
 * **Tracing** (:mod:`repro.obs.trace`, :mod:`repro.obs.context`) --
   spans with parent/child linkage propagated across asyncio tasks
-  (contextvars), the micro-batcher's shared flush (explicit carriers)
-  and campaign process pools (parent-side task spans); exported to an in-process
-  ring buffer (``GET /v1/traces``) and optionally to a JSONL file.
+  (contextvars), campaign job threads (explicit carriers) and
+  campaign process pools (parent-side task spans); exported to an
+  in-process ring buffer (``GET /v1/traces``) and optionally to a JSONL file.
   The span is the one timing primitive: each is opened by the call
   that owns a loop (a traced request, a projection, a sensitivity
   run, a DSE sweep, a campaign task), and every finished span also

@@ -7,11 +7,12 @@ in three ways, and each needs its own propagation mechanism:
 * **asyncio tasks** -- a :class:`contextvars.ContextVar` follows the
   task automatically (each task snapshots the context at creation),
   so concurrent requests never observe each other's span.
-* **the micro-batcher's shared flush** -- one grid call serves many
-  callers' traces, so each caller serialises its context into a
-  plain-dict *carrier* (:func:`inject`) when it enqueues, and the
-  flush parents its span on the first traced caller's
-  :func:`extract` result and links the other trace ids.
+* **campaign job threads** -- a job submitted over HTTP runs on a
+  thread of its own, which starts with an empty context, so the
+  submitting request serialises its context into a plain-dict
+  *carrier* (:func:`inject`) and the job thread re-installs it
+  (:func:`extract`) before its campaign spans open
+  (:mod:`repro.campaign.jobs`).
 * **campaign process pools** -- a child process shares nothing, so
   no context crosses: the worker ships only the wall-clock instant it
   started the task, and the parent builds that task's

@@ -1,6 +1,6 @@
 """The unified metrics registry: counters, gauges, windowed histograms.
 
-Every layer -- the serving front end, the micro-batcher, campaign
+Every layer -- the serving front end, its grid calls, campaign
 jobs and store, ``repro.perf.cache``, SLOs, spans -- registers named
 instruments into a registry and records into them directly; the
 registry renders them all, in either of two forms:

@@ -2,7 +2,7 @@
 
 The paper asks where a chip's area budget should go; the runtime twin
 of that question is where wall-time actually goes across the scalar
-optimizer, the batch dispatcher, the tensor store, and the cluster
+optimizer, the batched grid, the tensor store, and the cluster
 fleet.  Spans answer it coarsely (:func:`repro.obs.trace.phase_totals`
 per span name); this module answers it at frame granularity:
 

@@ -19,12 +19,12 @@ event-loop thread, where a span stays open across awaits.  There is
 no other timing primitive.
 
 Grain: a span is opened by the call that owns a loop -- one per
-traced request, batch dispatch, projection, sensitivity run, DSE sweep
-or campaign task -- never inside the loop.  A span with no enclosing span
+traced request, grid call, projection, sensitivity run, DSE sweep or
+campaign task -- never inside the loop.  A span with no enclosing span
 starts its own trace, so an untraced sweep or sensitivity run records
 exactly one span.  Serving is opt-in instead: a request's spans
-(``http.request`` and, inside it, ``tensor.lookup``, ``batch.wait``,
-``batch.dispatch`` and ``perf.optimize_batch``) open only for a request
+(``http.request`` and, inside it, ``tensor.lookup`` and one
+``perf.optimize_batch`` per grid call) open only for a request
 that sends ``X-Request-Id`` or is not a keep-alive model ``POST``
 (:func:`repro.service.tensor.fast_path_eligible`); an untraced request
 that fails records one backdated ``http.request`` span, and one that

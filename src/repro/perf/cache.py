@@ -17,9 +17,9 @@ cache it creates so the whole layer can be cleared
 (:func:`clear_caches`) and inspected (:func:`cache_stats`) in one
 call.  Unlike a bare ``functools.lru_cache``, the counters and the
 recency list are updated under one :class:`threading.Lock`, so the
-statistics stay exact when the serving layer
-(:mod:`repro.service`) drives the cached derivations from a thread
-pool.  Benchmarks clear the registry between timed runs; tests use it
+statistics stay exact when a server's event loop and its campaign job
+threads (:mod:`repro.campaign.jobs`) drive the cached derivations at
+once.  Benchmarks clear the registry between timed runs; tests use it
 to prove both cache *hits* (repeated panels are served from memory)
 and cache *correctness* (changing any input -- a different BCE
 calibration, a perturbed scenario -- produces a different key and

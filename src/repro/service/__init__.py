@@ -12,21 +12,18 @@ turns the batched projection engine into a request/response service:
   as JSON (:func:`~repro.service.metrics.metrics_payload`) or
   Prometheus text, from one per-instance metrics registry.
 
-The layer's core is the **micro-batching dispatcher**
-(:class:`MicroBatcher`): evaluations for the same (chip, f, r_max)
-that reach it in one event-loop tick -- typically one sweep's five
-nodes -- are coalesced and evaluated as a single NumPy grid call on
-the next tick, inline on the loop, then de-multiplexed to their
-callers, without a timer or a thread.  Layered around it: an LRU
-response cache keyed on the frozen request dataclasses
-(:class:`ResponseCache`), a semaphore admission limiter with 429
-shedding, and structured JSON access logs (logger
-``repro.service.access``) for traced requests -- all but a keep-alive
-model ``POST`` without ``X-Request-Id`` -- and for every error.
+A model request is answered in one pass, inline on the event loop:
+an LRU response cache keyed on the frozen request dataclasses
+(:class:`ResponseCache`), then, on a miss, one NumPy grid call per
+(chip, f, r_max) of the request (:class:`MicroBatcher`; a sweep's
+five nodes share one call), with no await in between.  Structured
+JSON access logs (logger ``repro.service.access``) cover traced
+requests -- all but a keep-alive model ``POST`` without
+``X-Request-Id`` -- and every error.
 
 Start a server from the CLI::
 
-    repro-hetsim serve --port 8080 --max-inflight 8
+    repro-hetsim serve --port 8080
 
 or in-process::
 

@@ -8,16 +8,17 @@
 2. **Parse** -- strict JSON-schema validation into frozen request
    dataclasses (400 on any violation).
 3. **Cache** -- an LRU keyed on the request dataclass; a hit is
-   answered immediately and never reaches the dispatcher.
-4. **Admit** -- a semaphore caps concurrent evaluations; when the
-   wait queue is full the request is shed with 429.  There is no
-   deadline: a grid call runs inline on the loop, and the batched
-   engine bounds it by the budgets' serial ceiling.
-5. **Evaluate** -- budgets resolve through the memoized
+   answered immediately and never reaches the grid.
+4. **Evaluate** -- budgets resolve through the memoized
    :func:`~repro.projection.engine.node_budget` and the r-sweep runs
-   through the :class:`~repro.service.batching.MicroBatcher`, so
-   concurrent compatible requests share one NumPy grid call.
-6. **Account** -- one record per finished request into the instance's
+   through :meth:`~repro.service.batching.MicroBatcher.evaluate`, one
+   NumPy grid call per (chip, f, r_max) of the request: a sweep's
+   five nodes share one call.  Steps 3-4 make one pass with no await,
+   so a concurrent duplicate of a request finds its answer cached.
+   There is no deadline and no admission queue: the grid call runs
+   inline on the loop, and the batched engine bounds it by the
+   budgets' serial ceiling.
+5. **Account** -- one record per finished request into the instance's
    metrics registry (labelled by route, never by raw path) and SLO
    tracker, behind both ``GET /metrics`` forms.  Tracing is opt-in by
    the rule every serving tier shares
@@ -50,7 +51,7 @@ from ..campaign.jobs import JobManager
 from ..obs.context import current_context, new_span_id
 from ..obs.logging import get_logger, log_event
 from ..obs.metrics import MetricsRegistry, get_registry, render_merged
-from ..obs.prof import DEFAULT_HZ, acquire_sampler, release_sampler
+from ..obs.prof import acquire_sampler, release_sampler
 from ..obs.slo import SLObjective, SLOTracker
 from ..obs.stream import EventBus
 from ..obs.trace import Span, get_tracer
@@ -64,7 +65,6 @@ from ..errors import (
     NotFoundError,
     ReproError,
     ServiceError,
-    TooManyRequestsError,
 )
 from ..itrs.scenarios import get_scenario
 from ..perf.cache import register_cache_metrics
@@ -111,12 +111,6 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 8080
-    #: Maximum concurrently evaluating requests.
-    max_inflight: int = 8
-    #: Requests allowed to wait for a slot before 429 shedding.
-    queue_depth: int = 64
-    #: LRU response-cache capacity (entries).
-    cache_size: int = 1024
     #: Root of the campaign result store backing ``POST /v1/jobs``;
     #: None keeps job results in an ephemeral temporary directory.
     store_dir: Optional[str] = None
@@ -143,16 +137,13 @@ class ServiceConfig:
     #: the sampler costs well under the 2% overhead budget gated by
     #: ``make bench-profile``; ``serve --no-profile`` turns it off.
     profile: bool = True
-    #: Stack sampling rate for the continuous profiler.
-    profile_hz: float = DEFAULT_HZ
 
 
 class ModelService:
     """The serving layer's request broker (transport-independent).
 
-    One instance per server; use it from a single event loop (the
-    admission semaphore binds to the first loop that awaits it).
-    Call :meth:`close` when done to drain jobs and mark it unready.
+    One instance per server, used from a single event loop.  Call
+    :meth:`close` when done to drain jobs and mark it unready.
     """
 
     def __init__(self, config: Optional[ServiceConfig] = None):
@@ -173,14 +164,6 @@ class ModelService:
             "repro_service_response_cache_total",
             "Response-cache lookups by result",
         )
-        self._shed = r.counter(
-            "repro_service_shed_total",
-            "Requests shed with 429 at the admission queue",
-        )
-        self._inflight = r.gauge(
-            "repro_service_inflight",
-            "Requests currently holding an evaluation slot",
-        )
         #: Tensor-store outcomes; the fast path's drain counts here too.
         self.tensor_outcomes = r.counter(
             "repro_tensorstore_requests_total",
@@ -199,11 +182,9 @@ class ModelService:
         self.tracer = get_tracer()
         if self.config.trace_file is not None:
             self.tracer.set_export_path(self.config.trace_file)
-        self.cache = ResponseCache(maxsize=self.config.cache_size)
+        self.cache = ResponseCache()
         self.batcher = MicroBatcher(registry=self.registry)
         self._closed = False
-        self._semaphore = asyncio.Semaphore(self.config.max_inflight)
-        self._waiting = 0
         #: Per-instance SLO accounting; its repro_slo_* gauges render
         #: through the same registry as the request counters.
         self.slo = SLOTracker(
@@ -245,17 +226,16 @@ class ModelService:
         #: dozens) share one sampling thread; :meth:`close` releases
         #: this instance's reference.
         self.sampler = (
-            acquire_sampler(self.config.profile_hz)
+            acquire_sampler()
             if self.config.profile
             else None
         )
         self._sampler_held = self.sampler is not None
 
     def listening(self, host: str, port: int) -> None:
-        """Transport hook: log the bound address with the serving knobs."""
+        """Transport hook: log the bound address and the trace file."""
         log_event(
             _log, "listening", host=host, port=port,
-            max_inflight=self.config.max_inflight,
             trace_file=self.config.trace_file,
         )
 
@@ -508,21 +488,21 @@ class ModelService:
             answered = self._tensor_eval(request, "speedup")
             if answered is not None:
                 return answered
-            return await self._cached_eval(request, self._eval_speedup)
+            return self._cached_eval(request, self._eval_speedup)
         if path == "/v1/sweep":
             self._require_method(method, "POST", path)
             request = parse_sweep(_decode_json(body))
             answered = self._tensor_eval(request, "sweep")
             if answered is not None:
                 return answered
-            return await self._cached_eval(request, self._eval_sweep)
+            return self._cached_eval(request, self._eval_sweep)
         if path == "/v1/optimize":
             self._require_method(method, "POST", path)
             request = parse_optimize(_decode_json(body))
             answered = self._tensor_eval(request, "optimize")
             if answered is not None:
                 return answered
-            return await self._cached_eval(request, self._eval_optimize)
+            return self._cached_eval(request, self._eval_optimize)
         raise NotFoundError(f"no route for {path!r}")
 
     def _drain_fastpath(self) -> None:
@@ -674,40 +654,18 @@ class ModelService:
             }
         return payload
 
-    # -- cache + admission -------------------------------------------------
+    # -- response cache ----------------------------------------------------
 
-    async def _cached_eval(
+    def _cached_eval(
         self, request, evaluator
     ) -> Tuple[int, Dict[str, Any], bool]:
+        """The cached answer, else evaluate and cache it (no await)."""
         hit = self.cache.get(request)
         if hit is not None:
             return 200, hit, True
-        payload = await self._admit_and_run(evaluator, request)
+        payload = evaluator(request)
         self.cache.put(request, payload)
         return 200, payload, False
-
-    async def _admit_and_run(self, evaluator, request) -> Dict[str, Any]:
-        if (
-            self._semaphore.locked()
-            and self._waiting >= self.config.queue_depth
-        ):
-            self._shed.inc()
-            raise TooManyRequestsError(
-                f"server at capacity: {self.config.max_inflight} "
-                f"in flight and {self._waiting} queued "
-                f"(queue_depth={self.config.queue_depth})"
-            )
-        self._waiting += 1
-        try:
-            await self._semaphore.acquire()
-        finally:
-            self._waiting -= 1
-        self._inflight.inc()
-        try:
-            return await evaluator(request)
-        finally:
-            self._inflight.dec()
-            self._semaphore.release()
 
     # -- evaluators --------------------------------------------------------
 
@@ -731,7 +689,7 @@ class ModelService:
         except ModelError as exc:
             raise BadRequestError(str(exc)) from None
 
-    async def _eval_speedup(self, req: SpeedupRequest) -> Dict[str, Any]:
+    def _eval_speedup(self, req: SpeedupRequest) -> Dict[str, Any]:
         scenario = get_scenario(req.scenario)
         design = self._find_design(req.workload, req.fft_size, req.design)
         node = self._node(scenario, req.node_nm)
@@ -739,8 +697,8 @@ class ModelService:
             node, req.workload, req.fft_size, scenario, DEFAULT_BCE,
             design.bandwidth_exempt,
         )
-        point = await self.batcher.evaluate(
-            design.chip, req.f, budget, req.r_max
+        (point,) = self.batcher.evaluate(
+            design.chip, req.f, [budget], req.r_max
         )
         if point is None:
             # Re-run the scalar path to raise the exact binding-bound
@@ -755,7 +713,7 @@ class ModelService:
             "point": design_point_payload(point),
         }
 
-    async def _eval_sweep(self, req: SweepRequest) -> Dict[str, Any]:
+    def _eval_sweep(self, req: SweepRequest) -> Dict[str, Any]:
         scenario = get_scenario(req.scenario)
         design = self._find_design(req.workload, req.fft_size, req.design)
         nodes = scenario.roadmap.nodes
@@ -766,11 +724,8 @@ class ModelService:
             )
             for node in nodes
         ]
-        points = await asyncio.gather(
-            *(
-                self.batcher.evaluate(design.chip, req.f, b, req.r_max)
-                for b in budgets
-            )
+        points = self.batcher.evaluate(
+            design.chip, req.f, budgets, req.r_max
         )
         cells = []
         for node, point in zip(nodes, points):
@@ -790,7 +745,7 @@ class ModelService:
             "cells": cells,
         }
 
-    async def _eval_optimize(self, req: OptimizeRequest) -> Dict[str, Any]:
+    def _eval_optimize(self, req: OptimizeRequest) -> Dict[str, Any]:
         scenario = get_scenario(req.scenario)
         node = self._node(scenario, req.node_nm)
         designs = standard_designs(req.workload, req.fft_size)
@@ -801,12 +756,11 @@ class ModelService:
             )
             for design in designs
         ]
-        points = await asyncio.gather(
-            *(
-                self.batcher.evaluate(d.chip, req.f, b, req.r_max)
-                for d, b in zip(designs, budgets)
-            )
-        )
+        # One grid call per design: the designs have different chips.
+        points = [
+            self.batcher.evaluate(d.chip, req.f, [b], req.r_max)[0]
+            for d, b in zip(designs, budgets)
+        ]
         candidates = []
         best = None
         for design, point in zip(designs, points):

@@ -67,7 +67,6 @@ _REASONS = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     422: "Unprocessable Entity",
-    429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }

@@ -4,8 +4,8 @@ Every serving-layer number lives in a
 :class:`~repro.obs.metrics.MetricsRegistry` instrument that the
 component owning it creates and records into: the
 :class:`~repro.service.app.ModelService` (requests, latency, response
-cache, admission, tensor-store outcomes, DSE submissions, uptime), the
-:class:`~repro.service.batching.MicroBatcher` (micro-batch flushes)
+cache, tensor-store outcomes, DSE submissions, uptime), the
+:class:`~repro.service.batching.MicroBatcher` (grid calls)
 and the :class:`~repro.campaign.jobs.JobManager` (job lifecycle).  The
 registry renders the Prometheus exposition itself;
 :func:`metrics_payload` is the one place that knows the historical
@@ -81,7 +81,6 @@ def metrics_payload(registry: MetricsRegistry) -> Dict[str, Any]:
     )
     return {
         "uptime_s": registry.gauge("repro_service_uptime_seconds").value(),
-        "inflight": int(registry.gauge("repro_service_inflight").value()),
         "requests": requests,
         "latency": latency,
         "cache": {
@@ -96,7 +95,6 @@ def metrics_payload(registry: MetricsRegistry) -> Dict[str, Any]:
             ),
             "efficiency": items / batches if batches else None,
         },
-        "shed": int(registry.counter("repro_service_shed_total").value()),
         "jobs": dict(
             _by_label(registry, "repro_service_jobs_total", "state")
         ),

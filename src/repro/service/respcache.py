@@ -8,8 +8,7 @@ different key, and a stale hit is impossible by construction.
 
 Only successful (HTTP 200) payloads are cached; errors always
 re-evaluate.  Hits short-circuit the whole pipeline -- a cached
-request is answered before admission control and never reaches the
-micro-batching dispatcher.
+request never reaches the grid kernel.
 """
 
 from __future__ import annotations

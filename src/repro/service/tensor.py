@@ -4,7 +4,7 @@ Two layers, both optional (``serve --tensor-dir``):
 
 * :class:`TensorServing` answers parsed requests at the *payload*
   level from a memory-mapped :class:`~repro.perf.tensorstore.TensorStore`
-  -- no budgets, no optimizer, no micro-batcher.  On-grid requests are
+  -- no budgets, no optimizer, no grid call.  On-grid requests are
   answered bit-identically to the live path (the payload is rebuilt
   through the very same :func:`~repro.service.schemas.design_point_payload`
   over a reconstructed :class:`~repro.core.optimizer.DesignPoint`);

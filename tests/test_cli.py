@@ -77,17 +77,23 @@ class TestParser:
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1"
         assert args.port == 8080
-        assert args.max_inflight == 8
-        assert args.queue_depth == 64
-        # No evaluation deadline: the bounded grid is the bound.
-        assert not hasattr(args, "timeout_s")
+        # No evaluation deadline: the bounded grid is the bound.  No
+        # admission queue: an evaluation never waits, so none forms.
+        # The response cache has a fixed size, the profiler a fixed rate.
+        for gone in ("timeout_s", "max_inflight", "queue_depth",
+                     "cache_size", "profile_hz"):
+            assert not hasattr(args, gone), gone
 
     def test_serve_flags(self):
         args = build_parser().parse_args(
-            ["serve", "--port", "9999", "--max-inflight", "2"]
+            ["serve", "--port", "9999", "--no-profile"]
         )
         assert args.port == 9999
-        assert args.max_inflight == 2
+        assert args.profile is False
+        for gone in ("--max-inflight", "--queue-depth", "--cache-size",
+                     "--profile-hz"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", gone, "2"])
 
     def test_version_flag(self, capsys):
         import repro

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign.runner import _EXECUTORS, _SPAWN, CampaignRunner
+from repro.campaign.runner import _EXECUTORS, CampaignRunner, _spawn_context
 from repro.campaign.spec import CampaignSpec, task_hash
 from repro.campaign.store import ResultStore
 from repro.cli import main
@@ -96,9 +96,10 @@ class TestClusterExecutor:
         serial = _serial_results(tmp_path)
         store_dir = tmp_path / "shared"
         store_dir.mkdir()
-        queue = _SPAWN.Queue()
+        spawn = _spawn_context()
+        queue = spawn.Queue()
         peers = [
-            _SPAWN.Process(
+            spawn.Process(
                 target=_join_worker, args=(str(store_dir), queue)
             )
             for _ in range(2)
@@ -128,14 +129,15 @@ class TestClusterExecutor:
         serial = _serial_results(tmp_path)
         store_dir = tmp_path / "shared"
         store_dir.mkdir()
-        started = _SPAWN.Event()
-        doomed = _SPAWN.Process(
+        spawn = _spawn_context()
+        started = spawn.Event()
+        doomed = spawn.Process(
             target=_doomed_claimer, args=(str(store_dir), started)
         )
         doomed.start()
         assert started.wait(120), "claimer never claimed"
-        queue = _SPAWN.Queue()
-        peer = _SPAWN.Process(
+        queue = spawn.Queue()
+        peer = spawn.Process(
             target=_join_worker_fast_ttl, args=(str(store_dir), queue)
         )
         peer.start()
@@ -169,7 +171,7 @@ class TestSpawnPinning:
     def test_pool_start_method_is_spawn(self):
         # Campaign pools must behave identically on Linux and macOS:
         # fork is never used.
-        assert _SPAWN.get_start_method() == "spawn"
+        assert _spawn_context().get_start_method() == "spawn"
         assert "cluster" in _EXECUTORS
 
 

@@ -1,10 +1,10 @@
 """Trace propagation across the three execution substrates.
 
 One trace id must survive every hand-off the stack performs: the
-asyncio handler (contextvars), the dispatcher's flush callback
-(parented on the first traced caller's carrier), and the campaign
-runner's process pool (parent-side spans backdated to the submit
-instant, workers shipping only wall-clock starts home).  These tests
+asyncio handler (contextvars, down to the request's grid call), the
+campaign job thread (an explicit carrier), and the campaign runner's
+process pool (parent-side spans backdated to the submit instant,
+workers shipping only wall-clock starts home).  These tests
 pin the parent/child linkage at each seam and that concurrent
 requests never bleed into each other's traces.
 
@@ -135,11 +135,10 @@ class TestAsyncioHandler:
 
 class TestDispatcherThread:
     def test_grid_eval_nests_under_batch_dispatch(self):
-        """handler -> coalesce -> grid eval is one trace.
+        """handler -> grid eval is one trace.
 
-        The dispatch runs in a loop callback shared by every coalesced
-        caller -- the linkage below only holds because the batcher
-        parents it on the carrier of the first traced caller.
+        The request is answered in one pass, so its one grid call is
+        a ``perf.optimize_batch`` span directly under ``http.request``.
         """
         get_tracer().clear()
 
@@ -154,58 +153,17 @@ class TestDispatcherThread:
 
         _status, _payload, headers = _run(main())
         trace = get_tracer().trace(headers["X-Trace-Id"])
-        spans = _lookup(trace)
 
         root = _by_name(trace, "http.request")[0]
-        wait = _by_name(trace, "batch.wait")[0]
-        dispatch = _by_name(trace, "batch.dispatch")[0]
-        grid = _by_name(trace, "perf.optimize_batch")[0]
+        (grid,) = _by_name(trace, "perf.optimize_batch")
 
-        assert wait["parent_id"] == root["span_id"]
-        assert dispatch["parent_id"] == root["span_id"]
-        assert grid["parent_id"] == dispatch["span_id"]
-        assert grid["attributes"]["batch_size"] == 1
-        assert spans[grid["parent_id"]]["name"] == "batch.dispatch"
-
-    def test_coalesced_requests_link_to_the_shared_dispatch(self):
-        get_tracer().clear()
-        nodes = [32, 22, 16]
-
-        async def main():
-            service = _service()
-            try:
-                responses = await asyncio.gather(
-                    *(
-                        service.handle_request(
-                            "POST", "/v1/speedup", _speedup_body(nm),
-                            {"x-request-id": f"req-{nm}"},
-                        )
-                        for nm in nodes
-                    )
-                )
-                dispatches = service.registry.counter(
-                    "repro_service_batch_dispatches_total"
-                ).value()
-                return responses, dispatches
-            finally:
-                service.close()
-
-        responses, dispatches = _run(main())
-        assert dispatches == 1
-        trace_ids = {h["X-Trace-Id"] for _, _, h in responses}
-
-        all_spans = get_tracer().spans()
-        dispatch = _by_name(all_spans, "batch.dispatch")[0]
-        assert dispatch["attributes"]["batch_size"] == len(nodes)
-        # The dispatch lives in the opener's trace; the other
-        # coalesced traces are recorded as links on it.
-        linked = set(dispatch["attributes"].get("links", []))
-        linked.add(dispatch["trace_id"])
-        assert linked == trace_ids
-        # Every caller timed its own wait inside its own trace.
-        for trace_id in trace_ids:
-            waits = _by_name(get_tracer().trace(trace_id), "batch.wait")
-            assert len(waits) == 1
+        assert grid["parent_id"] == root["span_id"]
+        assert grid["attributes"] == {
+            "chip": "GTX285", "f": 0.9, "r_max": 16, "batch_size": 1,
+        }
+        assert {s["name"] for s in trace} == {
+            "http.request", "perf.optimize_batch",
+        }
 
 
 class TestCampaignPool:

@@ -42,12 +42,14 @@ class TestExports:
 
 
 #: Modules neither ``materialize build`` nor single-process ``serve``
-#: runs; a process that loads one pays start-up for nothing.
+#: runs; a process that loads one pays start-up for nothing.  Neither
+#: runs a process pool, so neither loads ``multiprocessing``.
 UNUSED_BY_SERVING = (
     "repro.reporting", "repro.layout", "repro.measure",
     "repro.archmodels", "repro.sim", "repro.hls", "repro.dse",
     "repro.cluster", "repro.obs.regress", "repro.obs.profdiff",
-    "repro.service.watch",
+    "repro.service.watch", "multiprocessing",
+    "concurrent.futures.process",
 )
 
 #: The Prometheus families a fresh ``serve`` exposes at its first
@@ -63,13 +65,11 @@ BOOT_FAMILIES = [
     "repro_profile_samples_total",
     "repro_service_batch_dispatches_total",
     "repro_service_batched_items_total",
-    "repro_service_inflight",
     "repro_service_jobs_total",
     "repro_service_max_batch_items",
     "repro_service_request_seconds",
     "repro_service_requests_total",
     "repro_service_response_cache_total",
-    "repro_service_shed_total",
     "repro_service_uptime_seconds",
     "repro_slo_burn_rate",
     "repro_slo_error_budget_remaining",

@@ -1,11 +1,12 @@
 """Request lifecycle through ModelService: route -> parse -> cache ->
-admit -> batch -> respond.
+evaluate -> respond.
 
 Covers the acceptance matrix: schema-invalid body -> 400, infeasible
-budgets -> 422 with the binding-bound message, queue overflow -> 429,
-cache-hit short-circuit (the second identical request never reaches
-the dispatcher), and the bit-identical guarantee of ``/v1/optimize``
-against a direct ``optimize_batch`` call.
+budgets -> 422 with the binding-bound message, cache-hit
+short-circuit (the second identical request never reaches the grid),
+concurrent duplicates answered from the cache, and the bit-identical
+guarantee of ``/v1/optimize`` against a direct ``optimize_batch``
+call.
 """
 
 import asyncio
@@ -30,7 +31,7 @@ def _service(**overrides):
 
 
 def _dispatches(service):
-    """Micro-batch flushes so far, from the service registry."""
+    """Grid calls so far, from the service registry."""
     return service.registry.counter(
         "repro_service_batch_dispatches_total"
     ).value()
@@ -207,59 +208,6 @@ class TestInfeasible422:
 
 
 class TestOverloadAndTimeout:
-    def test_queue_full_429(self):
-        async def main():
-            service = _service(max_inflight=1, queue_depth=0)
-
-            async def slow(chip, f, budget, r_max=16):
-                await asyncio.sleep(0.2)
-                return optimize_batch(chip, f, [budget], r_max)[0]
-
-            service.batcher.evaluate = slow
-            body = {"workload": "mmm", "f": 0.99, "design": "ASIC"}
-            first = asyncio.create_task(
-                _post(service, "/v1/speedup", body)
-            )
-            await asyncio.sleep(0.05)  # first holds the only slot
-            # A *different* request (no cache hit) while saturated:
-            second = await _post(
-                service, "/v1/speedup", {**body, "node_nm": 22}
-            )
-            result_first = await first
-            service.close()
-            return result_first, second
-
-        (status1, _), (status2, payload2) = _run(main())
-        assert status1 == 200
-        assert status2 == 429
-        assert payload2["error"] == "TooManyRequestsError"
-        assert "capacity" in payload2["message"]
-
-    def test_shed_counted_in_metrics(self):
-        async def main():
-            service = _service(max_inflight=1, queue_depth=0)
-
-            async def slow(chip, f, budget, r_max=16):
-                await asyncio.sleep(0.2)
-                return optimize_batch(chip, f, [budget], r_max)[0]
-
-            service.batcher.evaluate = slow
-            body = {"workload": "mmm", "f": 0.99, "design": "ASIC"}
-            first = asyncio.create_task(
-                _post(service, "/v1/speedup", body)
-            )
-            await asyncio.sleep(0.05)  # first holds the only slot
-            await _post(service, "/v1/speedup", {**body, "node_nm": 22})
-            await first
-            _, metrics = await service.handle("GET", "/metrics")
-            service.close()
-            return metrics
-
-        metrics = _run(main())
-        assert metrics["shed"] == 1
-        assert metrics["requests"]["/v1/speedup"] == {"200": 1, "429": 1}
-        assert "timeouts" not in metrics
-
     def test_huge_r_max_grid_stops_at_the_serial_ceiling(self):
         """Unstubbed: the grid runs inline on the loop and ``r_max``
         has no upper bound, so the work must be bounded by the budgets.
@@ -443,35 +391,36 @@ class TestBitIdentical:
         assert payload["point"]["r"] == direct.r
 
 
-class TestBatchingAcrossRequests:
-    def test_concurrent_same_design_requests_coalesce(self):
-        """Five users asking about the same design at different nodes
-        ride one optimize_batch dispatch."""
-        nodes = [40, 32, 22, 16, 11]
+class TestConcurrentRequests:
+    def test_identical_requests_evaluate_once(self):
+        """Eight identical requests at once: the first is answered in
+        one pass, with no await between its cache miss and its
+        payload, so one budget is evaluated and seven are cache hits."""
+        n = 8
+        body = {"workload": "mmm", "f": 0.987, "design": "ASIC",
+                "node_nm": 22}
 
         async def main():
             service = _service()
-            results = await asyncio.gather(
-                *(
-                    _post(
-                        service, "/v1/speedup",
-                        {"workload": "mmm", "f": 0.99,
-                         "design": "ASIC", "node_nm": nm},
+            try:
+                results = await asyncio.gather(
+                    *(
+                        service.handle_request(
+                            "POST", "/v1/speedup",
+                            json.dumps(body).encode(),
+                        )
+                        for _ in range(n)
                     )
-                    for nm in nodes
                 )
-            )
-            dispatches = _dispatches(service)
-            items = service.registry.counter(
-                "repro_service_batched_items_total"
-            ).value()
-            service.close()
-            return results, dispatches, items
+                _, metrics = await service.handle("GET", "/metrics")
+            finally:
+                service.close()
+            return results, metrics
 
-        results, dispatches, items = _run(main())
-        assert all(status == 200 for status, _ in results)
-        assert dispatches == 1
-        assert items == len(nodes)
-        # Every caller still got its own node's answer.
-        answered = {p["node"] for _, p in results}
-        assert answered == {f"{nm}nm" for nm in nodes}
+        results, metrics = _run(main())
+        assert {status for status, _, _ in results} == {200}
+        assert all(payload == results[0][1] for _, payload, _ in results)
+        assert (
+            metrics["batching"]["dispatches"], metrics["batching"]["items"]
+        ) == (1, 1)
+        assert metrics["cache"] == {"hits": n - 1, "misses": 1}

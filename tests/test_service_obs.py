@@ -1,10 +1,16 @@
 """HTTP-facing observability: request-id echo, ``/v1/traces``,
-readiness-aware ``/healthz``, the Prometheus exposition, and the
-transport's handling of text payloads and response headers.
+readiness-aware ``/healthz``, the Prometheus exposition, the
+transport's handling of text payloads and response headers, and a
+real ``serve`` process over a built tensor store, scraped and traced.
 """
 
 import asyncio
+import http.client
 import json
+import os
+import signal
+import subprocess
+import sys
 
 from repro.obs.context import new_trace_id
 from repro.obs.metrics import validate_prometheus
@@ -211,3 +217,135 @@ class TestTransportEncoding:
         assert b"X-Request-Id: abc" in head
         assert b"X-Trace-Id: " + b"f" * 32 in head
         assert b"Connection: keep-alive" in head
+
+
+#: The families CI's observability smoke has always required.
+SMOKE_FAMILIES = [
+    "repro_service_requests_total",
+    "repro_service_request_seconds",
+    "repro_phase_seconds",
+    "repro_slo_events_total",
+    "repro_slo_error_budget_remaining",
+    "repro_slo_burn_rate",
+    "repro_slo_status",
+    "repro_tensorstore_requests_total",
+    "repro_tensorstore_build_age_seconds",
+]
+
+ON_GRID_TRACE = "0af7651916cd43dd8448eb211c80319c"
+OFF_GRID_TRACE = "1bf7651916cd43dd8448eb211c80319c"
+ON_GRID_BODY = json.dumps(
+    {"workload": "bs", "f": 0.9, "design": "GTX285", "node_nm": 22}
+).encode()
+OFF_GRID_BODY = json.dumps({"workload": "mmm", "f": 0.905}).encode()
+
+
+def _serve(tensor_dir, trace_file):
+    """A real ``repro-hetsim serve`` on an ephemeral port, and its port."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src) + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+            "--tensor-dir", str(tensor_dir),
+            "--trace-file", str(trace_file), "--log-level", "info",
+        ],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True,
+    )
+    for line in proc.stdout:
+        if line.startswith("{"):
+            record = json.loads(line)
+            if record["event"] == "listening":
+                return proc, record["port"]
+    proc.wait(timeout=30)
+    raise AssertionError(f"serve exited {proc.returncode} before listening")
+
+
+def _fetch(conn, method, path, body=None, headers=None):
+    """``(status, body bytes)`` over one keep-alive connection."""
+    conn.request(method, path, body=body, headers=headers or {})
+    response = conn.getresponse()
+    return response.status, response.read()
+
+
+class TestServeSmoke:
+    def test_boot_scrape_validate_trace(self, tmp_path):
+        """Boot ``serve`` over a default-built tensor store with
+        ``--trace-file``, then scrape, validate and trace it (CI's
+        observability-smoke job runs this test)."""
+        from repro.perf.tensorstore import build_tensor_store
+
+        tensor_dir = tmp_path / "tensors"
+        trace_file = tmp_path / "trace.jsonl"
+        build_tensor_store(tensor_dir)
+        proc, port = _serve(tensor_dir, trace_file)
+        try:
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            status, health = _fetch(conn, "GET", "/healthz")
+            assert status == 200
+            tensor = json.loads(health)["tensor"]
+            assert tensor["status"] == "ready", tensor
+
+            # Traced on-grid: answered from the tensor store.  The same
+            # body untraced rides the transport fast path.  Traced
+            # off-grid aggregate: falls back to live compute.
+            traced = _fetch(
+                conn, "POST", "/v1/speedup", ON_GRID_BODY,
+                {"X-Request-Id": ON_GRID_TRACE},
+            )
+            fast = _fetch(conn, "POST", "/v1/speedup", ON_GRID_BODY)
+            off_grid = _fetch(
+                conn, "POST", "/v1/optimize", OFF_GRID_BODY,
+                {"X-Request-Id": OFF_GRID_TRACE},
+            )
+            assert [traced[0], fast[0], off_grid[0]] == [200] * 3
+
+            status, exposition = _fetch(
+                conn, "GET", "/metrics?format=prom"
+            )
+            assert status == 200
+            text = exposition.decode()
+            validate_prometheus(text, required=SMOKE_FAMILIES)
+            assert 'outcome="hit"' in text
+            assert 'outcome="fallback"' in text
+
+            status, slo = _fetch(conn, "GET", "/v1/slo")
+            objectives = json.loads(slo)["objectives"]
+            assert objectives, "no SLO objectives reported"
+            assert all("status" in o for o in objectives)
+            conn.close()
+
+            # Graceful shutdown flushes the trace file.
+            proc.send_signal(signal.SIGTERM)
+            proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0
+
+        # Both tiers answer bit-identically to live compute.
+        status, payload = _request("POST", "/v1/speedup", ON_GRID_BODY)[:2]
+        assert status == 200
+        reference = json.dumps(payload)
+        for _status, body in (traced, fast):
+            assert json.dumps(json.loads(body)) == reference
+
+        spans = [
+            json.loads(line)
+            for line in trace_file.read_text().splitlines()
+        ]
+        on_grid = {
+            s["name"] for s in spans if s["trace_id"] == ON_GRID_TRACE
+        }
+        assert {"http.request", "tensor.lookup"} <= on_grid, on_grid
+        off_grid = {
+            s["name"] for s in spans if s["trace_id"] == OFF_GRID_TRACE
+        }
+        assert {"tensor.lookup", "perf.optimize_batch"} <= off_grid, (
+            off_grid
+        )

@@ -2,9 +2,10 @@
 
 Deselected from the tier-1 suite by the ``perfbench`` marker.  Drives
 a burst of concurrent requests through the in-process service and
-asserts the micro-batcher actually coalesces work (batch efficiency
-strictly above 1) and that the cache makes repeats effectively free.
-The full load benchmark lives in ``benchmarks/bench_service_load.py``.
+asserts that grid calls carry more than one budget on average (a
+sweep's five nodes share one call; batch efficiency strictly above 1)
+and that the cache makes repeats effectively free.  The full load
+benchmark lives in ``benchmarks/bench_service_load.py``.
 """
 
 import asyncio
@@ -16,6 +17,8 @@ from repro.service.app import ModelService, ServiceConfig
 
 pytestmark = pytest.mark.perfbench
 
+SWEEP = json.dumps({"workload": "mmm", "f": 0.99, "design": "ASIC"}).encode()
+
 
 def _body(nm):
     return json.dumps(
@@ -26,22 +29,22 @@ def _body(nm):
 def test_concurrent_burst_batches_and_caches():
     nodes = [40, 32, 22, 16, 11]
 
+    async def burst(service):
+        # One sweep (one grid call of 5 budgets) and the same 5 nodes
+        # as speedups (one call each), all at once.
+        return await asyncio.gather(
+            service.handle("POST", "/v1/sweep", SWEEP),
+            *(
+                service.handle("POST", "/v1/speedup", _body(nm))
+                for nm in nodes
+            ),
+        )
+
     async def main():
         service = ModelService(ServiceConfig())
-        # Burst: 5 distinct requests sharing one (chip, f) key.
-        first = await asyncio.gather(
-            *(
-                service.handle("POST", "/v1/speedup", _body(nm))
-                for nm in nodes
-            )
-        )
+        first = await burst(service)
         # Repeat the burst: every request is now a cache hit.
-        second = await asyncio.gather(
-            *(
-                service.handle("POST", "/v1/speedup", _body(nm))
-                for nm in nodes
-            )
-        )
+        second = await burst(service)
         _, metrics = await service.handle("GET", "/metrics")
         service.close()
         return first, second, metrics
@@ -52,8 +55,8 @@ def test_concurrent_burst_batches_and_caches():
     batching = metrics["batching"]
     assert batching["efficiency"] is not None
     assert batching["efficiency"] > 1, (
-        f"micro-batcher never coalesced: {batching}"
+        f"no grid call evaluated more than one budget: {batching}"
     )
-    # The repeat burst never touched the dispatcher.
-    assert batching["items"] == len(nodes)
-    assert metrics["cache"]["hits"] == len(nodes)
+    # The repeat burst never touched the grid.
+    assert batching["items"] == 2 * len(nodes)
+    assert metrics["cache"]["hits"] == len(nodes) + 1

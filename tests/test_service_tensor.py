@@ -435,13 +435,11 @@ class TestMetricsSurface:
         "repro_phase_seconds",
         "repro_service_batch_dispatches_total",
         "repro_service_batched_items_total",
-        "repro_service_inflight",
         "repro_service_jobs_total",
         "repro_service_max_batch_items",
         "repro_service_request_seconds",
         "repro_service_requests_total",
         "repro_service_response_cache_total",
-        "repro_service_shed_total",
         "repro_service_uptime_seconds",
         "repro_slo_burn_rate",
         "repro_slo_error_budget_remaining",
@@ -519,7 +517,6 @@ class TestMetricsSurface:
         )
         assert _key_tree(snapshot) == {
             "uptime_s": None,
-            "inflight": None,
             "requests": {
                 "/v1/speedup": {"200": None},
                 "/v1/optimize": {"200": None},
@@ -531,7 +528,6 @@ class TestMetricsSurface:
             "batching": dict.fromkeys(
                 ("dispatches", "items", "max_batch", "efficiency")
             ),
-            "shed": None,
             "jobs": {"queued": None, "succeeded": None},
             "dse": {"accepted": None, "rejected": None},
             "tensorstore": {

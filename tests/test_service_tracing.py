@@ -138,19 +138,11 @@ class TestInProcess:
         assert headers["X-Request-Id"] == "req-7"
         trace_id = headers["X-Trace-Id"]
         spans = {s["name"]: s for s in get_tracer().trace(trace_id)}
-        assert sorted(spans) == [
-            "batch.dispatch", "batch.wait", "http.request",
-            "perf.optimize_batch",
-        ]
+        assert sorted(spans) == ["http.request", "perf.optimize_batch"]
         root = spans["http.request"]
         assert root["parent_id"] is None
         assert root["attributes"]["request_id"] == "req-7"
-        assert spans["batch.wait"]["parent_id"] == root["span_id"]
-        assert spans["batch.dispatch"]["parent_id"] == root["span_id"]
-        assert (
-            spans["perf.optimize_batch"]["parent_id"]
-            == spans["batch.dispatch"]["span_id"]
-        )
+        assert spans["perf.optimize_batch"]["parent_id"] == root["span_id"]
         assert [(a["request_id"], a["trace_id"]) for a in access] == [
             ("req-7", trace_id)
         ]
