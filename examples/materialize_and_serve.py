@@ -5,10 +5,10 @@ Every answer the serving layer can give is a pure function of
 whole design space is only megabytes when tabulated.  This script
 walks the materialized-serving pipeline end to end, in process:
 
-1. **Build** a tensor store: a campaign evaluates every design's
-   ``(f-grid x r-grid x node)`` block through one prefix-argmax grid
-   call per ``f``, and the results land as memory-mapped float64
-   channel tensors under a checksummed, atomically-published manifest.
+1. **Build** a tensor store: one prefix-argmax grid call per design
+   evaluates its whole ``(node x f-grid x r-grid)`` block, and the
+   results land as memory-mapped float64 channel tensors under a
+   checksummed, atomically-published manifest.
 2. **Serve** from it: a :class:`repro.service.app.ModelService` booted
    with ``tensor_dir`` answers on-grid requests straight from the
    mapped tensors -- bit-identical to live compute, verified here by
@@ -31,7 +31,7 @@ import asyncio
 import json
 import tempfile
 
-from repro.perf.tensorstore import build_tensor_store, materialize_spec
+from repro.perf.tensorstore import build_tensor_store
 from repro.service.app import ModelService, ServiceConfig
 
 #: A compact grid keeps this demo quick; the CLI default materializes
@@ -48,18 +48,16 @@ async def post(service, path, **body):
 
 
 async def main(tensor_dir):
-    manifest = build_tensor_store(
-        tensor_dir,
-        spec=materialize_spec(f_grid=F_GRID),
-    )
+    manifest = build_tensor_store(tensor_dir, f_grid=F_GRID)
     cells = sum(
         int(g["shape"][0]) * int(g["shape"][1])
         * int(g["shape"][2]) * int(g["shape"][3])
         for g in manifest["groups"]
     )
+    designs = sum(len(g["designs"]) for g in manifest["groups"])
     print(
         f"built {len(manifest['groups'])} groups, "
-        f"{len(manifest['task_hashes'])} tasks, {cells} cells"
+        f"{designs} designs, {cells} cells"
     )
 
     tensor = ModelService(ServiceConfig(tensor_dir=tensor_dir))

@@ -21,7 +21,7 @@ the campaign.
 A runner built without a store checkpoints nothing: results stay in
 the :class:`CampaignReport`, and no store entry, manifest or temp
 directory is written (``repro-hetsim campaign`` without
-``--store-dir``, and a tensor-store build given no store).
+``--store-dir``).
 
 Alongside the store, the runner writes a *checkpoint manifest*
 (``manifest-<spec_hash[:16]>.json`` at the store root): the spec, the
@@ -57,7 +57,6 @@ from .spec import (
     CampaignSpec,
     CampaignTask,
     FigureTask,
-    MaterializeTask,
     ParetoFrontTask,
     ParetoTask,
     SensitivityTask,
@@ -213,14 +212,9 @@ def execute_task(task: CampaignTask) -> Dict[str, Any]:
         return _pareto_payload(task)
     if isinstance(task, SensitivityTask):
         return _sensitivity_payload(task)
-    if isinstance(task, MaterializeTask):
-        # Imported lazily: the tensorstore build path imports this
-        # package back, so a top-level import would risk a cycle.
-        from ..perf.tensorstore import materialize_task_payload
-
-        return materialize_task_payload(task)
     if isinstance(task, ParetoFrontTask):
-        # Lazy for the same reason: repro.dse imports campaign.spec.
+        # Imported lazily: repro.dse imports campaign.spec, so a
+        # top-level import would be a cycle.
         from ..dse.engine import execute_pareto_task
 
         return execute_pareto_task(task)

@@ -42,7 +42,6 @@ __all__ = [
     "figure_campaign",
     "ParetoTask",
     "SensitivityTask",
-    "MaterializeTask",
     "ParetoFrontTask",
     "SuccessiveHalvingTask",
     "CampaignTask",
@@ -140,39 +139,6 @@ class SensitivityTask:
 
 
 @dataclass(frozen=True)
-class MaterializeTask:
-    """One design's dense ``(node, f, r_max)`` projection block.
-
-    The unit of work behind :mod:`repro.perf.tensorstore`: evaluate
-    ``optimize`` for one (workload, design, scenario) at every node of
-    the scenario's roadmap, every parallel fraction in ``f_grid``, and
-    every ``r_max`` in ``r_grid``.  The grids are part of the task (and
-    therefore of its content hash), so a store built over a different
-    grid never resumes from stale results.
-
-    ``r_grid`` must be contiguous from 1 (``(1, 2, ..., R)``): the
-    executor answers all of its ``r_max`` values from *one* grid
-    evaluation via prefix argmax
-    (:func:`repro.perf.batch.optimize_prefix_batch`), which is only
-    bit-identical to per-``r_max`` calls over such a prefix family.
-
-    The result holds each channel's ``(node, f, r_max)`` block as
-    base64 of its little-endian float64 bytes; ``encoding`` names that
-    format.  It is a fixed field inside the content hash, so a result
-    stored in an earlier format is a plain miss, never misread.
-    """
-
-    kind: str = field(default="materialize", init=False)
-    workload: str = "mmm"
-    design: str = "ASIC"
-    scenario: str = "baseline"
-    fft_size: Optional[int] = None
-    f_grid: Tuple[float, ...] = ()
-    r_grid: Tuple[int, ...] = ()
-    encoding: str = field(default="f64le-base64", init=False)
-
-
-@dataclass(frozen=True)
 class ParetoFrontTask:
     """One shard of an exhaustive DSE sweep with a pruned front.
 
@@ -217,7 +183,6 @@ CampaignTask = Union[
     FigureTask,
     ParetoTask,
     SensitivityTask,
-    MaterializeTask,
     ParetoFrontTask,
     SuccessiveHalvingTask,
 ]
@@ -256,8 +221,30 @@ def task_hash(task: CampaignTask) -> str:
     return sha256_text(canonical_json(flat_asdict(task)))
 
 
+#: What a numeric task field accepts, by its annotation: a spec from a
+#: JSON body can hold any value, and the range checks compare numbers.
+_NUMERIC_FIELDS = {
+    "float": ((int, float), "a number"),
+    "int": (int, "an integer"),
+    "Optional[int]": ((int, type(None)), "an integer or null"),
+}
+
+
+@lru_cache(maxsize=None)
+def _numeric_fields(cls: type) -> Tuple[Tuple[str, Any, str], ...]:
+    return tuple(
+        (f.name, *_NUMERIC_FIELDS[f.type])
+        for f in dataclasses.fields(cls)
+        if f.type in _NUMERIC_FIELDS
+    )
+
+
 def _validated(task: CampaignTask) -> CampaignTask:
     """Reject out-of-domain task fields with a precise message."""
+    for name, accepted, noun in _numeric_fields(type(task)):
+        value = getattr(task, name)
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ModelError(f"{name!r} must be {noun}, got {value!r}")
     if isinstance(task, (ParetoFrontTask, SuccessiveHalvingTask)):
         _validate_dse(task)
         return task
@@ -266,9 +253,7 @@ def _validated(task: CampaignTask) -> CampaignTask:
             f"unknown workload {task.workload!r}; "
             f"available: {list(_VALID_WORKLOADS)}"
         )
-    if isinstance(task, MaterializeTask):
-        _validate_materialize(task)
-    elif not 0.0 <= task.f <= 1.0:
+    if not 0.0 <= task.f <= 1.0:
         raise ModelError(
             f"'f' must be a parallel fraction in [0, 1], got {task.f}"
         )
@@ -282,6 +267,8 @@ def _validated(task: CampaignTask) -> CampaignTask:
             f"'fft_size' only applies to the fft workload, "
             f"not {task.workload!r}"
         )
+    if isinstance(task, (ParetoTask, SensitivityTask)) and task.r_max < 1:
+        raise ModelError(f"'r_max' must be >= 1, got {task.r_max}")
     if isinstance(task, SensitivityTask):
         if not 1 <= task.trials <= MAX_SENSITIVITY_TRIALS:
             raise ModelError(
@@ -374,39 +361,6 @@ def _validate_dse(
             )
 
 
-def _validate_materialize(task: "MaterializeTask") -> None:
-    """Grid checks specific to :class:`MaterializeTask`."""
-    if not task.f_grid:
-        raise ModelError("materialize task needs a non-empty 'f_grid'")
-    for f in task.f_grid:
-        if not 0.0 <= f <= 1.0:
-            raise ModelError(
-                f"'f_grid' values must be parallel fractions in "
-                f"[0, 1], got {f}"
-            )
-    if tuple(sorted(set(task.f_grid))) != task.f_grid:
-        raise ModelError(
-            "'f_grid' must be strictly increasing with no duplicates"
-        )
-    if not task.r_grid:
-        raise ModelError("materialize task needs a non-empty 'r_grid'")
-    if task.r_grid != tuple(range(1, len(task.r_grid) + 1)):
-        raise ModelError(
-            f"'r_grid' must be contiguous from 1 (prefix-argmax "
-            f"requires (1, 2, ..., R)), got {task.r_grid}"
-        )
-    if task.workload == "fft" and task.fft_size is None:
-        raise ModelError(
-            "materialize task for the fft workload needs an explicit "
-            "'fft_size'"
-        )
-    if not task.design or not isinstance(task.design, str):
-        raise ModelError(
-            f"materialize task needs a design label, got "
-            f"{task.design!r}"
-        )
-
-
 @dataclass(frozen=True)
 class CampaignSpec:
     """What a campaign computes, independent of how it is executed.
@@ -422,7 +376,6 @@ class CampaignSpec:
     figures: Tuple[str, ...] = ()
     pareto: Tuple[ParetoTask, ...] = ()
     sensitivity: Tuple[SensitivityTask, ...] = ()
-    materialize: Tuple[MaterializeTask, ...] = ()
     dse_pareto: Tuple[ParetoFrontTask, ...] = ()
     dse_halving: Tuple[SuccessiveHalvingTask, ...] = ()
     method: str = "batch"
@@ -437,14 +390,12 @@ class CampaignSpec:
             self.figures
             or self.pareto
             or self.sensitivity
-            or self.materialize
             or self.dse_pareto
             or self.dse_halving
         ):
             raise ModelError(
                 "empty campaign: give at least one figure, pareto, "
-                "sensitivity, materialize, dse_pareto, or "
-                "dse_halving entry"
+                "sensitivity, dse_pareto, or dse_halving entry"
             )
 
     def tasks(self) -> Tuple[CampaignTask, ...]:
@@ -452,7 +403,6 @@ class CampaignSpec:
         tasks = list(figure_campaign(self.figures, self.method))
         tasks.extend(self.pareto)
         tasks.extend(self.sensitivity)
-        tasks.extend(self.materialize)
         tasks.extend(self.dse_pareto)
         tasks.extend(self.dse_halving)
         return tuple(_validated(task) for task in tasks)
@@ -470,9 +420,6 @@ class CampaignSpec:
             "figures": list(self.figures),
             "pareto": [flat_asdict(t) for t in self.pareto],
             "sensitivity": [flat_asdict(t) for t in self.sensitivity],
-            "materialize": [
-                _materialize_payload(t) for t in self.materialize
-            ],
             "dse_pareto": [
                 _dse_payload(t) for t in self.dse_pareto
             ],
@@ -491,8 +438,8 @@ class CampaignSpec:
                 f"{type(payload).__name__}"
             )
         known = {
-            "name", "figures", "pareto", "sensitivity", "materialize",
-            "dse_pareto", "dse_halving", "method",
+            "name", "figures", "pareto", "sensitivity", "dse_pareto",
+            "dse_halving", "method",
         }
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -532,19 +479,10 @@ class CampaignSpec:
             figures=tuple(figures),
             pareto=_items("pareto", ParetoTask),
             sensitivity=_items("sensitivity", SensitivityTask),
-            materialize=_items("materialize", _materialize_task),
             dse_pareto=_items("dse_pareto", _dse_pareto_task),
             dse_halving=_items("dse_halving", _dse_halving_task),
             method=str(payload.get("method", "batch")),
         )
-
-
-def _materialize_payload(task: MaterializeTask) -> Dict[str, Any]:
-    """:func:`flat_asdict` with the grids as JSON-native lists."""
-    payload = flat_asdict(task)
-    payload["f_grid"] = list(task.f_grid)
-    payload["r_grid"] = list(task.r_grid)
-    return payload
 
 
 def _grid_tuple(key: str, values: Any, integral: bool) -> Tuple:
@@ -602,18 +540,3 @@ def _dse_halving_task(**fields: Any) -> SuccessiveHalvingTask:
             "rungs", fields["rungs"], integral=True
         )
     return SuccessiveHalvingTask(**_dse_grids(fields))
-
-
-def _materialize_task(**fields: Any) -> MaterializeTask:
-    """The ``from_payload`` factory: grids arrive as JSON lists, and
-    the fixed ``encoding`` is dropped like ``kind``."""
-    fields.pop("encoding", None)
-    if "f_grid" in fields:
-        fields["f_grid"] = _grid_tuple(
-            "f_grid", fields["f_grid"], integral=False
-        )
-    if "r_grid" in fields:
-        fields["r_grid"] = _grid_tuple(
-            "r_grid", fields["r_grid"], integral=True
-        )
-    return MaterializeTask(**fields)

@@ -393,9 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
         "action", choices=("build", "refresh", "verify"),
         help=(
             "build: materialize the full paper grid and publish "
-            "atomically; refresh: rebuild only if the store is stale "
-            "(resuming from --store-dir); verify: re-check every "
-            "checksum on disk"
+            "atomically; refresh: build unless the store loads and "
+            "was built from the same inputs by this model version; "
+            "verify: re-check every checksum on disk"
         ),
     )
     materialize.add_argument(
@@ -406,15 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     materialize.add_argument(
         "--scenario", default="baseline", choices=scenario_names(),
         help="budget scenario to materialize (default: baseline)",
-    )
-    materialize.add_argument(
-        "--store-dir", default=None, metavar="DIR",
-        help=(
-            "content-addressed campaign result store; a build "
-            "checkpoints every task here and refresh resumes "
-            "completed tasks from it (default: none, nothing is "
-            "checkpointed)"
-        ),
     )
 
     dse = sub.add_parser(
@@ -1271,13 +1262,12 @@ def _cmd_dse(action: str, scenario_name: str,
     return f"{table}\n{stats}"
 
 
-def _cmd_materialize(action: str, tensor_dir: str, scenario: str,
-                     store_dir: Optional[str]) -> str:
-    from .campaign.store import ResultStore
+def _cmd_materialize(action: str, tensor_dir: str, scenario: str) -> str:
     from .perf.tensorstore import (
         TensorStore,
         build_tensor_store,
-        materialize_spec,
+        describe_manifest,
+        spec_hash,
     )
 
     def _summary(described: dict) -> str:
@@ -1300,10 +1290,9 @@ def _cmd_materialize(action: str, tensor_dir: str, scenario: str,
             + _summary(report)
         )
 
-    spec = materialize_spec(scenario=scenario)
     if action == "refresh":
         # Cheap staleness probe: a loadable store built from the same
-        # spec by this model version needs no work at all.
+        # inputs by this model version needs no work at all.
         from .errors import TensorStoreError
 
         try:
@@ -1311,20 +1300,15 @@ def _cmd_materialize(action: str, tensor_dir: str, scenario: str,
         except TensorStoreError:
             pass
         else:
-            if current.manifest["spec_hash"] == spec.spec_hash():
+            if current.manifest["spec_hash"] == spec_hash(scenario):
                 return (
                     f"tensor store at {tensor_dir} is current; "
                     f"nothing to do\n" + _summary(current.describe())
                 )
-    manifest = build_tensor_store(
-        tensor_dir,
-        spec=spec,
-        store=ResultStore(store_dir) if store_dir is not None else None,
-        resume=(action == "refresh"),
-    )
-    described = TensorStore.load(tensor_dir, verify=True).describe()
+    manifest = build_tensor_store(tensor_dir, scenario=scenario)
+    described = describe_manifest(tensor_dir, manifest)
     return (
-        f"materialized {len(manifest['task_hashes'])} tasks into "
+        f"materialized {described['designs']} designs into "
         f"{tensor_dir}\n" + _summary(described)
     )
 
@@ -1429,8 +1413,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         elif args.command == "materialize":
             output = _cmd_materialize(
-                args.action, args.tensor_dir, args.scenario,
-                args.store_dir,
+                args.action, args.tensor_dir, args.scenario
             )
         elif args.command == "metrics-dump":
             output = _cmd_metrics_dump(args.dump_format)

@@ -20,8 +20,12 @@ equivalence classes read the bound grid of a whole block of configs
 ``f`` of a list and every ``r_max`` for a budget list in one grid
 pass, with ``f`` as a column of the same speedup formulas, and
 returns the winners as channel arrays (:class:`PrefixOptima`), not
-:class:`DesignPoint` objects: the tensor materializer writes those
-arrays straight to disk.
+:class:`DesignPoint` objects: the tensor-store build writes those
+arrays straight to disk.  Given an ``r_max`` rather than explicit
+columns, :func:`optimize_batch`, :func:`best_speedups` and
+:func:`bound_grid` stop the grid at the rows' largest serial ceiling:
+a column past it is masked in every row, so an ``r_max`` beyond the
+ceiling costs nothing.
 
 Bit-for-bit parity with the scalar reference is a hard requirement
 (the differential tests assert full ``DesignPoint`` equality), so the
@@ -156,6 +160,19 @@ def _check_r_max(r_max: int) -> None:
     # Same message as the scalar validator (feasible_r_values).
     if r_max < 1:
         raise ModelError(f"r_max must be >= 1, got {r_max}")
+
+
+def _stopped_grid(ceilings: np.ndarray, r_max: int) -> List[float]:
+    """The candidate columns ``r = 1..r_max``, stopped at the rows'
+    largest serial ceiling.
+
+    A column past every row's ceiling is masked in every row and never
+    wins, so stopping there (fmax skips NaN) gives the same answers at
+    a cost bounded by the rows instead of by the caller's ``r_max``.
+    """
+    _check_r_max(r_max)
+    top = float(np.fmax.reduce(ceilings, initial=1.0))
+    return list(range(1, int(min(r_max, top)) + 1))
 
 
 def _vector_model(chip: ChipModel) -> Optional[str]:
@@ -512,16 +529,8 @@ def optimize_batch(
     rows = GridRows.from_budgets(budgets)
     ceilings = None
     if r_values is None:
-        _check_r_max(r_max)
         ceilings = _serial_ceilings(chip, rows)
-        # A column past every row's ceiling is masked in every row and
-        # never wins, so the grid stops at the largest ceiling (fmax
-        # skips NaN): the same answers, at a cost bounded by the
-        # budgets instead of by the caller's r_max.
-        top = float(np.fmax.reduce(ceilings, initial=1.0))
-        candidates: Sequence[float] = list(
-            range(1, int(min(r_max, top)) + 1)
-        )
+        candidates: Sequence[float] = _stopped_grid(ceilings, r_max)
     else:
         candidates = list(r_values)
         if not candidates:
@@ -678,12 +687,14 @@ def best_speedups(
     speedup is that point's, bit for bit, and ``feasible[i]`` is False
     where it would be None (the speedup there is meaningless).  No
     :class:`DesignPoint` is built, so one call can cover thousands of
-    Monte-Carlo rows.
+    Monte-Carlo rows, and as in :func:`optimize_batch` the grid stops
+    at the rows' largest serial ceiling.
     """
     rows = _checked_rows(chip, rows)
-    _check_r_max(r_max)
+    ceilings = _serial_ceilings(chip, rows)
+    candidates = _stopped_grid(ceilings, r_max)
     with np.errstate(divide="ignore", invalid="ignore"):
-        arrays = _evaluate_grid(chip, f, rows, list(range(1, r_max + 1)))
+        arrays = _evaluate_grid(chip, f, rows, candidates, ceilings)
         best_j = _best_lanes(arrays)
     lanes = np.arange(len(best_j))
     return arrays[5][lanes, best_j], arrays[4][lanes, best_j]
@@ -694,15 +705,18 @@ def bound_grid(
     rows: GridRows,
     r_max: int = DEFAULT_R_MAX,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``n_effective`` over the (row, r = 1..r_max) grid, and each
-    row's serial ceiling (``max_serial_r``).
+    """``n_effective`` over the (row, r) grid, and each row's serial
+    ceiling (``max_serial_r``).
 
-    Entry ``[i, r - 1]`` equals ``chip.bounds(budget_i, r).n_effective``;
-    the feasible serial sizes of row ``i`` are the prefix
-    ``r <= ceiling[i]``.
+    Entry ``[i, r - 1]`` equals ``chip.bounds(budget_i, r).n_effective``
+    for ``r = 1..min(r_max, floor(max(ceiling)))`` (at least 1): the
+    grid stops where every row's serial bound does.  The feasible
+    serial sizes of row ``i`` are the prefix
+    ``r <= min(r_max, ceiling[i])``.
     """
     rows = _checked_rows(chip, rows)
-    _check_r_max(r_max)
+    ceilings = _serial_ceilings(chip, rows)
+    candidates = _stopped_grid(ceilings, r_max)
     with np.errstate(divide="ignore", invalid="ignore"):
-        n = _n_grid(chip, rows, list(range(1, r_max + 1)))[4]
-    return n, _serial_ceilings(chip, rows)
+        n = _n_grid(chip, rows, candidates)[4]
+    return n, ceilings

@@ -9,28 +9,20 @@ is under 60k optimizer cells per workload, a few megabytes of float64.
 
 This module turns that observation into a durable artifact:
 
-* :func:`materialize_spec` expands the design space into
-  :class:`~repro.campaign.spec.MaterializeTask` entries -- one per
-  (scenario, workload, design) -- executed serially by the ordinary
-  :class:`~repro.campaign.runner.CampaignRunner`, so every tensor cell
-  is traceable to a task hash; given a content-addressed
-  :class:`~repro.campaign.store.ResultStore`, a rebuild resumes from
-  its cached task results.  Serial, because the default build is well
-  under a second of kernel work: a process pool takes longer to start
-  than it saves.
-* :func:`materialize_task_payload` evaluates one design's full
-  ``(node x f-grid x r-grid)`` block via
-  :func:`~repro.perf.batch.optimize_prefix_batch` -- one grid pass
-  over every ``f``, prefix-argmax for every ``r_max``, bit-identical
-  to per-request :func:`~repro.perf.batch.optimize_batch` calls -- and
-  carries each channel as the base64 of its little-endian float64
-  bytes.  No per-cell object is built and no float goes through text.
-* :func:`build_tensor_store` concatenates those bytes, design by
-  design, into dense ``(design x node x f x r)`` float64 channel
-  tensors, written as raw little-endian ``.f64`` files named by content
-  hash, described by a checksummed JSON manifest that is published
+* :func:`build_tensor_store` makes one pass over the design space:
+  each (workload, design) is one
+  :func:`~repro.perf.batch.optimize_prefix_batch` call over its whole
+  ``(node x f-grid x r-grid)`` block -- one grid pass over every
+  ``f``, prefix-argmax for every ``r_max``, bit-identical to
+  per-request :func:`~repro.perf.batch.optimize_batch` calls.  Each
+  channel array's little-endian float64 bytes go straight into dense
+  ``(design x node x f x r)`` channel tensors, written as raw ``.f64``
+  files named by content hash; no per-cell object is built and no
+  float goes through text.  A checksummed JSON manifest is published
   *last* via atomic rename -- the manifest is the commit point; a
-  killed build never leaves a readable-but-wrong store.
+  killed build never leaves a readable-but-wrong store.  The build is
+  serial and checkpoints nothing: the default build is a few tens of
+  milliseconds of kernel work, less than any resume would save.
 * :class:`TensorStore` memory-maps a published store read-only and
   answers lookups without touching the optimizer: exact grid hits,
   harmonic interpolation between bracketing ``f`` grid points, or a
@@ -55,12 +47,13 @@ manifest carries a self-checksum over its canonical JSON, and the
 envelope pins the model version.  :meth:`TensorStore.load` re-verifies
 all of it and raises :class:`~repro.errors.TensorStoreError` on any
 mismatch -- the serving layer treats that as quarantine (fall back to
-live compute), so corruption can cost speed, never correctness.
+live compute), so corruption can cost speed, never correctness.  The
+manifest's ``spec_hash`` covers the build's inputs, which is how
+``materialize refresh`` tells a current store from a stale one.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import os
@@ -85,7 +78,6 @@ from ..devices.bce import DEFAULT_BCE
 from ..errors import ModelError, TensorStoreError
 from ..itrs.scenarios import get_scenario
 from ..obs.history import envelope
-from ..obs.trace import get_tracer
 from ..projection.designs import standard_designs
 from ..projection.engine import node_budget
 from .batch import PrefixOptima, optimize_prefix_batch
@@ -98,10 +90,9 @@ __all__ = [
     "DEFAULT_WORKLOADS",
     "CellResult",
     "TensorStore",
-    "default_r_grid",
-    "materialize_spec",
-    "materialize_task_payload",
     "build_tensor_store",
+    "describe_manifest",
+    "spec_hash",
 ]
 
 #: The materialized parallel-fraction grid: every percent plus the
@@ -135,134 +126,47 @@ _FORMAT = "repro-tensorstore"
 _SCHEMA_VERSION = 1
 
 
-def default_r_grid() -> Tuple[int, ...]:
-    """The contiguous ``r_max`` grid ``(1, ..., DEFAULT_R_MAX)``."""
-    return tuple(range(1, DEFAULT_R_MAX + 1))
-
-
-# -- campaign expansion ----------------------------------------------------
-
-
-def materialize_spec(
-    name: str = "materialize",
+def spec_hash(
     scenario: str = "baseline",
     workloads: Sequence[Tuple[str, Optional[int]]] = DEFAULT_WORKLOADS,
     f_grid: Sequence[float] = DEFAULT_F_GRID,
-    r_grid: Optional[Sequence[int]] = None,
-):
-    """A campaign spec covering every design of the given workloads.
+    r_max: int = DEFAULT_R_MAX,
+) -> str:
+    """SHA-256 of the canonical JSON of a build's inputs: the
+    manifest's ``spec_hash``, which ``materialize refresh`` compares
+    to decide whether a published store is current."""
+    from ..campaign.spec import canonical_json, sha256_text
 
-    One :class:`~repro.campaign.spec.MaterializeTask` per
-    (workload, design): tasks parallelise across the runner's pool and
-    each is independently resumable from the result store.  All tasks
-    share one ``f_grid``/``r_grid``, so the assembled tensors are
-    rectangular per group.
-    """
-    from ..campaign.spec import CampaignSpec, MaterializeTask
+    return sha256_text(canonical_json({
+        "scenario": scenario,
+        "workloads": [[workload, fft_size]
+                      for workload, fft_size in workloads],
+        "f_grid": [float(f) for f in f_grid],
+        "r_max": r_max,
+    }))
 
+
+def _checked_f_grid(f_grid: Sequence[float]) -> Tuple[float, ...]:
+    """``f_grid`` as floats: non-empty, parallel fractions, strictly
+    increasing (lookups ``searchsorted`` it)."""
     f_values = tuple(float(f) for f in f_grid)
-    r_values = (
-        tuple(int(r) for r in r_grid)
-        if r_grid is not None
-        else default_r_grid()
-    )
-    tasks = []
-    for workload, fft_size in workloads:
-        for design in standard_designs(workload, fft_size):
-            tasks.append(
-                MaterializeTask(
-                    workload=workload,
-                    design=design.short_label,
-                    scenario=scenario,
-                    fft_size=fft_size,
-                    f_grid=f_values,
-                    r_grid=r_values,
-                )
+    if not f_values:
+        raise ModelError("materialize build needs a non-empty 'f_grid'")
+    for f in f_values:
+        if not 0.0 <= f <= 1.0:
+            raise ModelError(
+                f"'f_grid' values must be parallel fractions in "
+                f"[0, 1], got {f}"
             )
-    return CampaignSpec(name=name, materialize=tuple(tasks))
-
-
-def materialize_task_payload(task) -> Dict[str, Any]:
-    """One design's dense ``(node x f x r_max)`` block of optima.
-
-    One :func:`optimize_prefix_batch` call evaluates the whole
-    ``(node x f x r)`` candidate grid in one pass and reads off the
-    optimum for *every* ``f`` and ``r_max`` -- bit-identical to
-    per-cell :func:`~repro.perf.batch.optimize_batch` calls.  Each channel
-    travels as the exact little-endian float64 bytes of its block,
-    base64-encoded (the task's ``encoding``), which are the bytes the
-    channel file holds: no float is printed or parsed on the way.
-    """
-    from ..campaign.spec import flat_asdict
-
-    scenario = get_scenario(task.scenario)
-    designs = standard_designs(task.workload, task.fft_size)
-    matches = [d for d in designs if d.short_label == task.design]
-    if not matches:
+    if tuple(sorted(set(f_values))) != f_values:
         raise ModelError(
-            f"unknown design {task.design!r} for workload "
-            f"{task.workload!r}; available: "
-            f"{sorted(d.short_label for d in designs)}"
+            "'f_grid' must be strictly increasing with no duplicates"
         )
-    design = matches[0]
-    nodes = scenario.roadmap.nodes
-    budgets = [
-        node_budget(
-            node,
-            task.workload,
-            task.fft_size,
-            scenario,
-            DEFAULT_BCE,
-            design.bandwidth_exempt,
-        )
-        for node in nodes
-    ]
-    with get_tracer().span(
-        "perf.materialize_task",
-        attributes={
-            "workload": task.workload,
-            "design": task.design,
-            "f_points": len(task.f_grid),
-        },
-    ):
-        optima = optimize_prefix_batch(
-            design.chip, task.f_grid, budgets, task.r_grid
-        )
-    # Each channel array is laid out (node, f, r_max), the channel
-    # file's order.
-    channels = {
-        name: base64.b64encode(
-            block.astype("<f8", copy=False).tobytes()
-        ).decode("ascii")
-        for name, block in zip(CHANNELS, optima)
-    }
-    return {
-        "kind": "materialize",
-        "task": flat_asdict(task),
-        "design": {
-            "short_label": design.short_label,
-            "label": design.label,
-            "chip_label": design.chip.label,
-            "model_id": design.chip.model_id,
-            "bandwidth_exempt": design.bandwidth_exempt,
-        },
-        "nodes": [
-            {"label": node.label, "node_nm": node.node_nm}
-            for node in nodes
-        ],
-        "channels": channels,
-    }
+    return f_values
 
 
-# -- build -----------------------------------------------------------------
-
-
-def _group_key(task) -> Tuple[str, str, Optional[int]]:
-    return (task.scenario, task.workload, task.fft_size)
-
-
-def _group_stem(key: Tuple[str, str, Optional[int]]) -> str:
-    scenario, workload, fft_size = key
+def _group_stem(scenario: str, workload: str,
+                fft_size: Optional[int]) -> str:
     stem = f"{scenario}-{workload}"
     if fft_size is not None:
         stem += f"-{fft_size}"
@@ -305,119 +209,90 @@ def _sha256_bytes(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _assemble_group(
-    key: Tuple[str, str, Optional[int]],
-    entries: Sequence[Tuple[Any, str, Dict[str, Any]]],
-    directory: Path,
-) -> Dict[str, Any]:
-    """Write one group's channel files: each is its designs' channel
-    blocks concatenated in task order, the C order of a
-    ``(design, node, f, r_max)`` tensor."""
-    scenario, workload, fft_size = key
-    first_task = entries[0][0]
-    f_grid, r_grid = first_task.f_grid, first_task.r_grid
-    nodes = entries[0][2]["nodes"]
-    for task, _, payload in entries:
-        if (task.f_grid, task.r_grid) != (f_grid, r_grid):
-            raise TensorStoreError(
-                f"materialize tasks for group {key} disagree on grids"
-            )
-        if payload["nodes"] != nodes:
-            raise TensorStoreError(
-                f"materialize tasks for group {key} disagree on nodes"
-            )
-    shape = (len(entries), len(nodes), len(f_grid), len(r_grid))
-    block_bytes = len(nodes) * len(f_grid) * len(r_grid) * 8
-    stem = _group_stem(key)
-    channels = {}
-    for channel in CHANNELS:
-        blocks = [
-            base64.b64decode(payload["channels"][channel])
-            for _, _, payload in entries
-        ]
-        if any(len(block) != block_bytes for block in blocks):
-            raise TensorStoreError(
-                f"materialize results for group {key} hold a "
-                f"{channel!r} block of the wrong size"
-            )
-        channels[channel] = _write_channel(
-            directory, f"{stem}-{channel}", b"".join(blocks)
-        )
-    return {
-        "scenario": scenario,
-        "workload": workload,
-        "fft_size": fft_size,
-        "nodes": nodes,
-        "designs": [
-            {
-                "task_hash": digest,
-                **payload["design"],
-            }
-            for _, digest, payload in entries
-        ],
-        "shape": list(shape),
-        "channels": channels,
-    }
-
-
 def build_tensor_store(
     directory: os.PathLike,
-    spec=None,
-    store=None,
-    resume: bool = False,
-    progress=None,
+    scenario: str = "baseline",
+    workloads: Sequence[Tuple[str, Optional[int]]] = DEFAULT_WORKLOADS,
+    f_grid: Sequence[float] = DEFAULT_F_GRID,
+    r_max: int = DEFAULT_R_MAX,
     timestamp: Optional[float] = None,
     run_id: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Materialize ``spec`` (default: the full paper grid) into
-    ``directory`` and return the published manifest.
+    """Materialize every design of ``workloads`` under ``scenario``
+    into ``directory`` and return the published manifest.
 
-    The campaign runs serially.  Given a
-    :class:`~repro.campaign.store.ResultStore` (``store``), it
-    checkpoints every task result there, and with ``resume=True`` an
-    interrupted or repeated build reuses cached task results instead
-    of recomputing them; without one, task results go straight from
-    the campaign report to the channel files and nothing else is
-    written.  Channel files land first, each atomically; the
-    checksummed manifest is renamed into place last and is the
-    store's commit point.
+    One pass over the designs: each is one
+    :func:`optimize_prefix_batch` call over its ``(node, f, r)`` grid,
+    answering every ``f`` in ``f_grid`` and every ``r_max`` in
+    ``1..r_max``.  A group's channel file holds its designs' blocks in
+    design order, the C order of a ``(design, node, f, r_max)``
+    tensor.  Channel files land first, each atomically; the
+    checksummed manifest is renamed into place last and is the store's
+    commit point.  Every input is checked before anything is written.
     """
-    from ..campaign.runner import CampaignRunner
-
-    if spec is None:
-        spec = materialize_spec()
-    tasks = spec.tasks()
-    if not tasks:
-        raise TensorStoreError("materialize spec expands to no tasks")
-    # Serial: the default build is a fraction of a second of kernel
-    # work, less than a process pool takes to start.
-    report = CampaignRunner(
-        store=store,
-        executor="serial",
-        resume=resume,
-        progress=progress,
-    ).run(spec)
-    if not report.ok:
-        first = next(
-            o for o in report.outcomes if o.status == "failed"
-        )
-        raise TensorStoreError(
-            f"materialize campaign failed {report.failed} of "
-            f"{len(report.outcomes)} tasks; first: {first.error}"
-        )
+    workloads = tuple(workloads)
+    if not workloads:
+        raise ModelError("materialize build needs at least one workload")
+    f_values = _checked_f_grid(f_grid)
+    if r_max < 1:
+        raise ModelError(f"'r_max' must be >= 1, got {r_max}")
+    for workload, fft_size in workloads:
+        if workload == "fft" and fft_size is None:
+            raise ModelError(
+                "materialize build of the fft workload needs an "
+                "explicit fft size"
+            )
+    model = get_scenario(scenario)
+    designs = [standard_designs(w, fft_size) for w, fft_size in workloads]
+    nodes = model.roadmap.nodes
+    r_maxes = range(1, r_max + 1)
 
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    groups: Dict[Tuple[str, str, Optional[int]], List] = {}
-    for outcome in report.outcomes:
-        groups.setdefault(_group_key(outcome.task), []).append(
-            (outcome.task, outcome.hash, outcome.result)
-        )
-    first_task = tasks[0]
-    group_rows = [
-        _assemble_group(key, entries, directory)
-        for key, entries in groups.items()
-    ]
+    groups = []
+    for (workload, fft_size), specs in zip(workloads, designs):
+        blocks: Dict[str, List[bytes]] = {name: [] for name in CHANNELS}
+        for design in specs:
+            budgets = [
+                node_budget(node, workload, fft_size, model,
+                            DEFAULT_BCE, design.bandwidth_exempt)
+                for node in nodes
+            ]
+            optima = optimize_prefix_batch(
+                design.chip, f_values, budgets, r_maxes
+            )
+            # Each block is laid out (node, f, r_max).
+            for name, block in zip(CHANNELS, optima):
+                blocks[name].append(
+                    block.astype("<f8", copy=False).tobytes()
+                )
+        stem = _group_stem(scenario, workload, fft_size)
+        groups.append({
+            "scenario": scenario,
+            "workload": workload,
+            "fft_size": fft_size,
+            "nodes": [
+                {"label": node.label, "node_nm": node.node_nm}
+                for node in nodes
+            ],
+            "designs": [
+                {
+                    "short_label": design.short_label,
+                    "label": design.label,
+                    "chip_label": design.chip.label,
+                    "model_id": design.chip.model_id,
+                    "bandwidth_exempt": design.bandwidth_exempt,
+                }
+                for design in specs
+            ],
+            "shape": [len(specs), len(nodes), len(f_values), r_max],
+            "channels": {
+                name: _write_channel(
+                    directory, f"{stem}-{name}", b"".join(parts)
+                )
+                for name, parts in blocks.items()
+            },
+        })
     manifest: Dict[str, Any] = {
         "format": _FORMAT,
         "schema_version": _SCHEMA_VERSION,
@@ -425,15 +300,39 @@ def build_tensor_store(
             timestamp if timestamp is not None else time.time(),
             run_id=run_id,
         ),
-        "spec_hash": spec.spec_hash(),
-        "f_grid": list(first_task.f_grid),
-        "r_grid": list(first_task.r_grid),
-        "groups": group_rows,
-        "task_hashes": sorted(o.hash for o in report.outcomes),
+        "spec_hash": spec_hash(scenario, workloads, f_values, r_max),
+        "f_grid": list(f_values),
+        "r_grid": list(r_maxes),
+        "groups": groups,
     }
     manifest["checksum"] = _manifest_checksum(manifest)
     _publish_manifest(directory, manifest)
     return manifest
+
+
+def describe_manifest(directory: os.PathLike,
+                      manifest: Dict[str, Any]) -> Dict[str, Any]:
+    """A store's description, read from its manifest alone: what
+    :meth:`TensorStore.describe` reports and ``materialize build``
+    prints."""
+    env = manifest.get("envelope", {})
+    groups = manifest["groups"]
+    return {
+        "directory": str(directory),
+        "groups": len(groups),
+        "designs": sum(len(row["designs"]) for row in groups),
+        "cells": sum(int(np.prod(row["shape"])) for row in groups),
+        "bytes": sum(
+            meta["bytes"]
+            for row in groups
+            for meta in row["channels"].values()
+        ),
+        "f_points": len(manifest["f_grid"]),
+        "r_max": len(manifest["r_grid"]),
+        "spec_hash": manifest["spec_hash"],
+        "built_unix": env.get("timestamp_unix"),
+        "model_version": env.get("model_version"),
+    }
 
 
 def _manifest_checksum(manifest: Dict[str, Any]) -> str:
@@ -505,9 +404,6 @@ class _GroupView:
             n["node_nm"]: i for i, n in enumerate(row["nodes"])
         }
         self.nodes = row["nodes"]
-
-    def design(self, idx: int) -> Dict[str, Any]:
-        return self.designs[idx]
 
 
 class TensorStore:
@@ -630,30 +526,7 @@ class TensorStore:
 
     def describe(self) -> Dict[str, Any]:
         """The readiness block ``/healthz`` and ``verify`` surface."""
-        env = self.manifest.get("envelope", {})
-        cells = sum(
-            int(np.prod(view.maps["speedup"].shape))
-            for view in self._views.values()
-        )
-        size = sum(
-            meta["bytes"]
-            for row in self.manifest["groups"]
-            for meta in row["channels"].values()
-        )
-        return {
-            "directory": str(self.directory),
-            "groups": len(self._views),
-            "designs": sum(
-                len(v.designs) for v in self._views.values()
-            ),
-            "cells": cells,
-            "bytes": size,
-            "f_points": int(self.f_grid.size),
-            "r_max": self.r_count,
-            "spec_hash": self.manifest["spec_hash"],
-            "built_unix": env.get("timestamp_unix"),
-            "model_version": env.get("model_version"),
-        }
+        return describe_manifest(self.directory, self.manifest)
 
     def verify(self) -> Dict[str, Any]:
         """Re-verify every byte on disk; raise on any mismatch."""

@@ -62,6 +62,7 @@ READ_BYTES = 16 << 10
 
 _REASONS = {
     200: "OK",
+    202: "Accepted",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",

@@ -292,6 +292,7 @@ def parse_dse(body: Any) -> CampaignSpec:
     later.
     """
     from ..dse.dsl import DSEScenario, builtin_scenario
+    from ..dse.engine import config_count
 
     body = _require_mapping(body)
     _reject_unknown(body, _DSE_FIELDS)
@@ -324,6 +325,12 @@ def parse_dse(body: Any) -> CampaignSpec:
                     "field 'rungs' only applies to mode 'halving'"
                 )
             shards = _get_int(body, "shards", default=1)
+            n_configs = config_count(scenario, area_grid, power_grid)
+            if shards > n_configs:
+                raise BadRequestError(
+                    f"field 'shards' must be at most the scenario's "
+                    f"{n_configs} configs, got {shards}"
+                )
             from ..campaign.spec import ParetoFrontTask
 
             tasks = tuple(

@@ -232,6 +232,52 @@ class TestJobsEndpoints:
         finally:
             service.close()
 
+    @pytest.mark.parametrize("body, message", [
+        pytest.param(
+            {"sensitivity": [{"workload": "mmm", "f": 0.5, "r_max": 0}]},
+            "'r_max' must be >= 1, got 0", id="sensitivity-r_max",
+        ),
+        pytest.param(
+            {"pareto": [{"workload": "mmm", "f": 0.5, "r_max": -3}]},
+            "'r_max' must be >= 1, got -3", id="pareto-r_max",
+        ),
+        pytest.param(
+            {"sensitivity": [{"workload": "mmm", "trials": "7"}]},
+            "'trials' must be an integer, got '7'", id="string-trials",
+        ),
+        pytest.param(
+            {"pareto": [{"workload": "mmm", "f": [0.5]}]},
+            "'f' must be a number, got [0.5]", id="list-f",
+        ),
+        pytest.param(
+            {"pareto": [{"workload": "mmm", "node_nm": True}]},
+            "'node_nm' must be an integer, got True", id="bool-node",
+        ),
+        pytest.param(
+            {"dse_pareto": [{"scenario_json": "{}", "r_max": None}]},
+            "'r_max' must be an integer, got None", id="dse-null-r_max",
+        ),
+        # The tensor-store build is `repro-hetsim materialize build`,
+        # not a campaign task.
+        pytest.param(
+            {"materialize": [{"workload": "mmm", "design": "ASIC",
+                              "f_grid": [0.5], "r_grid": [1]}]},
+            "unknown campaign field(s) ['materialize']", id="materialize",
+        ),
+    ])
+    def test_submit_checks_every_entry(self, tmp_path, body, message):
+        """A bad entry is a 400 naming its field, never a queued job
+        that fails later or a request that drops its connection."""
+        service = self.make_service(tmp_path)
+        try:
+            status, payload = run(service.handle(
+                "POST", "/v1/jobs", json.dumps(body).encode()
+            ))
+        finally:
+            service.close()
+        assert status == 400
+        assert message in payload["message"]
+
     def test_jobs_listing_and_method_guards(self, tmp_path):
         service = self.make_service(tmp_path)
 

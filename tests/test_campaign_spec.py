@@ -7,7 +7,6 @@ import pytest
 from repro.campaign.spec import (
     CampaignSpec,
     FigureTask,
-    MaterializeTask,
     ParetoFrontTask,
     ParetoTask,
     SensitivityTask,
@@ -163,7 +162,6 @@ class TestFlatAsdict:
             FigureTask(figure="F7", f=0.9, method="scalar"),
             ParetoTask(workload="fft", fft_size=1024, node_nm=11),
             SensitivityTask(workload="bs", trials=7, seed=3),
-            MaterializeTask(f_grid=(0.5, 0.99), r_grid=(1, 2, 3)),
             ParetoFrontTask(scenario_json='{"name":"x"}',
                             area_scale_grid=(0.5, 2.0), shard=1,
                             shards=3),
@@ -223,60 +221,33 @@ class TestPayloadRoundTrip:
 
 
 class TestMaterializeTasks:
-    def _task(self, **overrides):
-        fields = dict(
-            workload="mmm", design="ASIC", scenario="baseline",
-            fft_size=None, f_grid=(0.0, 0.5, 0.99),
-            r_grid=(1, 2, 3),
-        )
+    """The inputs a tensor-store build accepts, checked before it
+    writes anything (the build is not a campaign task)."""
+
+    def _build(self, tmp_path, **overrides):
+        from repro.perf.tensorstore import build_tensor_store
+
+        fields = dict(workloads=(("mmm", None),), f_grid=(0.0, 0.5, 0.99),
+                      r_max=3)
         fields.update(overrides)
-        return MaterializeTask(**fields)
+        directory = tmp_path / "tensors"
+        try:
+            return build_tensor_store(directory, **fields)
+        finally:
+            assert not directory.exists()
 
-    def test_round_trip_preserves_grids(self):
-        spec = CampaignSpec(name="mat", materialize=(self._task(),))
-        rebuilt = CampaignSpec.from_payload(spec.payload())
-        assert rebuilt == spec
-        assert rebuilt.spec_hash() == spec.spec_hash()
-        [task] = rebuilt.tasks()
-        assert task.f_grid == (0.0, 0.5, 0.99)
-        assert task.r_grid == (1, 2, 3)
-
-    def test_hash_tracks_grid_content(self):
-        base = self._task()
-        assert task_hash(base) == task_hash(self._task())
-        assert task_hash(base) != task_hash(
-            self._task(f_grid=(0.0, 0.5, 0.999))
-        )
-        assert task_hash(base) != task_hash(self._task(r_grid=(1, 2)))
-
-    def test_empty_f_grid_rejected(self):
+    def test_empty_f_grid_rejected(self, tmp_path):
         with pytest.raises(ModelError, match="f_grid"):
-            CampaignSpec(materialize=(self._task(f_grid=()),)).tasks()
+            self._build(tmp_path, f_grid=())
 
-    def test_unsorted_f_grid_rejected(self):
+    def test_unsorted_f_grid_rejected(self, tmp_path):
         with pytest.raises(ModelError, match="strictly increasing"):
-            CampaignSpec(
-                materialize=(self._task(f_grid=(0.5, 0.1)),)
-            ).tasks()
+            self._build(tmp_path, f_grid=(0.5, 0.1))
 
-    def test_out_of_range_f_rejected(self):
+    def test_out_of_range_f_rejected(self, tmp_path):
         with pytest.raises(ModelError, match="parallel fraction"):
-            CampaignSpec(
-                materialize=(self._task(f_grid=(0.0, 1.5)),)
-            ).tasks()
+            self._build(tmp_path, f_grid=(0.0, 1.5))
 
-    def test_non_contiguous_r_grid_rejected(self):
-        with pytest.raises(ModelError, match="contiguous from 1"):
-            CampaignSpec(
-                materialize=(self._task(r_grid=(2, 3)),)
-            ).tasks()
-        with pytest.raises(ModelError, match="contiguous from 1"):
-            CampaignSpec(
-                materialize=(self._task(r_grid=(1, 3)),)
-            ).tasks()
-
-    def test_fft_needs_explicit_size(self):
+    def test_fft_needs_explicit_size(self, tmp_path):
         with pytest.raises(ModelError, match="fft"):
-            CampaignSpec(
-                materialize=(self._task(workload="fft"),)
-            ).tasks()
+            self._build(tmp_path, workloads=(("fft", None),))

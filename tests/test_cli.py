@@ -261,11 +261,17 @@ class TestMaterializeCommand:
     def test_parser_accepts_actions_and_flags(self):
         args = build_parser().parse_args(
             ["materialize", "build", "--dir", "tensors",
-             "--scenario", "baseline", "--store-dir", "results"]
+             "--scenario", "baseline"]
         )
         assert args.action == "build"
         assert args.tensor_dir == "tensors"
-        assert args.store_dir == "results"
+        assert args.scenario == "baseline"
+        # The build checkpoints nothing, so there is no store to name.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["materialize", "build", "--dir", "tensors",
+                 "--store-dir", "results"]
+            )
 
     def test_parser_rejects_unknown_action(self):
         with pytest.raises(SystemExit):
@@ -287,3 +293,14 @@ class TestMaterializeCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: no tensor store")
+
+    def test_build_verify_refresh(self, tmp_path, capsys):
+        tensors = str(tmp_path / "tensors")
+        assert main(["materialize", "build", "--dir", tensors]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"materialized 18 designs into {tensors}\n")
+        assert "3 groups, 18 designs, 146880 cells" in out
+        assert main(["materialize", "verify", "--dir", tensors]) == 0
+        assert "ok (21 channel files verified)" in capsys.readouterr().out
+        assert main(["materialize", "refresh", "--dir", tensors]) == 0
+        assert "is current; nothing to do" in capsys.readouterr().out

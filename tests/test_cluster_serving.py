@@ -20,7 +20,7 @@ from repro.cluster import ClusterConfig, Router, WorkerSupervisor
 from repro.cluster.hashring import rendezvous_owner, shard_key
 from repro.obs.metrics import MetricsRegistry, validate_prometheus
 from repro.obs.trace import phase_totals
-from repro.perf.tensorstore import build_tensor_store, materialize_spec
+from repro.perf.tensorstore import build_tensor_store
 from repro.service.app import ModelService, ServiceConfig
 from repro.service.http import serve_until
 
@@ -413,7 +413,7 @@ class _SingleProcess:
 def materialized(tmp_path_factory):
     """A 2-worker fleet and a single-process server over one store."""
     tensor_dir = tmp_path_factory.mktemp("fleet-tensors")
-    build_tensor_store(tensor_dir, spec=materialize_spec(f_grid=F_GRID))
+    build_tensor_store(tensor_dir, f_grid=F_GRID)
     config = ServiceConfig(tensor_dir=str(tensor_dir))
     fleet = _Cluster(workers=2, service=config).start()
     try:

@@ -439,6 +439,9 @@ def test_parameter_rows_match_row_by_row_budgets(rows, f, model):
     template = model(UCore(name="row", mu=1.0, phi=1.0))
     speed, feasible = best_speedups(template, f, grid_rows)
     n_effective, ceilings = bound_grid(template, grid_rows)
+    # The bound grid stops where every row's serial bound does.
+    width = max(1, min(16, math.floor(max(ceilings))))
+    assert n_effective.shape == (len(rows), width)
     budgets = [Budget(a, p, b, al) for a, p, b, al, _, _ in rows]
     for i, (budget, (*_, mu_i, phi_i)) in enumerate(zip(budgets, rows)):
         chip = model(UCore(name="row", mu=mu_i, phi=phi_i))
@@ -448,7 +451,7 @@ def test_parameter_rows_match_row_by_row_budgets(rows, f, model):
             assert speed[i] == point.speedup
         assert ceilings[i] == chip.max_serial_r(budget)
         assert n_effective[i].tolist() == [
-            chip.bounds(budget, r).n_effective for r in range(1, 17)
+            chip.bounds(budget, r).n_effective for r in range(1, width + 1)
         ]
     chip = model(UCore(name="row", mu=rows[0][4], phi=rows[0][5]))
     assert optimize_batch(chip, f, budgets) == [
@@ -482,6 +485,36 @@ class TestParameterRows:
             best_speedups(chip, 0.9, GridRows(10.0, 5.0, phi=[math.nan]))
         with pytest.raises(ModelError, match="U-core chip"):
             best_speedups(SymmetricCMP(), 0.9, GridRows(10.0, 5.0, mu=2.0))
+
+    def test_r_max_past_every_ceiling_costs_nothing(self, monkeypatch):
+        """Columns past every row's serial ceiling are masked in every
+        row, so both row kernels stop there: an ``r_max`` far past it
+        gives the same answers over the ceiling's width."""
+        import repro.perf.batch as batch
+
+        chip = HeterogeneousChip(UCore(name="u", mu=2.0, phi=1.0))
+        rows = GridRows([19.0, 64.0], [10.0, 30.0], [42.0, 90.0], 1.75)
+        _, ceilings = bound_grid(chip, rows, r_max=1)
+        top = math.floor(max(ceilings))
+        assert 16 < top < 20_000
+        n_top, _ = bound_grid(chip, rows, r_max=top)
+        n_far, _ = bound_grid(chip, rows, r_max=20_000)
+        assert n_far.shape == (2, top)
+        assert np.array_equal(n_far, n_top)
+        widths = []
+        evaluate = batch._evaluate_grid
+        monkeypatch.setattr(
+            batch, "_evaluate_grid",
+            lambda chip, f, rows, r_vals, ceilings=None: (
+                widths.append(len(r_vals))
+                or evaluate(chip, f, rows, r_vals, ceilings)
+            ),
+        )
+        at_top = best_speedups(chip, 0.9, rows, r_max=top)
+        far = best_speedups(chip, 0.9, rows, r_max=20_000)
+        assert widths == [top, top]
+        assert far[0].tolist() == at_top[0].tolist()
+        assert far[1].tolist() == at_top[1].tolist()
 
     def test_fallback_models_use_their_own_methods(self):
         """A multi-U-core chip (no vector branch) through the bound

@@ -83,9 +83,13 @@ BOOT_FAMILIES = [
 
 _BUILD = """
 import json, sys
+import repro.obs.prof as prof
+calls = []
+acquire = prof.acquire_sampler
+prof.acquire_sampler = lambda *a, **k: calls.append(a) or acquire(*a, **k)
 from repro.cli import main
 assert main(["materialize", "build", "--dir", sys.argv[1]]) == 0
-print(json.dumps({"modules": sorted(sys.modules)}))
+print(json.dumps({"modules": sorted(sys.modules), "sampler": len(calls)}))
 """
 
 # What ``repro-hetsim serve`` imports, then one request per endpoint
@@ -167,6 +171,20 @@ class TestStartupImports:
         served = _probe(_SERVE, tmp_path / "tensors")
         assert _unused(served["modules"]) == []
         assert served["families"] == BOOT_FAMILIES
+
+    def test_build_runs_no_campaign(self, tmp_path):
+        """A tensor-store build is one loop over the grid kernel: no
+        campaign runner, result store or event stream, and no sampler
+        thread."""
+        built = _probe(_BUILD, tmp_path / "tensors")
+        assert [
+            name for name in (
+                "repro.campaign.runner", "repro.campaign.store",
+                "repro.obs.stream",
+            )
+            if name in built["modules"]
+        ] == []
+        assert built["sampler"] == 0
 
 
 class TestQuickstartFlow:

@@ -127,6 +127,29 @@ class TestParseDse:
         with pytest.raises(BadRequestError, match=message):
             parse_dse(body)
 
+    def test_shards_past_the_config_count_rejected_before_any_task(
+        self, monkeypatch
+    ):
+        import repro.campaign.spec as spec_module
+        from repro.dse.dsl import builtin_scenario
+        from repro.dse.engine import config_count
+
+        n_configs = config_count(builtin_scenario("baseline"))
+        spec = parse_dse({"scenario": "baseline", "shards": n_configs})
+        assert len(spec.dse_pareto) == n_configs
+        built = []
+        monkeypatch.setattr(
+            spec_module, "ParetoFrontTask",
+            lambda **fields: built.append(fields),
+        )
+        with pytest.raises(
+            BadRequestError,
+            match=f"'shards' must be at most the scenario's "
+                  f"{n_configs} configs, got {n_configs + 1}",
+        ):
+            parse_dse({"scenario": "baseline", "shards": n_configs + 1})
+        assert built == []
+
     def test_inline_scenario_payload(self):
         spec = parse_dse(
             {

@@ -148,6 +148,39 @@ class TestWire:
         assert padded_answer[0] == 200
         assert padded_answer[2] == compact_answer[2]
 
+    def test_job_submission_is_202_accepted(self, tmp_path):
+        """The status line names 202: in the encoder, and on the wire
+        for a ``POST /v1/jobs``."""
+        from repro.service.http import _encode_response
+
+        assert _encode_response(202, {"job_id": "j"}, True).startswith(
+            b"HTTP/1.1 202 Accepted\r\n"
+        )
+        body = {"sensitivity": [{"workload": "mmm", "f": 0.99,
+                                 "trials": 2}]}
+
+        async def main():
+            service = ModelService(ServiceConfig(store_dir=str(tmp_path)))
+            server = await start_server(service, port=0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                writer.write(
+                    _request_bytes("POST", "/v1/jobs", body, close=True)
+                )
+                await writer.drain()
+                status_line = await reader.readline()
+                await reader.read()
+                writer.close()
+                await writer.wait_closed()
+                return status_line
+            finally:
+                await _shutdown(service, server)
+
+        assert asyncio.run(main()) == b"HTTP/1.1 202 Accepted\r\n"
+
     def test_keep_alive_serves_two_requests(self):
         async def main():
             service, server, port = await _serve()

@@ -26,7 +26,6 @@ from repro.obs.trace import get_tracer
 from repro.perf.tensorstore import (
     REL_ERROR_BOUND,
     build_tensor_store,
-    materialize_spec,
 )
 from repro.projection.designs import standard_designs
 from repro.service.app import ModelService, ServiceConfig
@@ -39,10 +38,7 @@ F_GRID = (0.0, 0.4, 0.5, 0.9, 0.99, 0.999, 1.0)
 @pytest.fixture(scope="module")
 def tensor_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("serving-tensors")
-    build_tensor_store(
-        directory,
-        spec=materialize_spec(f_grid=F_GRID),
-    )
+    build_tensor_store(directory, f_grid=F_GRID)
     return directory
 
 

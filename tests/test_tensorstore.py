@@ -34,7 +34,6 @@ from repro.perf.tensorstore import (
     REL_ERROR_BOUND,
     TensorStore,
     build_tensor_store,
-    materialize_spec,
 )
 from repro.itrs.scenarios import get_scenario
 from repro.projection.designs import standard_designs
@@ -42,7 +41,7 @@ from repro.projection.engine import node_budget
 
 #: Small but representative grids keep the module-scoped build fast.
 F_GRID = (0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0)
-R_GRID = tuple(range(1, 17))
+R_MAX = 16
 WORKLOADS = (("mmm", None), ("bs", None))
 
 
@@ -50,9 +49,7 @@ WORKLOADS = (("mmm", None), ("bs", None))
 def store_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("tensors")
     build_tensor_store(
-        directory,
-        spec=materialize_spec(workloads=WORKLOADS, f_grid=F_GRID,
-                              r_grid=R_GRID),
+        directory, workloads=WORKLOADS, f_grid=F_GRID, r_max=R_MAX
     )
     return directory
 
@@ -84,7 +81,7 @@ class TestBuildAndLoad:
         described = store.describe()
         assert described["groups"] == len(WORKLOADS)
         assert described["f_points"] == len(F_GRID)
-        assert described["r_max"] == len(R_GRID)
+        assert described["r_max"] == R_MAX
         assert described["cells"] > 0
         assert store.verify()["status"] == "ok"
 
@@ -139,11 +136,38 @@ class TestBuildAndLoad:
         with pytest.raises(TensorStoreError, match="model version"):
             TensorStore.load(copy)
 
+    def test_task_hashes_of_earlier_manifests_are_ignored(
+        self, store, store_dir, tmp_path
+    ):
+        """Earlier builds also recorded per-design task hashes in the
+        manifest; such a store loads, verifies and answers as is,
+        because no reader reads those keys."""
+        from repro.campaign.spec import canonical_json, sha256_text
+
+        copy = tmp_path / "earlier"
+        shutil.copytree(store_dir, copy)
+        path = copy / MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        assert "task_hashes" not in manifest
+        manifest["task_hashes"] = ["0" * 64]
+        for group in manifest["groups"]:
+            for design in group["designs"]:
+                assert "task_hash" not in design
+                design["task_hash"] = "0" * 64
+        body = {k: v for k, v in manifest.items() if k != "checksum"}
+        manifest["checksum"] = sha256_text(canonical_json(body))
+        path.write_text(json.dumps(manifest))
+        earlier = TensorStore.load(copy)
+        assert earlier.verify()["status"] == "ok"
+        key = ("baseline", "mmm", None, "ASIC", 22, 0.99, 16)
+        assert earlier.lookup(*key) == store.lookup(*key)
+
     def test_empty_workload_set_rejected(self, tmp_path):
         from repro.errors import ModelError
 
-        with pytest.raises(ModelError, match="empty campaign"):
-            materialize_spec(workloads=())
+        with pytest.raises(ModelError, match="at least one workload"):
+            build_tensor_store(tmp_path / "tensors", workloads=())
+        assert not (tmp_path / "tensors").exists()
 
 
 class TestExactLookup:
@@ -270,11 +294,9 @@ class TestInterpolation:
         directory = tmp_path / "narrow"
         build_tensor_store(
             directory,
-            spec=materialize_spec(
-                workloads=(("mmm", None),),
-                f_grid=(0.4, 0.5, 0.6),
-                r_grid=R_GRID,
-            ),
+            workloads=(("mmm", None),),
+            f_grid=(0.4, 0.5, 0.6),
+            r_max=R_MAX,
         )
         narrow = TensorStore.load(directory)
         for f in (0.1, 0.39, 0.61, 0.99):
@@ -362,70 +384,25 @@ class TestDefaultBuild:
         build_tensor_store(directory)
         assert _channel_digests(directory) == PINNED_DEFAULT_CHANNELS
 
-    def test_parent_format_results_are_misses(self, tmp_path):
-        """A result store holding the per-cell ``planes`` payloads an
-        earlier build wrote, under that build's task hashes (the
-        task's fields without ``encoding``), resumes into the pinned
-        bytes: those entries are never read."""
-        from repro.campaign.spec import (
-            canonical_json,
-            flat_asdict,
-            sha256_text,
-        )
-        from repro.campaign.store import ResultStore
-
-        spec = materialize_spec()
-        store = ResultStore(tmp_path / "results")
-        for task in spec.tasks():
-            fields = flat_asdict(task)
-            del fields["encoding"]
-            store.put(
-                sha256_text(canonical_json(fields)),
-                {
-                    "kind": "materialize",
-                    "task": fields,
-                    "nodes": [],
-                    "planes": [[[None]] * len(task.r_grid)]
-                    * len(task.f_grid),
-                },
-            )
-        directory = tmp_path / "tensors"
-        build_tensor_store(directory, spec=spec, store=store, resume=True)
-        assert _channel_digests(directory) == PINNED_DEFAULT_CHANNELS
-        assert store.stats().hits == 0
-        assert len(store) == 2 * len(spec.tasks())
-
     def test_only_a_given_store_is_written(self, tmp_path, monkeypatch):
-        """Without a store the build checkpoints nothing: no put, no
-        temp directory.  Given one, every task lands in it, and the
-        channel bytes are the same either way."""
-        from repro.campaign.store import ResultStore
-
-        puts = []
-        put = ResultStore.put
-        monkeypatch.setattr(
-            ResultStore, "put",
-            lambda self, digest, payload: (
-                puts.append(digest) or put(self, digest, payload)
-            ),
-        )
+        """The build writes its channel files and manifest and nothing
+        else: no result store, no temp directory."""
         tmp = tmp_path / "tmp"
         tmp.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(tmp))
-        spec = materialize_spec(workloads=(("bs", None),),
-                                f_grid=(0.5, 0.99), r_grid=(1, 2))
-        build_tensor_store(tmp_path / "storeless", spec=spec)
-        assert puts == []
-        assert _leftover_stores(tmp) == []
-
-        store = ResultStore(tmp_path / "results")
+        directory = tmp_path / "tensors"
         manifest = build_tensor_store(
-            tmp_path / "stored", spec=spec, store=store
+            directory, workloads=(("bs", None),), f_grid=(0.5, 0.99),
+            r_max=2,
         )
-        assert sorted(puts) == manifest["task_hashes"]
-        assert len(store) == len(spec.tasks())
-        assert _channel_digests(tmp_path / "stored") == _channel_digests(
-            tmp_path / "storeless"
+        assert list(tmp.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "tensors", "tmp"
+        ]
+        [group] = manifest["groups"]
+        assert sorted(p.name for p in directory.iterdir()) == sorted(
+            [MANIFEST_NAME]
+            + [meta["file"] for meta in group["channels"].values()]
         )
 
     def test_one_kernel_call_per_design(self, tmp_path, monkeypatch):
@@ -440,10 +417,12 @@ class TestDefaultBuild:
             return kernel(chip, f_values, budgets, r_maxes)
 
         monkeypatch.setattr(tensorstore, "optimize_prefix_batch", counted)
-        spec = materialize_spec(f_grid=(0.0, 0.5, 0.99, 1.0),
-                                r_grid=(1, 2, 3))
-        build_tensor_store(tmp_path / "tensors", spec=spec)
-        assert calls == [(0.0, 0.5, 0.99, 1.0)] * len(spec.tasks())
+        manifest = build_tensor_store(
+            tmp_path / "tensors", f_grid=(0.0, 0.5, 0.99, 1.0), r_max=3
+        )
+        designs = sum(len(g["designs"]) for g in manifest["groups"])
+        assert designs == 18
+        assert calls == [(0.0, 0.5, 0.99, 1.0)] * designs
 
     def test_cli_build_leaves_no_ephemeral_store(self, tmp_path):
         tmp = tmp_path / "tmp"
@@ -461,5 +440,5 @@ class TestDefaultBuild:
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
-        assert "materialized 18 tasks" in done.stdout
+        assert "materialized 18 designs" in done.stdout
         assert _leftover_stores(tmp) == []
