@@ -24,7 +24,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..obs.context import (
     SpanContext,
@@ -38,9 +38,11 @@ from ..obs.context import (
 )
 from ..obs.metrics import MetricsRegistry, percentile
 from ..obs.stream import EventBus, EventPublisher
-from .runner import CampaignRunner, TaskOutcome
-from .spec import CampaignSpec
 from .store import ResultStore
+
+if TYPE_CHECKING:
+    from .runner import TaskOutcome
+    from .spec import CampaignSpec
 
 __all__ = ["JobState", "JobRecord", "JobManager"]
 
@@ -207,6 +209,10 @@ class JobManager:
                 detach(token)
 
     def _run_traced(self, record: JobRecord) -> None:
+        # Imported here: a server that runs no job loads no campaign
+        # engine (its submit path validates through the spec alone).
+        from .runner import CampaignRunner
+
         with self._lock:
             record.state = JobState.RUNNING
             record.started_unix = time.time()

@@ -26,12 +26,13 @@ on ``hash()`` randomisation).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
+from .._canonical import canonical_json, flat_asdict, sha256_text
 from ..errors import ModelError
 from ..core.optimizer import DEFAULT_R_MAX
 from ..itrs.scenarios import scenario_names
@@ -62,6 +63,9 @@ MAX_SENSITIVITY_TRIALS = 100_000
 #: Upper bound on the DSE config space one task may expand, so a
 #: single job cannot pin a worker indefinitely.
 MAX_DSE_CONFIGS = 200_000
+
+#: The log-normal noise widths of a sensitivity task.
+_SIGMAS = ("mu_sigma", "phi_sigma", "bandwidth_sigma", "power_sigma")
 
 
 @dataclass(frozen=True)
@@ -188,34 +192,6 @@ CampaignTask = Union[
 ]
 
 
-@lru_cache(maxsize=None)
-def _field_names(cls: type) -> Tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls))
-
-
-def flat_asdict(obj: Any) -> Dict[str, Any]:
-    """``dataclasses.asdict`` for a dataclass whose fields are scalars
-    or tuples of scalars (every task and request type): a dict of the
-    fields, without ``asdict``'s recursive deep copy."""
-    return {name: getattr(obj, name) for name in _field_names(type(obj))}
-
-
-def canonical_json(value: Any) -> str:
-    """The canonical serialisation hashes and checksums are taken over.
-
-    Sorted keys, no whitespace, ``repr``-shortest floats: byte-stable
-    for any JSON-representable value across processes and runs.
-    """
-    return json.dumps(
-        value, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
-
-
-def sha256_text(text: str) -> str:
-    """SHA-256 hex digest of a text string (UTF-8)."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def task_hash(task: CampaignTask) -> str:
     """SHA-256 content hash of a task's canonical JSON form."""
     return sha256_text(canonical_json(flat_asdict(task)))
@@ -275,6 +251,13 @@ def _validated(task: CampaignTask) -> CampaignTask:
                 f"'trials' must be in [1, {MAX_SENSITIVITY_TRIALS}], "
                 f"got {task.trials}"
             )
+        for name in _SIGMAS:
+            value = getattr(task, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ModelError(
+                    f"{name!r} must be a finite number >= 0, "
+                    f"got {value!r}"
+                )
     return task
 
 
@@ -287,8 +270,7 @@ def _validate_dse(
     the expanded config space, so a malformed scenario is rejected at
     submit time (400 in the jobs API) and never reaches a runner.
     """
-    # Imported lazily: repro.dse imports this module for the
-    # canonical-JSON helper, so a top-level import would be a cycle.
+    # Imported here: only a DSE task loads the DSE layer.
     from ..dse.dsl import DSEScenario
     from ..dse.engine import config_count
 
@@ -409,9 +391,7 @@ class CampaignSpec:
 
     def spec_hash(self) -> str:
         """SHA-256 over the spec's canonical JSON form."""
-        return hashlib.sha256(
-            canonical_json(self.payload()).encode("utf-8")
-        ).hexdigest()
+        return sha256_text(canonical_json(self.payload()))
 
     def payload(self) -> Dict[str, Any]:
         """A JSON-ready view (round-trips through :meth:`from_payload`)."""

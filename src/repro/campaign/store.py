@@ -41,13 +41,13 @@ import weakref
 from pathlib import Path
 from typing import Any, Dict, List, NamedTuple, Optional
 
+from .._canonical import canonical_json, sha256_text
 from .._version import __version__
 from ..errors import ModelError
 from ..obs.metrics import MetricsRegistry
 from ..obs.metrics import get_registry as _global_registry
 from ..obs.trace import get_tracer
 from ..obs.stream import emit as emit_event
-from .spec import canonical_json, sha256_text
 
 __all__ = ["ResultStore", "StoreStats"]
 

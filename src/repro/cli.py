@@ -1431,7 +1431,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(output)
             return code
         elif args.command == "serve":
-            from .service.app import ServiceConfig
+            from .service.config import ServiceConfig
 
             service_config = ServiceConfig(
                 host=args.host,

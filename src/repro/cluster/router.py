@@ -6,7 +6,8 @@ connections and frames every message, the router routes.  It computes
 each request's shard key (:func:`~repro.cluster.hashring.shard_key`),
 forwards the request to the rendezvous owner over a pooled keep-alive
 upstream connection, and relays the response.  All model work happens
-in workers.  The router parses a request body only for its shard key,
+in workers, and the router process loads no model, tensor or campaign
+code.  The router parses a request body only for its shard key,
 and never decodes an answer it relays: the client gets the worker's
 body bytes under the worker's content type.  Only the merged views
 below decode worker JSON.
@@ -36,7 +37,7 @@ Cross-worker concerns it *does* own:
   The router's own ``cluster`` stream (worker respawns) is served
   locally.
 * **Traces** -- the router honours the tracing opt-in exactly as a
-  worker does (:func:`~repro.service.tensor.fast_path_eligible`).  An
+  worker does (:func:`~repro.service.http.fast_path_eligible`).  An
   untraced keep-alive model POST crosses with no router span, no id
   forwarded and no access line, so the owning worker can answer it
   from its byte cache; it carries whatever ids the worker answered
@@ -49,13 +50,16 @@ Cross-worker concerns it *does* own:
   the next-ranked worker for idempotent GETs; an in-flight POST gets
   an honest one-line 503 (the model cannot know whether the worker
   executed it).  Every upstream failure nudges the supervisor to
-  poll-and-respawn.
+  poll-and-respawn.  An unexpected error in the router itself is
+  answered 500 ``InternalError`` with its traceback logged, as a
+  worker answers its own.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import time
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, quote
@@ -66,7 +70,6 @@ from ..obs.metrics import MetricsRegistry, render_merged
 from ..obs.prof import FoldedProfile
 from ..obs.stream import EventBus
 from ..obs.trace import get_tracer
-from ..service.app import ModelService
 from ..service.events import EventStreamResponse, events_payload
 from ..service.http import (
     EncodedBody,
@@ -74,18 +77,20 @@ from ..service.http import (
     TextPayload,
     _ProtocolError,
     encode_request,
+    fast_path_eligible,
     read_response,
+    request_identity,
     serve_until,
     small_reads,
 )
 from ..service.schemas import (
+    InternalErrorPayload,
     error_payload,
     parse_events_query,
     parse_limit,
     parse_profile_query,
     query_stream,
 )
-from ..service.tensor import fast_path_eligible
 from .hashring import rendezvous_rank, shard_key
 from .prommerge import merge_expositions
 from .supervisor import ClusterConfig, WorkerSupervisor
@@ -291,7 +296,7 @@ class Router:
         """Route one request; mirrors ``ModelService.handle_request``.
 
         Identity follows the worker's own rule: a request its byte
-        cache may answer (:func:`~repro.service.tensor.fast_path_eligible`)
+        cache may answer (:func:`~repro.service.http.fast_path_eligible`)
         crosses with no router span, no id forwarded upstream and no
         access line, and keeps the ids the worker answered with --
         none on a 2xx, the worker's own on an error.  Every other
@@ -310,7 +315,7 @@ class Router:
             )
             self._account(worker, status, start)
             return status, payload, ids
-        request_id, trace_id = ModelService._request_identity(headers)
+        request_id, trace_id = request_identity(headers)
         span = self.tracer.span(
             "router.request",
             trace_id=trace_id,
@@ -326,7 +331,7 @@ class Router:
             # into one trace.
             upstream_headers["X-Request-Id"] = span.trace_id
             status, payload, worker, _ids = await self._answer(
-                method, path, bare_path, upstream_headers, body
+                method, path, bare_path, upstream_headers, body, request_id
             )
             span.set_attribute("status", status)
             span.set_attribute("worker", worker)
@@ -362,8 +367,13 @@ class Router:
         bare_path: str,
         headers: Dict[str, str],
         body: bytes,
+        request_id: Optional[str] = None,
     ) -> Tuple[int, object, str, Dict[str, str]]:
-        """:meth:`_route`, with its failures answered as payloads."""
+        """:meth:`_route`, with its failures answered as payloads.
+
+        ``request_id`` is a traced request's, for the failure log
+        line; its trace id is the log's current span context.
+        """
         try:
             return await self._route(method, path, bare_path, headers, body)
         except UpstreamError as exc:
@@ -373,6 +383,14 @@ class Router:
             # A malformed query to a router-owned endpoint: the
             # shared parsers name it exactly as a worker would.
             return exc.http_status, error_payload(exc), "router", {}
+        except Exception as exc:
+            payload = InternalErrorPayload(exc)
+            log_event(
+                _log, "router.failed", level=logging.ERROR,
+                method=method, path=bare_path, error=payload["message"],
+                request_id=request_id, traceback=payload.traceback,
+            )
+            return 500, payload, "router", {}
 
     async def _route(
         self,

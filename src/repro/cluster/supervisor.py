@@ -6,6 +6,16 @@ inherited locks or event loops), each running the unmodified
 single-process :class:`~repro.service.app.ModelService` on its own
 ephemeral port with its own LRU cache and tensor map.
 
+Start-up order: :meth:`WorkerSupervisor.start` launches every worker,
+then waits for their ports, so the fleet boots in about one worker's
+boot time rather than N in a row.  Only then does
+:func:`run_cluster_server` import the router and serve.  The router
+process loads no model, tensor or campaign code: this module imports
+the service only inside :func:`_worker_main`, and a worker unpickles
+its :class:`~repro.service.config.ServiceConfig` from a module that
+loads nothing.  A worker that fails to report stops the whole boot:
+every launched worker is stopped before the error is raised.
+
 Port discovery is race-free: each worker binds its listening socket
 *before* reporting, sending the bound port back over a
 ``multiprocessing.Pipe``, and the already-bound socket is handed to
@@ -13,6 +23,12 @@ Port discovery is race-free: each worker binds its listening socket
 knows a port, connections to it succeed.  Workers and the router stop
 through the transport's one SIGTERM/SIGINT entry point,
 :func:`~repro.service.http.run_until_signal`.
+
+A fleet worker runs OpenBLAS with one thread (``OPENBLAS_NUM_THREADS``
+defaults to 1 in :func:`_worker_main`, before numpy loads; a value the
+caller set wins).  A fleet runs one worker per vCPU and serving calls
+no BLAS routine, so each worker's BLAS pool would only spin at start
+and oversubscribe the host.
 
 Worker death is detected by :meth:`WorkerSupervisor.poll` (the router
 calls it on a timer) and answered with respawn-with-backoff: the
@@ -26,17 +42,17 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import multiprocessing.connection
+import os
 import socket
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ServiceError
 from ..obs.logging import configure_logging, get_logger, log_event
 from ..obs.metrics import MetricsRegistry
 from ..obs.metrics import get_registry as _global_registry
-from ..service.app import ModelService, ServiceConfig
-from ..service.http import run_until_signal, serve_until
+from ..service.config import ServiceConfig
 
 __all__ = ["ClusterConfig", "WorkerSupervisor", "run_cluster_server"]
 
@@ -44,6 +60,9 @@ _log = get_logger("cluster")
 
 #: How long a spawned worker gets to bind and report its port.
 WORKER_START_TIMEOUT_S = 30.0
+
+#: The supervisor's end of a worker's port-report pipe.
+_Conn = multiprocessing.connection.Connection
 
 
 @dataclass(frozen=True)
@@ -83,12 +102,13 @@ class ClusterConfig:
         return self.service.drain_timeout_s
 
 
-def _worker_main(
-    name: str,
-    config: ServiceConfig,
-    conn: "multiprocessing.connection.Connection",
-) -> None:
+def _worker_main(name: str, config: ServiceConfig, conn: _Conn) -> None:
     """Spawn target: bind, report the port, serve until SIGTERM."""
+    # First, before numpy loads (see the module docstring for why).
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from ..service.app import ModelService
+    from ..service.http import run_until_signal, serve_until
+
     configure_logging(config.log_level)
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -155,9 +175,29 @@ class WorkerSupervisor:
     # ------------------------------------------------------------------
 
     def start(self) -> Dict[str, int]:
-        """Spawn every worker; returns ``{name: port}`` once all bound."""
-        for slot in self._slots.values():
-            self._publish(slot, *self._spawn(slot))
+        """Launch every worker, then wait for each one's port; returns
+        ``{name: port}`` once all are bound.
+
+        If a worker does not report (timeout, death, bind error), every
+        launched worker is stopped before the :class:`ServiceError`
+        naming it is raised, and none is published.
+        """
+        launched: List[
+            Tuple[_WorkerSlot, multiprocessing.Process, _Conn]
+        ] = []
+        try:
+            for slot in self._slots.values():
+                launched.append((slot, *self._launch(slot)))
+            ports = [
+                self._await_port(slot, conn) for slot, _, conn in launched
+            ]
+        except BaseException:
+            for _, _, conn in launched:
+                conn.close()
+            _reap(process for _, process, _ in launched)
+            raise
+        for (slot, process, _), port in zip(launched, ports):
+            self._publish(slot, process, port)
         return self.ports()
 
     def _publish(self, slot: _WorkerSlot,
@@ -173,8 +213,20 @@ class WorkerSupervisor:
     def _spawn(
         self, slot: _WorkerSlot
     ) -> Tuple[multiprocessing.Process, int]:
-        """Start ``slot``'s worker; returns it and its bound port
-        without publishing either."""
+        """Launch ``slot``'s worker and wait for its port (a respawn);
+        returns both without publishing either."""
+        process, conn = self._launch(slot)
+        try:
+            return process, self._await_port(slot, conn)
+        except BaseException:
+            _reap([process])
+            raise
+
+    def _launch(
+        self, slot: _WorkerSlot
+    ) -> Tuple[multiprocessing.Process, _Conn]:
+        """Start ``slot``'s worker; returns it and the pipe end it
+        reports its port on."""
         worker_config = dataclasses.replace(
             self.config.service, host=self.config.host, port=0
         )
@@ -187,26 +239,32 @@ class WorkerSupervisor:
         )
         process.start()
         child_conn.close()
-        if not parent_conn.poll(WORKER_START_TIMEOUT_S):
-            process.terminate()
-            raise ServiceError(
-                f"worker {slot.name} did not report a port within "
-                f"{WORKER_START_TIMEOUT_S:.0f}s"
-            )
+        return process, parent_conn
+
+    @staticmethod
+    def _await_port(slot: _WorkerSlot, conn: _Conn) -> int:
+        """The port a launched worker reports on ``conn`` (closed
+        after); raises :class:`ServiceError` naming the worker if it
+        reports none."""
         try:
-            report = parent_conn.recv()
-        except EOFError:
-            process.terminate()
-            raise ServiceError(
-                f"worker {slot.name} died before reporting a port"
-            )
+            if not conn.poll(WORKER_START_TIMEOUT_S):
+                raise ServiceError(
+                    f"worker {slot.name} did not report a port within "
+                    f"{WORKER_START_TIMEOUT_S:.0f}s"
+                )
+            try:
+                report = conn.recv()
+            except EOFError:
+                raise ServiceError(
+                    f"worker {slot.name} died before reporting a port"
+                ) from None
         finally:
-            parent_conn.close()
+            conn.close()
         if "error" in report:
             raise ServiceError(
                 f"worker {slot.name} failed to bind: {report['error']}"
             )
-        return process, int(report["port"])
+        return int(report["port"])
 
     # ------------------------------------------------------------------
 
@@ -296,18 +354,31 @@ class WorkerSupervisor:
 
     def stop(self, timeout_s: float = 10.0) -> None:
         """SIGTERM every worker (graceful drain), then join/kill."""
-        for slot in self._slots.values():
-            if slot.process is not None and slot.process.is_alive():
-                slot.process.terminate()
-        deadline = time.monotonic() + timeout_s
-        for slot in self._slots.values():
-            if slot.process is None:
-                continue
-            slot.process.join(timeout=max(0.0, deadline - time.monotonic()))
-            if slot.process.is_alive():
-                slot.process.kill()
-                slot.process.join(timeout=1.0)
+        _reap(
+            (
+                slot.process for slot in self._slots.values()
+                if slot.process is not None
+            ),
+            timeout_s,
+        )
         log_event(_log, "cluster.stopped")
+
+
+def _reap(
+    processes: Iterable[multiprocessing.Process], timeout_s: float = 10.0
+) -> None:
+    """SIGTERM ``processes``, join them within ``timeout_s`` in all,
+    and kill any still alive."""
+    processes = list(processes)
+    for process in processes:
+        if process.is_alive():
+            process.terminate()
+    deadline = time.monotonic() + timeout_s
+    for process in processes:
+        process.join(timeout=max(0.0, deadline - time.monotonic()))
+        if process.is_alive():
+            process.kill()
+            process.join(timeout=1.0)
 
 
 def run_cluster_server(config: ClusterConfig) -> None:
@@ -315,14 +386,17 @@ def run_cluster_server(config: ClusterConfig) -> None:
 
     Boots the worker fleet, then runs the router in the foreground
     until SIGTERM/SIGINT; workers are drained (their own graceful
-    shutdown path) before the router exits.
+    shutdown path) before the router exits, also when the boot fails.
     """
-    from .router import Router
-
     configure_logging(config.service.log_level)
     supervisor = WorkerSupervisor(config)
-    supervisor.start()
     try:
+        supervisor.start()
+        # Imported once the workers are up, so the router's imports
+        # take no CPU from their start-up.
+        from ..service.http import run_until_signal
+        from .router import Router
+
         run_until_signal(Router(config, supervisor).serve_until)
     finally:
         supervisor.stop()

@@ -35,6 +35,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from .._canonical import canonical_json
 from ..core.multicore import normal_weight_shares
 from ..core.power import DEFAULT_ALPHA
 from ..devices.measurements import FFT_ANCHOR_SIZES, all_measurements
@@ -387,8 +388,6 @@ class DSEScenario:
 
     def canonical(self) -> str:
         """Canonical JSON form (the campaign tasks embed this)."""
-        from ..campaign.spec import canonical_json
-
         return canonical_json(self.payload())
 
 

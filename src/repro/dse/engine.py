@@ -23,6 +23,7 @@ sweep; its payload carries the shard's dominance-pruned front).
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from itertools import chain, groupby, islice, product
@@ -30,6 +31,7 @@ from typing import (
     Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
 
+from .._canonical import flat_asdict
 from ..core.chip import ChipModel, HeterogeneousChip
 from ..core.constraints import Budget
 from ..core.multicore import MultiUCoreChip, WorkloadSegment
@@ -467,12 +469,8 @@ def execute_pareto_task(task: Any) -> Dict[str, Any]:
     and returns the shard's dominance-pruned front (merging shard
     fronts recovers the global front; see :mod:`repro.dse.front`).
     """
-    import json as _json
-
-    from ..campaign.spec import flat_asdict
-
     scenario = DSEScenario.from_payload(
-        _json.loads(task.scenario_json)
+        json.loads(task.scenario_json)
     )
     shard_configs = expand_configs(
         scenario,

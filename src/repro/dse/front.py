@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Sequence
 
+from .._canonical import flat_asdict
 from ..errors import ModelError
 
 __all__ = [
@@ -61,10 +62,6 @@ class DSEPoint:
     limiter: str
 
     def payload(self) -> Dict[str, Any]:
-        # Lazy, like DSEScenario.canonical: importing repro.campaign
-        # loads its runner and jobs modules.
-        from ..campaign.spec import flat_asdict
-
         return flat_asdict(self)
 
 

@@ -29,10 +29,12 @@ generic algorithm lacks:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from .._canonical import flat_asdict
 from ..core.optimizer import DEFAULT_R_MAX, optimize, sweep_designs
 from ..errors import InfeasibleDesignError, ModelError
 from ..obs.stream import emit as emit_event
@@ -336,12 +338,8 @@ def successive_halving(
 
 def execute_halving_task(task: Any) -> Dict[str, Any]:
     """Campaign executor for :class:`SuccessiveHalvingTask`."""
-    import json as _json
-
-    from ..campaign.spec import flat_asdict
-
     scenario = DSEScenario.from_payload(
-        _json.loads(task.scenario_json)
+        json.loads(task.scenario_json)
     )
     with get_tracer().span(
         "dse.halving",

@@ -26,7 +26,7 @@ exactly one span.  Serving is opt-in instead: a request's spans
 (``http.request`` and, inside it, ``tensor.lookup`` and one
 ``perf.optimize_batch`` per grid call) open only for a request
 that sends ``X-Request-Id`` or is not a keep-alive model ``POST``
-(:func:`repro.service.tensor.fast_path_eligible`); an untraced request
+(:func:`repro.service.http.fast_path_eligible`); an untraced request
 that fails records one backdated ``http.request`` span, and one that
 succeeds records none.  A trace file therefore holds the traced
 requests, the errors and the loop owners, not every request.

@@ -72,6 +72,7 @@ from typing import (
 
 import numpy as np
 
+from .._canonical import canonical_json, sha256_text
 from .._version import __version__
 from ..core.optimizer import DEFAULT_R_MAX
 from ..devices.bce import DEFAULT_BCE
@@ -135,8 +136,6 @@ def spec_hash(
     """SHA-256 of the canonical JSON of a build's inputs: the
     manifest's ``spec_hash``, which ``materialize refresh`` compares
     to decide whether a published store is current."""
-    from ..campaign.spec import canonical_json, sha256_text
-
     return sha256_text(canonical_json({
         "scenario": scenario,
         "workloads": [[workload, fft_size]
@@ -336,8 +335,6 @@ def describe_manifest(directory: os.PathLike,
 
 
 def _manifest_checksum(manifest: Dict[str, Any]) -> str:
-    from ..campaign.spec import canonical_json, sha256_text
-
     body = {k: v for k, v in manifest.items() if k != "checksum"}
     return sha256_text(canonical_json(body))
 

@@ -56,8 +56,12 @@ class SensitivityConfig:
     def __post_init__(self) -> None:
         for name in ("mu_sigma", "phi_sigma", "bandwidth_sigma",
                      "power_sigma"):
-            if getattr(self, name) < 0:
-                raise ModelError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            # ``nan < 0`` is False: test for what is allowed instead.
+            if not (math.isfinite(value) and value >= 0):
+                raise ModelError(
+                    f"{name} must be a finite number >= 0, got {value!r}"
+                )
         if self.trials < 1:
             raise ModelError(f"trials must be >= 1, got {self.trials}")
 

@@ -35,8 +35,9 @@ or in-process::
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
-    "app": ("ModelService", "ServiceConfig"),
+    "app": ("ModelService",),
     "batching": ("MicroBatcher",),
+    "config": ("ServiceConfig",),
     "events": (
         "EventStreamResponse",
         "events_payload",

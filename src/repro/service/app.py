@@ -22,12 +22,15 @@
    metrics registry (labelled by route, never by raw path) and SLO
    tracker, behind both ``GET /metrics`` forms.  Tracing is opt-in by
    the rule every serving tier shares
-   (:func:`~repro.service.tensor.fast_path_eligible`): a keep-alive
+   (:func:`~repro.service.http.fast_path_eligible`): a keep-alive
    model ``POST`` without ``X-Request-Id`` that answers 2xx records
    nothing else -- no span, no id, no access line -- exactly as a
    byte-cache replay.  Every other request gets its ids, a root
    ``http.request`` span and a structured JSON access line; an
    untraced request that fails gets them too, built when it ends.
+   An unexpected handler error is answered 500 ``InternalError``, its
+   traceback logged with the request's ids, and the connection stays
+   open.
 
 The class is deliberately transport-free (``handle(method, path,
 body) -> (status, payload)``) so tests drive the full lifecycle
@@ -39,16 +42,14 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-import re
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs
 
 from .._version import __version__
 from ..campaign.jobs import JobManager
-from ..obs.context import current_context, new_span_id
+from ..obs.context import current_context
 from ..obs.logging import get_logger, log_event
 from ..obs.metrics import MetricsRegistry, get_registry, render_merged
 from ..obs.prof import acquire_sampler, release_sampler
@@ -71,11 +72,14 @@ from ..perf.cache import register_cache_metrics
 from ..projection.designs import DesignSpec, standard_designs
 from ..projection.engine import node_budget
 from .batching import MicroBatcher
+from .config import ServiceConfig
 from .events import EventStreamResponse, events_payload
+from .http import TextPayload, fast_path_eligible, request_identity
 from .metrics import metrics_payload
 from .respcache import ResponseCache
-from .tensor import TensorServing, TransportFastPath, fast_path_eligible
+from .tensor import TensorServing, TransportFastPath
 from .schemas import (
+    InternalErrorPayload,
     OptimizeRequest,
     SpeedupRequest,
     SweepRequest,
@@ -96,47 +100,6 @@ __all__ = ["ServiceConfig", "ModelService"]
 
 _log = get_logger("service")
 _access_log = get_logger("service.access")
-
-#: Client request ids that can double as W3C-shaped trace ids.
-_TRACE_ID_RE = re.compile(r"^[0-9a-f]{32}$")
-
-#: Request-id header values are echoed back; cap and sanitise them so
-#: a hostile client cannot smuggle header-splitting bytes through us.
-_REQUEST_ID_SAFE_RE = re.compile(r"^[A-Za-z0-9._-]{1,128}$")
-
-
-@dataclass(frozen=True)
-class ServiceConfig:
-    """Tunables for one server instance (CLI flags map 1:1)."""
-
-    host: str = "127.0.0.1"
-    port: int = 8080
-    #: Root of the campaign result store backing ``POST /v1/jobs``;
-    #: None keeps job results in an ephemeral temporary directory.
-    store_dir: Optional[str] = None
-    #: Graceful-shutdown budget: seconds to drain open connections and
-    #: running jobs after SIGTERM/SIGINT before exiting anyway.
-    drain_timeout_s: float = 5.0
-    #: Append every finished span as one JSON line to this file
-    #: (``serve --trace-file``); None keeps spans in memory only.  It
-    #: records what is traced anyway (see
-    #: :meth:`ModelService.handle_request`) and opts no request in.
-    trace_file: Optional[str] = None
-    #: Log level for the structured JSON logs (``--log-level`` /
-    #: ``REPRO_LOG_LEVEL``); None resolves through the environment.
-    log_level: Optional[str] = None
-    #: Declarative latency/error objectives per endpoint; None takes
-    #: :data:`repro.obs.slo.DEFAULT_OBJECTIVES`.
-    slo_objectives: Optional[Tuple["SLObjective", ...]] = None
-    #: Directory of a materialized tensor store (``repro-hetsim
-    #: materialize build``); None serves everything live.  A store
-    #: that fails its integrity checks is quarantined (served around,
-    #: reported in ``/healthz``), never trusted.
-    tensor_dir: Optional[str] = None
-    #: Continuous sampling profiler (``GET /v1/profile``).  Default-on:
-    #: the sampler costs well under the 2% overhead budget gated by
-    #: ``make bench-profile``; ``serve --no-profile`` turns it off.
-    profile: bool = True
 
 
 class ModelService:
@@ -282,7 +245,7 @@ class ModelService:
         ``{"error", "message"}`` payload with the matching status.
 
         A request the byte cache could answer
-        (:func:`~repro.service.tensor.fast_path_eligible`: a keep-alive
+        (:func:`~repro.service.http.fast_path_eligible`: a keep-alive
         model ``POST`` without ``X-Request-Id``) is untraced: answered
         2xx, it records its metrics and SLO event only and carries no
         response headers.  Every other request runs inside a root
@@ -322,6 +285,13 @@ class ModelService:
             span.backdate(time.time() - latency, start)
             _annotate(span, status, cache_state)
             span.finish()
+        if isinstance(payload, InternalErrorPayload):
+            log_event(
+                _log, "request.failed", level=logging.ERROR,
+                method=method, path=path, error=payload["message"],
+                request_id=request_id, trace_id=span.trace_id,
+                traceback=payload.traceback,
+            )
         self.account(path, status, latency, cache_state, span.trace_id)
         self._log_access(
             method, path, status, latency, cache_state,
@@ -362,7 +332,7 @@ class ModelService:
         self, method: str, path: str, headers: Dict[str, str]
     ) -> Tuple[Span, str]:
         """A request's root ``http.request`` span and its request id."""
-        request_id, trace_id = self._request_identity(headers)
+        request_id, trace_id = request_identity(headers)
         span = self.tracer.span(
             "http.request",
             trace_id=trace_id,
@@ -373,24 +343,6 @@ class ModelService:
             },
         )
         return span, request_id
-
-    @staticmethod
-    def _request_identity(
-        headers: Dict[str, str]
-    ) -> Tuple[str, Optional[str]]:
-        """``(request_id, trace_id)`` for one request.
-
-        A client-supplied ``X-Request-Id`` is echoed back verbatim
-        when it is header-safe (else replaced); when it is shaped like
-        a trace id it *becomes* the trace id, so a caller can stitch
-        our spans into its own trace.
-        """
-        supplied = headers.get("x-request-id", "").strip()
-        if supplied and _TRACE_ID_RE.match(supplied):
-            return supplied, supplied
-        if supplied and _REQUEST_ID_SAFE_RE.match(supplied):
-            return supplied, None
-        return new_span_id(), None
 
     async def _answer(
         self,
@@ -412,6 +364,10 @@ class ModelService:
         except ReproError as exc:
             # Any other intentional model error is a client error.
             return 400, error_payload(exc), None
+        except Exception as exc:
+            # A fault of ours: answered, counted as a 5xx, and logged
+            # by handle_request once the request has its ids.
+            return 500, InternalErrorPayload(exc), None
 
     async def _dispatch(
         self,
@@ -624,8 +580,6 @@ class ModelService:
         else:
             profile = self.sampler.profile()
         if fmt == "folded":
-            from .http import TextPayload  # late: http imports app
-
             return TextPayload(profile.to_text())
         doc = profile.payload()
         doc["top"] = profile.top_self(10)

@@ -15,26 +15,34 @@ path, body, headers)`` -> ``(status, payload, headers)``, a
 ``fastpath`` byte cache or None, and the hooks ``listening(host,
 port)`` and ``close()``.  The router talks to its workers through
 :func:`encode_request` and :func:`read_response`.
+
+Two rules read request headers, and every tier that parses a request
+applies them: :func:`fast_path_eligible` decides whether a request is
+traced (the byte cache, :class:`~repro.service.app.ModelService` and
+the router all ask it), and :func:`request_identity` gives a traced
+request its request and trace ids.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import re
 import signal
 import socket
 from typing import (
-    TYPE_CHECKING, Awaitable, Callable, Dict, List, NamedTuple, Optional,
-    Set, Tuple,
+    Awaitable, Callable, Dict, List, NamedTuple, Optional, Set, Tuple,
 )
 
+from ..obs.context import new_span_id
 from ..obs.logging import configure_logging, get_logger, log_event
+from .config import ServiceConfig
 from .events import EventStreamResponse
 
-if TYPE_CHECKING:
-    from .app import ServiceConfig
-
 __all__ = [
+    "FAST_PATH_ROUTES",
+    "fast_path_eligible",
+    "request_identity",
     "start_server",
     "run_server",
     "run_until_signal",
@@ -76,6 +84,57 @@ _log = get_logger("service")
 
 #: Content type of the Prometheus text exposition (format 0.0.4).
 PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: Endpoints the transport byte cache may answer.
+FAST_PATH_ROUTES = {
+    "/v1/speedup": "speedup",
+    "/v1/sweep": "sweep",
+    "/v1/optimize": "optimize",
+}
+
+#: Client request ids that can double as W3C-shaped trace ids.
+_TRACE_ID_RE = re.compile(r"^[0-9a-f]{32}$")
+
+#: Request-id header values are echoed back; cap and sanitise them so
+#: a hostile client cannot smuggle header-splitting bytes through us.
+_REQUEST_ID_SAFE_RE = re.compile(r"^[A-Za-z0-9._-]{1,128}$")
+
+
+def fast_path_eligible(
+    method: str, path: str, headers: Dict[str, str]
+) -> bool:
+    """Whether this request is untraced (so the byte cache may answer).
+
+    ``POST`` on a model endpoint, keep-alive, and no ``X-Request-Id``
+    header (``headers`` keyed lower-case, as the transport parses
+    them).  Supplying a request id is the opt-in to tracing, id echo
+    headers and per-request logs.  A pure function of the request:
+    the byte cache, the router and the service's full pipeline ask
+    the same question, so an untraced request crosses the fleet
+    untraced too.
+    """
+    return (
+        method == "POST"
+        and path in FAST_PATH_ROUTES
+        and "x-request-id" not in headers
+        and headers.get("connection", "keep-alive").lower() != "close"
+    )
+
+
+def request_identity(headers: Dict[str, str]) -> Tuple[str, Optional[str]]:
+    """``(request_id, trace_id)`` for one traced request.
+
+    A client-supplied ``X-Request-Id`` is echoed back verbatim when it
+    is header-safe (else replaced); when it is shaped like a trace id
+    it *becomes* the trace id, so a caller can stitch our spans into
+    its own trace.  A None trace id starts a fresh trace.
+    """
+    supplied = headers.get("x-request-id", "").strip()
+    if supplied and _TRACE_ID_RE.match(supplied):
+        return supplied, supplied
+    if supplied and _REQUEST_ID_SAFE_RE.match(supplied):
+        return supplied, None
+    return new_span_id(), None
 
 
 class TextPayload(str):
@@ -488,7 +547,7 @@ def run_until_signal(
         pass
 
 
-def run_server(config: Optional["ServiceConfig"] = None) -> None:
+def run_server(config: Optional[ServiceConfig] = None) -> None:
     """Blocking entry point used by ``repro-hetsim serve``.
 
     Configures the structured JSON log (level from ``--log-level`` /
@@ -498,7 +557,7 @@ def run_server(config: Optional["ServiceConfig"] = None) -> None:
     """
     # Imported here: the service's byte cache encodes through this
     # module, so the app imports it first.
-    from .app import ModelService, ServiceConfig
+    from .app import ModelService
 
     config = config or ServiceConfig()
     configure_logging(config.log_level)

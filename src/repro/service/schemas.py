@@ -14,13 +14,17 @@ silently-defaulted answer to a misspelled query.
 
 from __future__ import annotations
 
+import traceback
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
-from ..campaign.spec import CampaignSpec, flat_asdict
+from .._canonical import flat_asdict
 from ..core.optimizer import DEFAULT_R_MAX, DesignPoint
 from ..errors import BadRequestError, ModelError
 from ..itrs.scenarios import scenario_names
+
+if TYPE_CHECKING:
+    from ..campaign.spec import CampaignSpec
 
 __all__ = [
     "SpeedupRequest",
@@ -38,6 +42,7 @@ __all__ = [
     "design_point_payload",
     "request_payload",
     "error_payload",
+    "InternalErrorPayload",
 ]
 
 #: A parsed query string (``urllib.parse.parse_qs`` output).
@@ -242,6 +247,10 @@ def parse_job(body: Any) -> CampaignSpec:
     out-of-domain workloads/fractions/scenarios and oversized trial
     counts all map to HTTP 400 with the model's message.
     """
+    # Imported here: jobs run on fleet workers, never on the router,
+    # which shares this module's query parsers.
+    from ..campaign.spec import CampaignSpec
+
     body = _require_mapping(body)
     try:
         spec = CampaignSpec.from_payload(body)
@@ -291,6 +300,9 @@ def parse_dse(body: Any) -> CampaignSpec:
     400 naming the offending field instead of a queued job that fails
     later.
     """
+    from ..campaign.spec import (
+        CampaignSpec, ParetoFrontTask, SuccessiveHalvingTask,
+    )
     from ..dse.dsl import DSEScenario, builtin_scenario
     from ..dse.engine import config_count
 
@@ -331,8 +343,6 @@ def parse_dse(body: Any) -> CampaignSpec:
                     f"field 'shards' must be at most the scenario's "
                     f"{n_configs} configs, got {shards}"
                 )
-            from ..campaign.spec import ParetoFrontTask
-
             tasks = tuple(
                 ParetoFrontTask(
                     scenario_json=scenario_json,
@@ -353,8 +363,6 @@ def parse_dse(body: Any) -> CampaignSpec:
                     "field 'shards' only applies to mode 'pareto'"
                 )
             rungs = _get_grid(body, "rungs")
-            from ..campaign.spec import SuccessiveHalvingTask
-
             kwargs = {} if rungs is None else {"rungs": rungs}
             spec = CampaignSpec(
                 name=f"dse-{scenario.name}",
@@ -489,3 +497,16 @@ def request_payload(request: Any) -> Dict[str, Any]:
 def error_payload(exc: Exception) -> Dict[str, Any]:
     """The ``{"error", "message"}`` body of every error response."""
     return {"error": type(exc).__name__.lstrip("_"), "message": str(exc)}
+
+
+class InternalErrorPayload(dict):
+    """The 500 body of an unexpected handler error.
+
+    Built inside the ``except`` clause that caught ``exc``.  The client
+    reads only the exception's type name; the traceback is kept for
+    the server's log line and never sent.
+    """
+
+    def __init__(self, exc: Exception) -> None:
+        super().__init__(error="InternalError", message=type(exc).__name__)
+        self.traceback = traceback.format_exc()

@@ -22,8 +22,9 @@ Two layers, both optional (``serve --tensor-dir``):
   per-request overhead (span, access log, header assembly) dominates.
   The fast path applies only to keep-alive ``POST`` requests on the
   three model endpoints that carry **no** ``X-Request-Id`` header
-  (:func:`fast_path_eligible`) -- sending one is the documented opt-in
-  to per-request tracing and response id headers.  It is the one
+  (:func:`~repro.service.http.fast_path_eligible`, re-exported here)
+  -- sending one is the documented opt-in to per-request tracing and
+  response id headers.  It is the one
   traced/untraced rule of every serving tier: the byte cache, the
   cluster router and :meth:`~repro.service.app.ModelService.handle_request`
   all ask it, so an untraced request records no span, id or access
@@ -49,7 +50,7 @@ from ..core.constraints import BoundSet
 from ..core.optimizer import DesignPoint
 from ..errors import ReproError, TensorStoreError
 from ..perf.tensorstore import TensorStore
-from .http import _encode_response
+from .http import FAST_PATH_ROUTES, _encode_response, fast_path_eligible
 from .schemas import (
     OptimizeRequest,
     SpeedupRequest,
@@ -67,35 +68,6 @@ __all__ = [
     "FAST_PATH_ROUTES",
     "fast_path_eligible",
 ]
-
-#: Endpoints the transport byte cache may answer.
-FAST_PATH_ROUTES = {
-    "/v1/speedup": "speedup",
-    "/v1/sweep": "sweep",
-    "/v1/optimize": "optimize",
-}
-
-
-def fast_path_eligible(
-    method: str, path: str, headers: Dict[str, str]
-) -> bool:
-    """Whether this request is untraced (so the byte cache may answer).
-
-    ``POST`` on a model endpoint, keep-alive, and no ``X-Request-Id``
-    header (``headers`` keyed lower-case, as the transport parses
-    them).  Supplying a request id is the opt-in to tracing, id echo
-    headers and per-request logs.  A pure function of the request:
-    the byte cache, the router and the service's full pipeline ask
-    the same question, so an untraced request crosses the fleet
-    untraced too.
-    """
-    return (
-        method == "POST"
-        and path in FAST_PATH_ROUTES
-        and "x-request-id" not in headers
-        and headers.get("connection", "keep-alive").lower() != "close"
-    )
-
 
 #: Sentinel distinguishing "never built" from "built: not answerable".
 _UNKNOWN = object()

@@ -257,6 +257,32 @@ class TestJobsEndpoints:
             {"dse_pareto": [{"scenario_json": "{}", "r_max": None}]},
             "'r_max' must be an integer, got None", id="dse-null-r_max",
         ),
+        # A sigma is a log-normal width: finite and >= 0.  The server's
+        # JSON parser accepts NaN, and ``nan < 0`` is False.
+        pytest.param(
+            {"sensitivity": [{"workload": "mmm", "trials": 2,
+                              "mu_sigma": -1}]},
+            "'mu_sigma' must be a finite number >= 0, got -1",
+            id="negative-mu_sigma",
+        ),
+        pytest.param(
+            {"sensitivity": [{"workload": "mmm", "trials": 2,
+                              "phi_sigma": float("nan")}]},
+            "'phi_sigma' must be a finite number >= 0, got nan",
+            id="nan-phi_sigma",
+        ),
+        pytest.param(
+            {"sensitivity": [{"workload": "mmm", "trials": 2,
+                              "bandwidth_sigma": float("inf")}]},
+            "'bandwidth_sigma' must be a finite number >= 0, got inf",
+            id="inf-bandwidth_sigma",
+        ),
+        pytest.param(
+            {"sensitivity": [{"workload": "mmm", "trials": 2,
+                              "power_sigma": -0.5}]},
+            "'power_sigma' must be a finite number >= 0, got -0.5",
+            id="negative-power_sigma",
+        ),
         # The tensor-store build is `repro-hetsim materialize build`,
         # not a campaign task.
         pytest.param(

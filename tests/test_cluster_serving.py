@@ -22,7 +22,7 @@ from repro.obs.metrics import MetricsRegistry, validate_prometheus
 from repro.obs.trace import phase_totals
 from repro.perf.tensorstore import build_tensor_store
 from repro.service.app import ModelService, ServiceConfig
-from repro.service.http import serve_until
+from repro.service.http import encode_request, read_response, serve_until
 
 SPEEDUP_BODY = json.dumps(
     {"workload": "mmm", "f": 0.99, "design": "GTX480"}
@@ -279,6 +279,63 @@ class TestUpstreamFraming:
         status, payload, _ = asyncio.run(main())
         assert status == 503
         assert payload["error"] == "UpstreamError"
+
+
+class _BrokenLiveness(_OneWorker):
+    """A supervisor whose first liveness read fails unexpectedly."""
+
+    def __init__(self, port):
+        super().__init__(port)
+        self.faults = [RuntimeError("liveness broke")]
+
+    def liveness(self):
+        if self.faults:
+            raise self.faults.pop()
+        return {"alive": 1, "configured": 1, "workers": {}}
+
+
+class TestInternalErrors:
+    def test_router_fault_is_a_500_on_a_live_connection(self):
+        """An exception the router does not map is answered 500
+        ``InternalError`` and counted as an error, and the keep-alive
+        connection serves the next request."""
+
+        async def main():
+            router = Router(
+                ClusterConfig(workers=1, host="127.0.0.1", port=0),
+                _BrokenLiveness(port=9),
+                registry=MetricsRegistry(),
+            )
+            stop, ready = asyncio.Event(), asyncio.Event()
+            served = asyncio.ensure_future(
+                router.serve_until(stop, ready=ready)
+            )
+            await ready.wait()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", router.bound_port
+            )
+            answers = []
+            try:
+                for _ in range(2):
+                    writer.write(encode_request("GET", "/healthz", {}))
+                    answers.append(await read_response(reader))
+            finally:
+                writer.close()
+                stop.set()
+                await served
+            errors = router.registry.get("repro_cluster_requests_total")
+            return answers, errors.value(worker="router", outcome="error")
+
+        (failed, answered), errors = asyncio.run(main())
+        status, headers, body = failed
+        assert status == 500
+        assert json.loads(body) == {
+            "error": "InternalError", "message": "RuntimeError",
+        }
+        assert headers["connection"] == "keep-alive"
+        assert answered[0] == 200
+        assert json.loads(answered[2])["status"] == "ok"
+        assert errors == 1
 
 
 class TestMetrics:

@@ -159,6 +159,15 @@ class TestSensitivity:
         with pytest.raises(ModelError):
             SensitivityConfig(mu_sigma=-0.1)
 
+    @pytest.mark.parametrize("field", [
+        "mu_sigma", "phi_sigma", "bandwidth_sigma", "power_sigma",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_is_rejected(self, field, value):
+        """``nan < 0`` is False, so a NaN sigma used to pass."""
+        with pytest.raises(ModelError, match=field):
+            SensitivityConfig(**{field: value})
+
     def test_deterministic_given_seed(self):
         a = run_sensitivity(
             "bs", 0.9, config=SensitivityConfig(trials=20, seed=11)

@@ -92,6 +92,23 @@ assert main(["materialize", "build", "--dir", sys.argv[1]]) == 0
 print(json.dumps({"modules": sorted(sys.modules), "sampler": len(calls)}))
 """
 
+#: What the router process of ``serve --workers N`` imports: the CLI,
+#: then the fleet's entry point and its router.
+_ROUTER = """
+import json, sys
+from repro.cli import build_parser
+from repro.cluster import run_cluster_server, Router
+build_parser()
+print(json.dumps({"modules": sorted(sys.modules)}))
+"""
+
+#: Modules the router process does not run: it routes bytes to the
+#: workers and evaluates nothing.
+UNUSED_BY_ROUTER = (
+    "numpy", "repro.service.app", "repro.service.tensor", "repro.perf",
+    "repro.projection", "repro.campaign",
+)
+
 # What ``repro-hetsim serve`` imports, then one request per endpoint
 # family on and off the store's grid.
 _SERVE = """
@@ -150,11 +167,12 @@ def _probe(script, *args):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def _unused(modules):
+def _unused(modules, unused=UNUSED_BY_SERVING):
+    """The names in ``modules`` that are, or live under, ``unused``."""
     return sorted(
         name for name in modules
-        if any(name == unused or name.startswith(unused + ".")
-               for unused in UNUSED_BY_SERVING)
+        if any(name == prefix or name.startswith(prefix + ".")
+               for prefix in unused)
     )
 
 
@@ -185,6 +203,30 @@ class TestStartupImports:
             if name in built["modules"]
         ] == []
         assert built["sampler"] == 0
+
+    def test_build_loads_no_campaign_module(self, tmp_path):
+        """The build hashes its inputs with the stdlib-only canonical
+        helpers, not through the campaign spec."""
+        built = _probe(_BUILD, tmp_path / "tensors")
+        assert _unused(built["modules"], ("repro.campaign",)) == []
+
+    def test_serve_loads_no_campaign_engine(self, tmp_path):
+        """A server imports the job manager and its result store; the
+        spec and the runner load when a job is submitted and run."""
+        _probe(_BUILD, tmp_path / "tensors")
+        served = _probe(_SERVE, tmp_path / "tensors")
+        assert [
+            name for name in ("repro.campaign.runner", "repro.campaign.spec")
+            if name in served["modules"]
+        ] == []
+
+    def test_router_loads_no_model_code(self):
+        """The fleet's router process loads no numpy and no model,
+        tensor or campaign module: its boot takes no CPU from the
+        workers'."""
+        routed = _probe(_ROUTER)
+        assert "repro.cluster.router" in routed["modules"]
+        assert _unused(routed["modules"], UNUSED_BY_ROUTER) == []
 
 
 class TestQuickstartFlow:

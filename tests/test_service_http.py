@@ -8,6 +8,7 @@ results through the JSON body.
 
 import asyncio
 import json
+import logging
 
 import pytest
 
@@ -287,3 +288,82 @@ class TestWire:
         status, _, payload = asyncio.run(main())
         assert status == 400
         assert payload["error"] == "BadRequestError"
+
+
+class _Records(logging.Handler):
+    """The structured fields of every record a logger emits."""
+
+    def __init__(self):
+        super().__init__()
+        self.records = []
+
+    def emit(self, record):
+        self.records.append((record.getMessage(), record.data))
+
+
+class TestInternalErrors:
+    def test_handler_fault_is_a_500_on_a_live_connection(self):
+        """An exception the service does not map is answered 500
+        ``InternalError`` and counted as a 5xx; its traceback is
+        logged with the request's ids; the keep-alive connection
+        serves the next request."""
+        body = {"workload": "mmm", "f": 0.99, "design": "GTX480"}
+        logger = logging.getLogger("repro.service")
+        records = _Records()
+        logger.addHandler(records)
+
+        async def main():
+            service, server, port = await _serve()
+            evaluate = service._eval_speedup
+            faults = [RuntimeError("evaluator broke")]
+
+            def fails_once(request):
+                if faults:
+                    raise faults.pop()
+                return evaluate(request)
+
+            service._eval_speedup = fails_once
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                answers = []
+                for _ in range(2):
+                    writer.write(_request_bytes("POST", "/v1/speedup", body))
+                    await writer.drain()
+                    answers.append(await _read_response(reader))
+                writer.close()
+                await writer.wait_closed()
+                requests = service.registry.get(
+                    "repro_service_requests_total"
+                )
+                return answers, {
+                    status: requests.value(
+                        endpoint="/v1/speedup", status=status
+                    )
+                    for status in ("500", "200")
+                }
+            finally:
+                await _shutdown(service, server)
+
+        try:
+            (failed, answered), counted = asyncio.run(main())
+        finally:
+            logger.removeHandler(records)
+        status, headers, payload = failed
+        assert status == 500
+        assert payload == {
+            "error": "InternalError", "message": "RuntimeError",
+        }
+        assert headers["connection"] == "keep-alive"
+        assert answered[0] == 200
+        assert answered[2]["point"]["speedup"] > 1
+        assert counted == {"500": 1, "200": 1}
+        [logged] = [
+            fields for event, fields in records.records
+            if event == "request.failed"
+        ]
+        assert logged["request_id"] == headers["x-request-id"]
+        assert logged["trace_id"] == headers["x-trace-id"]
+        assert logged["error"] == "RuntimeError"
+        assert "RuntimeError: evaluator broke" in logged["traceback"]

@@ -1,6 +1,6 @@
 """Tracing is opt-in per request, by one rule on every serving tier.
 
-:func:`repro.service.tensor.fast_path_eligible` decides it: a
+:func:`repro.service.http.fast_path_eligible` decides it: a
 keep-alive model ``POST`` without ``X-Request-Id`` is untraced.  An
 untraced live request answered 2xx records only what ``/metrics`` and
 the SLO tracker read -- no span, no ids, no ring entry, no access line.
